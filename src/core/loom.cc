@@ -1290,34 +1290,6 @@ Status Loom::ScanRecordRangeInternal(uint64_t from, uint64_t to, bool filtered,
   return Status::Ok();
 }
 
-std::unique_ptr<ChunkPrefetcher::Job> Loom::SubmitCandidatePrefetch(const CandidatePlan& plan,
-                                                                    const Snapshot& snap) const {
-  if (options_.prefetch_depth == 0 || plan.use_preloaded || plan.addrs.size() < 2) {
-    return nullptr;
-  }
-  // Frame layout: u32 length | ChunkSummary body, whose first field is the
-  // u64 chunk_addr — one tiny read pins the whole candidate range, because
-  // chunk events are appended once per finalized chunk in log order, making
-  // candidate record chunks consecutive chunk_size-strided spans.
-  uint8_t addr_buf[8];
-  if (!chunk_log_->Read(plan.addrs[0] + 4, std::span<uint8_t>(addr_buf, 8)).ok()) {
-    return nullptr;
-  }
-  const uint64_t chunk0 = LoadU64(addr_buf);
-  const uint64_t chunk_size = options_.chunk_size;
-  std::vector<ChunkPrefetcher::Range> ranges;
-  ranges.reserve(plan.addrs.size());
-  for (size_t c = 0; c < plan.addrs.size(); ++c) {
-    const uint64_t start = chunk0 + c * chunk_size;
-    const uint64_t end = std::min<uint64_t>(start + chunk_size, snap.record_tail);
-    if (start >= end) {
-      return nullptr;  // derivation ran past the snapshot: don't prefetch
-    }
-    ranges.push_back({start, static_cast<uint32_t>(end - start)});
-  }
-  return prefetcher_.Submit(record_log_.get(), std::move(ranges), options_.prefetch_depth);
-}
-
 Result<std::shared_ptr<const ChunkSummary>> Loom::ReadSummary(uint64_t addr, uint64_t chunk_tail,
                                                               QueryTrace* trace) const {
   if (addr + 4 > chunk_tail) {
@@ -1855,14 +1827,7 @@ bool Loom::CanRunParallel() const {
 Status Loom::ProcessAggregateCandidate(uint32_t source_id, uint32_t index_id,
                                        const IndexSnapshot& idx, TimeRange t_range,
                                        const Snapshot& snap, const CandidatePlan& plan, size_t c,
-                                       ChunkPrefetcher::Job* ring, ChunkOutcome* out,
-                                       QueryTrace* trace) const {
-  // Take this candidate's ring slot unconditionally — pruned candidates must
-  // still advance the read-ahead window or the ring would stall.
-  std::optional<std::vector<uint8_t>> pre;
-  if (ring != nullptr) {
-    pre = ring->Take(c);
-  }
+                                       ChunkOutcome* out, QueryTrace* trace) const {
   auto loaded = LoadCandidate(plan, c, snap, t_range, trace);
   if (!loaded.ok()) {
     return loaded.status();
@@ -1907,17 +1872,8 @@ Status Loom::ProcessAggregateCandidate(uint32_t source_id, uint32_t index_id,
   out->kind = ChunkOutcome::Kind::kScanned;
   const IndexFunc& func = idx.func;
   const uint64_t end = std::min<uint64_t>(s.chunk_addr + s.chunk_len, snap.record_tail);
-  // A prefetched buffer is trusted only when it demonstrably covers this
-  // chunk: the ring's ranges were derived arithmetically before any summary
-  // was decoded, so the submitted base must equal the decoded chunk_addr.
-  // Anything else degrades to a miss through the scan-local cache.
-  std::span<const uint8_t> preloaded;
-  if (pre.has_value() && ring->range_addr(c) == s.chunk_addr && end > s.chunk_addr &&
-      pre->size() >= end - s.chunk_addr) {
-    preloaded = std::span<const uint8_t>(pre->data(), static_cast<size_t>(end - s.chunk_addr));
-  }
   return ScanRecordRangeFor(
-      s.chunk_addr, end, source_id, t_range, preloaded,
+      s.chunk_addr, end, source_id, t_range, {},
       [&](const RecordView& view) -> bool {
         std::optional<double> value = func(view.payload);
         if (value.has_value()) {
@@ -1931,12 +1887,8 @@ Status Loom::ProcessAggregateCandidate(uint32_t source_id, uint32_t index_id,
 Status Loom::ProcessScanCandidate(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
                                   TimeRange t_range, ValueRange v_range, uint32_t first_bin,
                                   uint32_t last_bin, const Snapshot& snap,
-                                  const CandidatePlan& plan, size_t c, ChunkPrefetcher::Job* ring,
-                                  ChunkOutcome* out, QueryTrace* trace) const {
-  std::optional<std::vector<uint8_t>> pre;
-  if (ring != nullptr) {
-    pre = ring->Take(c);
-  }
+                                  const CandidatePlan& plan, size_t c, ChunkOutcome* out,
+                                  QueryTrace* trace) const {
   auto loaded = LoadCandidate(plan, c, snap, t_range, trace);
   if (!loaded.ok()) {
     return loaded.status();
@@ -1986,13 +1938,8 @@ Status Loom::ProcessScanCandidate(uint32_t source_id, uint32_t index_id, const I
   out->kind = ChunkOutcome::Kind::kScanned;
   const IndexFunc& func = idx.func;
   const uint64_t end = std::min<uint64_t>(s.chunk_addr + s.chunk_len, snap.record_tail);
-  std::span<const uint8_t> preloaded;
-  if (pre.has_value() && ring->range_addr(c) == s.chunk_addr && end > s.chunk_addr &&
-      pre->size() >= end - s.chunk_addr) {
-    preloaded = std::span<const uint8_t>(pre->data(), static_cast<size_t>(end - s.chunk_addr));
-  }
   return ScanRecordRangeFor(
-      s.chunk_addr, end, source_id, t_range, preloaded,
+      s.chunk_addr, end, source_id, t_range, {},
       [&](const RecordView& view) -> bool {
         std::optional<double> value = func(view.payload);
         if (!value.has_value() || !v_range.Contains(*value)) {
@@ -2440,7 +2387,6 @@ Status Loom::IndexedScanValuesImpl(uint32_t source_id, uint32_t index_id, TimeRa
     CandidatePlan plan;
     LOOM_RETURN_IF_ERROR(PlanCandidates(snap, t_range, &plan, trace));
     const size_t n = plan.size();
-    const std::unique_ptr<ChunkPrefetcher::Job> ring = SubmitCandidatePrefetch(plan, snap);
 
     // Archive tier first: demoted blocks hold strictly older data than any
     // hot chunk, so emitting them first preserves the operator's global
@@ -2532,8 +2478,8 @@ Status Loom::IndexedScanValuesImpl(uint32_t source_id, uint32_t index_id, TimeRa
             for (size_t c = begin; c < end; ++c) {
               Status st =
                   ProcessScanCandidate(source_id, index_id, idx.value(), t_range, v_range,
-                                       first_bin, last_bin, snap, plan, c, ring.get(),
-                                       &outcomes[c], &morsel_traces[mi]);
+                                       first_bin, last_bin, snap, plan, c, &outcomes[c],
+                                       &morsel_traces[mi]);
               if (!st.ok()) {
                 morsel_status[mi] = st;
                 abort.store(true, std::memory_order_relaxed);
@@ -2573,7 +2519,7 @@ Status Loom::IndexedScanValuesImpl(uint32_t source_id, uint32_t index_id, TimeRa
         o = ChunkOutcome{};
         LOOM_RETURN_IF_ERROR(ProcessScanCandidate(source_id, index_id, idx.value(), t_range,
                                                   v_range, first_bin, last_bin, snap, plan, c,
-                                                  ring.get(), &o, trace));
+                                                  &o, trace));
         if (!emit_outcome(o)) {
           return Status::Ok();
         }
@@ -2687,7 +2633,6 @@ Status Loom::AccumulateIndexed(uint32_t source_id, uint32_t index_id, const Inde
     CandidatePlan plan;
     LOOM_RETURN_IF_ERROR(PlanCandidates(snap, t_range, &plan, trace));
     const size_t n = plan.size();
-    const std::unique_ptr<ChunkPrefetcher::Job> ring = SubmitCandidatePrefetch(plan, snap);
     std::vector<double> scan_vals;
     std::vector<uint32_t> scan_bins;
 
@@ -2815,7 +2760,7 @@ Status Loom::AccumulateIndexed(uint32_t source_id, uint32_t index_id, const Inde
         const auto [begin, end] = morsels[mi];
         for (size_t c = begin; c < end; ++c) {
           Status st = ProcessAggregateCandidate(source_id, index_id, idx, t_range, snap, plan, c,
-                                                ring.get(), &outcomes[c], &morsel_traces[mi]);
+                                                &outcomes[c], &morsel_traces[mi]);
           if (!st.ok()) {
             morsel_status[mi] = st;
             abort.store(true, std::memory_order_relaxed);
@@ -2848,7 +2793,7 @@ Status Loom::AccumulateIndexed(uint32_t source_id, uint32_t index_id, const Inde
       for (size_t c = 0; c < n; ++c) {
         o = ChunkOutcome{};
         LOOM_RETURN_IF_ERROR(ProcessAggregateCandidate(source_id, index_id, idx, t_range, snap,
-                                                       plan, c, ring.get(), &o, trace));
+                                                       plan, c, &o, trace));
         merge_outcome(o);
       }
     }
@@ -3124,8 +3069,9 @@ Result<double> Loom::IndexedAggregateImpl(uint32_t source_id, uint32_t index_id,
   trace->tier_chunks_pruned -= rescan_archived;
   trace->tier_chunks_summary_folded -= rescan_archived;
   trace->tier_chunks_scanned += rescan_archived;
-  // Stage-2 chunks are known exactly (decoded summaries in hand), so the
-  // prefetch ring gets precise ranges — no derivation, no verification miss.
+  // Stage-2 chunks are known exactly (decoded summaries in hand) and every
+  // one of them is read, so this is the one place the prefetch ring runs: it
+  // gets precise ranges and no read is wasted on a chunk a summary settles.
   // Archived rescans stream from their archives instead, so the ring only
   // runs when every rescan chunk is hot (slot indexes must line up).
   std::unique_ptr<ChunkPrefetcher::Job> stage2_ring;

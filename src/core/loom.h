@@ -135,10 +135,12 @@ struct LoomOptions {
   // unavailable set silently degrades to scalar.
   SimdMode simd_mode = SimdMode::kAuto;
 
-  // Read-ahead depth of the chunk prefetch ring: indexed queries hand their
-  // planned candidate chunk list to a background reader that stays up to
-  // `prefetch_depth` chunks ahead of decode, overlapping record-log I/O with
-  // kernel compute. Memory stays bounded at prefetch_depth chunks per query.
+  // Read-ahead depth of the chunk prefetch ring: a percentile query hands its
+  // stage-2 rescan list (chunks known to need their records read) to a
+  // background reader that stays up to `prefetch_depth` chunks ahead of
+  // decode, overlapping record-log I/O with kernel compute. Memory stays
+  // bounded at prefetch_depth chunks per query. Candidate chunks, which the
+  // summaries mostly prune or fold, are read by the scanning thread instead.
   // 0 disables the ring (queries read through their scan-local caches only).
   size_t prefetch_depth = 4;
 
@@ -598,32 +600,18 @@ class Loom {
                                                             QueryTrace* trace) const;
 
   // Classifies + processes one candidate for the aggregate/histogram path.
-  // Safe to call concurrently for distinct candidates. `ring` (nullable) is
-  // this query's prefetch job; every call takes slot `c` so the ring's
-  // read-ahead window keeps advancing even across pruned candidates.
+  // Safe to call concurrently for distinct candidates. A candidate's record
+  // chunk is read here, by the calling thread, and only when its summary
+  // says scan.
   Status ProcessAggregateCandidate(uint32_t source_id, uint32_t index_id,
                                    const IndexSnapshot& idx, TimeRange t_range,
                                    const Snapshot& snap, const CandidatePlan& plan, size_t c,
-                                   ChunkPrefetcher::Job* ring, ChunkOutcome* out,
-                                   QueryTrace* trace) const;
+                                   ChunkOutcome* out, QueryTrace* trace) const;
   // Same for the IndexedScanValues path (prune decision + buffered matches).
   Status ProcessScanCandidate(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
                               TimeRange t_range, ValueRange v_range, uint32_t first_bin,
                               uint32_t last_bin, const Snapshot& snap, const CandidatePlan& plan,
-                              size_t c, ChunkPrefetcher::Job* ring, ChunkOutcome* out,
-                              QueryTrace* trace) const;
-
-  // Submits the plan's candidate record chunks to the prefetch ring so chunk
-  // c+depth streams off the log while workers decode chunk c. Candidate
-  // chunks are consecutive (chunk events are emitted once per finalized
-  // chunk, in order), so the ranges derive from the first candidate's
-  // chunk_addr arithmetically — one 8-byte chunk-log read, no summary
-  // decodes on the coordinator. Returns null (no ring) when prefetching is
-  // disabled, the plan is preloaded/small, or the derivation read fails.
-  // Consumers verify a taken buffer against the candidate's decoded
-  // chunk_addr before trusting it, so a stale derivation degrades to a miss.
-  std::unique_ptr<ChunkPrefetcher::Job> SubmitCandidatePrefetch(const CandidatePlan& plan,
-                                                                const Snapshot& snap) const;
+                              size_t c, ChunkOutcome* out, QueryTrace* trace) const;
 
   // True when this query may fan out to the pool (pool configured and the
   // caller is not itself a pool worker — no nested parallelism).
@@ -784,9 +772,9 @@ class Loom {
   // options.simd_mode / LOOM_SIMD / CPU detection. Never null.
   const KernelOps* kernels_ = nullptr;
 
-  // Chunk prefetch ring (worker thread starts lazily on the first indexed
-  // query when prefetch_depth > 0). Declared after the logs: its worker
-  // reads the record log, so it must be destroyed first.
+  // Chunk prefetch ring for percentile stage-2 rescans (worker thread starts
+  // lazily on the first one when prefetch_depth > 0). Declared after the
+  // logs: its worker reads the record log, so it must be destroyed first.
   mutable ChunkPrefetcher prefetcher_;
 
   // Tiered storage (null unless archive_dir is set). The demoter thread is

@@ -98,7 +98,7 @@ Status ApplyDaemonConfigOption(DaemonOptions* options, std::string_view raw_key,
       {"group_commit_interval_ms", &loom.group_commit_interval_ms, nullptr, nullptr},
       {"summary_stage_records", nullptr, &loom.summary_stage_records, nullptr},
       {"ts_marker_period", nullptr, nullptr, &loom.ts_marker_period},
-      {"channel_capacity", nullptr, &options->channel_capacity, nullptr},
+      {"channel_bytes", nullptr, &options->channel_bytes, nullptr},
       {"max_record_bytes", nullptr, &options->max_record_bytes, nullptr},
       {"self_telemetry_period_nanos", &options->self_telemetry_period_nanos, nullptr, nullptr},
   };

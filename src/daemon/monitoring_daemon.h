@@ -3,21 +3,23 @@
 // Loom's engine requires a single ingest thread. Real collectors (the
 // OpenTelemetry Collector, FluentD) receive telemetry from many concurrent
 // sources, so this daemon provides the multi-producer front door: each
-// registered source gets its own bounded SPSC channel, and one internal
-// ingest thread drains the channels into the Loom engine in arrival order.
-// Queries pass straight through to the engine (they are already
-// any-thread-safe and never block ingest).
+// registered source gets its own bounded SPSC byte ring, and one internal
+// ingest thread drains the rings into the Loom engine. Queries pass straight
+// through to the engine (they are already any-thread-safe and never block
+// ingest).
 //
 // Backpressure policy: Offer() never blocks the producing source. If a
-// source's channel is full, the daemon either drops the record (counted) or
-// the caller can use Publish() which spins — matching the paper's position
-// that probe effect (blocking the instrumented application) is worse than
+// source's ring is full, Offer() drops the record (counted); PublishBatch()
+// and Publish() wait for space instead (each wait counted) and drop only
+// records larger than max_record_bytes — matching the paper's position that
+// probe effect (blocking the instrumented application) is worse than
 // visible, counted drops at the collector boundary.
 
 #ifndef SRC_DAEMON_MONITORING_DAEMON_H_
 #define SRC_DAEMON_MONITORING_DAEMON_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -28,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/spsc_queue.h"
 #include "src/common/status.h"
 #include "src/core/loom.h"
 
@@ -58,8 +59,10 @@ std::vector<SelfWatch> DefaultSelfWatches();
 
 struct DaemonOptions {
   LoomOptions loom;
-  // Per-source channel capacity (records). Rounded up to a power of two.
-  size_t channel_capacity = 1 << 14;
+  // Per-source ring size in bytes, rounded up to a power of two. A record
+  // takes 4 + its payload bytes, padded to 4. Start() rejects a ring that
+  // cannot hold two frames of max_record_bytes.
+  size_t channel_bytes = 512 << 10;
   // Largest record accepted through a channel.
   size_t max_record_bytes = 4096;
   // SelfTelemetry: the daemon periodically samples its own metrics registry
@@ -84,23 +87,62 @@ uint32_t SelfMetricId(std::string_view metric_name);
 // nullopt otherwise. Histogram means are published as "<name>:mean".
 Loom::IndexFunc SelfValueIndexFunc(const std::string& metric_name);
 
+// Every record offered is either accepted or dropped, once:
+// offered == accepted + dropped.
 struct DaemonSourceStats {
   uint64_t offered = 0;
   uint64_t accepted = 0;
   uint64_t dropped = 0;
+  // Times PublishBatch/Publish found the ring full and waited for space.
+  uint64_t publish_waits = 0;
 };
 
-// A handle a telemetry source uses to push records into the daemon from its
-// own thread. One handle per source; a handle must be used by one thread.
+// Wakes the daemon's ingest thread when it is parked. The thread announces
+// `parked` before its last look at the rings; a producer reads it after
+// publishing (a seq_cst fence on each side orders the two), so either the
+// thread sees the new records or the producer sees it parked and sets the
+// wake flag under the mutex.
+struct IngestWaker {
+  std::atomic<bool> parked{false};
+  std::mutex mu;
+  std::condition_variable cv;
+  bool wake = false;  // guarded by mu
+
+  // After a publish: wakes the thread only if it announced that it parked.
+  void WakeIfParked();
+  // Unconditional (schema ops, Flush, shutdown).
+  void Wake();
+};
+
+// A handle a telemetry source uses to push records into the daemon. One
+// handle per source, used by one thread at a time (IngestServer serializes
+// the connections that share a source).
+//
+// The channel is a single-producer/single-consumer byte ring of framed
+// records, `u32 len | payload`, each frame padded to 4 bytes. A frame never
+// crosses the end of the ring: where one would, the producer writes a wrap
+// marker and continues at offset 0. Each side caches the other's index and
+// reloads it only when the cached value says full (producer) or empty
+// (consumer). Publishing a batch costs one index store and one counter
+// store; nothing allocates. The ingest thread hands frames in the ring
+// straight to Loom::PushBatch, which copies them into the record log, and
+// only then releases their space.
 class SourceChannel {
  public:
-  // Non-blocking: false means the channel was full and the record was
-  // dropped (counted).
+  // Non-blocking: false means the record was dropped (counted) because the
+  // ring was full or the record is larger than max_record_bytes.
   bool Offer(std::span<const uint8_t> payload);
 
-  // Blocking variant: spins until the record is accepted. Use only where
-  // data completeness matters more than producer latency.
-  void Publish(std::span<const uint8_t> payload);
+  // Blocking: appends every record in order, waiting for space whenever the
+  // ring is full. A record larger than max_record_bytes is dropped (counted)
+  // and the rest still go in. Returns the number of records accepted. Use
+  // where data completeness matters more than producer latency.
+  size_t PublishBatch(std::span<const std::span<const uint8_t>> payloads);
+
+  // PublishBatch of one record.
+  void Publish(std::span<const uint8_t> payload) {
+    PublishBatch(std::span<const std::span<const uint8_t>>(&payload, 1));
+  }
 
   uint32_t source_id() const { return source_id_; }
   DaemonSourceStats stats() const;
@@ -108,26 +150,50 @@ class SourceChannel {
  private:
   friend class MonitoringDaemon;
 
-  struct Slot {
-    uint32_t len = 0;
-    std::vector<uint8_t> bytes;
-  };
+  SourceChannel(uint32_t source_id, size_t ring_bytes, size_t max_bytes, IngestWaker* waker);
 
-  SourceChannel(uint32_t source_id, size_t capacity, size_t max_bytes);
+  // Producer: writes one frame at write_pos_ without publishing it. False
+  // when the ring lacks space.
+  bool TryWrite(std::span<const uint8_t> payload);
+  // Producer: makes the frames written so far visible to the consumer.
+  void PublishWritten(uint64_t records);
 
-  size_t QueueDepthApprox() const { return queue_.SizeApprox(); }
+  // Consumer: appends the payloads of up to `max` published frames to `out`
+  // (views into the ring) and returns the read position after them.
+  uint64_t Peek(size_t max, std::vector<std::span<const uint8_t>>* out);
+  // Consumer: gives the space up to `pos` (returned by Peek) back to the
+  // producer, once the `records` frames there are stored.
+  void Release(uint64_t pos, uint64_t records);
 
-  uint32_t source_id_;
-  size_t max_bytes_;
-  SpscQueue<Slot> queue_;
-  std::atomic<uint64_t> offered_{0};
+  // Any thread.
+  bool Empty() const {
+    return read_pos_.load(std::memory_order_acquire) == write_pub_.load(std::memory_order_acquire);
+  }
+  uint64_t QueueDepthRecords() const {
+    const uint64_t consumed = consumed_.load(std::memory_order_relaxed);
+    const uint64_t accepted = accepted_.load(std::memory_order_relaxed);
+    return accepted > consumed ? accepted - consumed : 0;
+  }
+
+  const uint32_t source_id_;
+  const size_t max_bytes_;
+  const size_t capacity_;  // power of two
+  const std::unique_ptr<uint8_t[]> ring_;
+  IngestWaker* const waker_;
+
+  // Producer side. Counters are written by the producer only (a load and a
+  // store, no read-modify-write); any thread may read them.
+  alignas(64) std::atomic<uint64_t> write_pub_{0};  // published write index
+  uint64_t write_pos_ = 0;                          // written, maybe unpublished
+  uint64_t read_cache_ = 0;                         // last read_pos_ seen
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> dropped_{0};
-  // Daemon-wide registry counters (shared across channels; set by the owning
-  // daemon before the channel is handed out).
-  Counter* offered_metric_ = nullptr;
-  Counter* accepted_metric_ = nullptr;
-  Counter* dropped_metric_ = nullptr;
+  std::atomic<uint64_t> publish_waits_{0};
+
+  // Consumer side (the daemon's ingest thread).
+  alignas(64) std::atomic<uint64_t> read_pos_{0};
+  uint64_t write_cache_ = 0;  // last write_pub_ seen
+  std::atomic<uint64_t> consumed_{0};
 };
 
 class MonitoringDaemon {
@@ -164,7 +230,8 @@ class MonitoringDaemon {
   // installation is ordered before any AddSource/AddIndex completion).
   std::vector<std::pair<std::string, uint64_t>> self_watch_ids() const;
 
-  // Drains all channels and publishes, so tests and shutdown see everything.
+  // Returns once every record published to a channel before the call is
+  // stored in the engine, so tests and shutdown see everything.
   void Flush();
 
   // The underlying engine, for queries (RawScan / IndexedScan /
@@ -185,8 +252,17 @@ class MonitoringDaemon {
   explicit MonitoringDaemon(const DaemonOptions& options) : options_(options) {}
 
   void IngestMain();
+  // Runs the queued schema ops. Ingest thread only.
+  void RunPendingOps();
+  // Parks the idle ingest thread until a producer, a schema op, Flush or
+  // shutdown wakes it, or the self-telemetry period passes. `channels` is
+  // the thread's copy of channels_.
+  void Park(const std::vector<SourceChannel*>& channels);
   void InstallSelfWatches();
   void RegisterMetrics();
+  // Adds the channels' counts since the last call to the registry counters
+  // and refreshes the queue-depth gauge. Caller holds mu_.
+  void SyncChannelMetrics();
   // Samples the registry and pushes the delta/value records into the
   // self-telemetry source. Ingest thread only.
   void PushSelfTelemetrySamples();
@@ -196,19 +272,19 @@ class MonitoringDaemon {
   std::thread ingest_;
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> records_ingested_{0};
+  IngestWaker waker_;
 
-  // Channel list: mutated under mu_ by AddSource; the ingest thread snapshots
-  // the vector size (channels are never removed or reallocated).
+  // Channel list: appended under mu_ by AddSource, which then publishes the
+  // new size in channel_count_; the ingest thread copies the list only when
+  // that count changed (channels are never removed).
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<SourceChannel>> channels_;
-
-  // True while the ingest thread holds popped-but-not-yet-pushed slots, so
-  // Flush() does not mistake a drained queue for a completed batch. Guarded
-  // by mu_.
-  bool ingest_busy_ = false;
+  std::atomic<size_t> channel_count_{0};
 
   // Pending schema ops executed on the ingest thread (DefineIndex must run
-  // there per the engine's threading contract).
+  // there per the engine's threading contract). ops_pending_ is set under
+  // mu_ with pending_ non-empty, so the ingest thread takes mu_ only when
+  // there is work.
   struct PendingIndex {
     uint32_t source_id;
     Loom::IndexFunc func;
@@ -217,16 +293,22 @@ class MonitoringDaemon {
     std::atomic<bool>* done;
   };
   std::vector<PendingIndex> pending_;
+  std::atomic<bool> ops_pending_{false};
 
-  // Registry-backed metrics (registered against the engine's registry).
+  // Registry-backed metrics (registered against the engine's registry). The
+  // record counters mirror the channels' own counts at collection time, so
+  // publishing never touches the registry.
   Counter* offered_metric_ = nullptr;
   Counter* accepted_metric_ = nullptr;
   Counter* dropped_metric_ = nullptr;
+  Counter* publish_waits_metric_ = nullptr;
   Counter* self_samples_metric_ = nullptr;
+  Gauge* queue_depth_ = nullptr;        // records in the rings
   Histogram* batch_records_ = nullptr;  // records per PushBatch handoff
-  // Collection hook refreshing the aggregate queue-depth gauge; removed in
-  // the destructor (the registry may be external and outlive the daemon).
-  uint64_t queue_depth_hook_id_ = 0;
+  DaemonSourceStats reported_;          // channel totals already counted; mu_
+  // Collection hook running SyncChannelMetrics; removed in the destructor
+  // (the registry may be external and outlive the daemon).
+  uint64_t channel_hook_id_ = 0;
 
   // Installed self-watch queries (written once by the ingest thread at
   // startup, guarded by mu_).

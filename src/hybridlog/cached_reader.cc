@@ -14,9 +14,9 @@ int CachedLogReader::FindWindow(uint64_t addr, size_t len) const {
   return -1;
 }
 
-int CachedLogReader::VictimSlot(int pinned) {
+int CachedLogReader::VictimSlot() {
   for (size_t i = 0; i < windows_.size(); ++i) {
-    if (windows_[i].len == 0 && static_cast<int>(i) != pinned) {
+    if (windows_[i].len == 0) {
       return static_cast<int>(i);
     }
   }
@@ -24,16 +24,13 @@ int CachedLogReader::VictimSlot(int pinned) {
     windows_.emplace_back();
     return static_cast<int>(windows_.size() - 1);
   }
-  int victim = -1;
-  for (size_t i = 0; i < windows_.size(); ++i) {
-    if (static_cast<int>(i) == pinned) {
-      continue;  // never evict the window serving the most recent Fetch
-    }
-    if (victim < 0 || windows_[i].last_use < windows_[static_cast<size_t>(victim)].last_use) {
-      victim = static_cast<int>(i);
+  size_t victim = 0;
+  for (size_t i = 1; i < windows_.size(); ++i) {
+    if (windows_[i].last_use < windows_[victim].last_use) {
+      victim = i;
     }
   }
-  return victim;
+  return static_cast<int>(victim);
 }
 
 Status CachedLogReader::LoadWindow(int w, uint64_t addr, size_t len) {
@@ -68,29 +65,12 @@ Result<std::span<const uint8_t>> CachedLogReader::Fetch(uint64_t addr, size_t le
   int w = FindWindow(addr, len);
   if (w < 0) {
     ++window_loads_;
-    w = VictimSlot(-1);  // a Fetch miss may replace any window, current included
-    Status st = LoadWindow(w, addr, len);
-    if (!st.ok()) {
-      current_ = -1;
-      return st;
-    }
+    w = VictimSlot();
+    LOOM_RETURN_IF_ERROR(LoadWindow(w, addr, len));
   }
   Window& win = windows_[static_cast<size_t>(w)];
   win.last_use = ++use_tick_;
-  current_ = w;
   return std::span<const uint8_t>(win.buf.data() + (addr - win.addr), len);
-}
-
-void CachedLogReader::ReadAhead(uint64_t addr, size_t len) {
-  if (len == 0 || addr + len > limit_ || FindWindow(addr, len) >= 0) {
-    return;
-  }
-  const int w = VictimSlot(current_);
-  if (w < 0) {
-    return;  // single pinned window: nowhere to read ahead into
-  }
-  ++readahead_loads_;
-  (void)LoadWindow(w, addr, len);  // best effort; the later Fetch reports errors
 }
 
 }  // namespace loom

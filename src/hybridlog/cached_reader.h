@@ -7,14 +7,9 @@
 // are scan-local (one reader per operator invocation), keeping query memory
 // bounded and constant as §3 requires.
 //
-// A reader may hold up to `max_windows` resident windows (default 1, the
-// historical behavior). Multiple windows exist for the prefetch-aware scan
-// path: ReadAhead() warms the window for an upcoming chunk while the caller
-// is still decoding out of the current one. Eviction is LRU with one hard
-// rule — the window serving the most recent Fetch is pinned and never
-// evicted by a read-ahead or by another window's load, so spans handed to a
-// decoder stay valid while the ring runs ahead (see DESIGN.md "Prefetch
-// ring").
+// A reader may hold up to `max_windows` resident windows (default 1), evicted
+// least-recently-used, so a walk that alternates between two regions keeps
+// both resident.
 
 #ifndef SRC_HYBRIDLOG_CACHED_READER_H_
 #define SRC_HYBRIDLOG_CACHED_READER_H_
@@ -39,24 +34,14 @@ class CachedLogReader {
         max_windows_(max_windows == 0 ? 1 : max_windows) {}
 
   // Returns a view of [addr, addr+len) valid until the next Fetch call.
-  // (ReadAhead never invalidates the most recent Fetch's view.)
   Result<std::span<const uint8_t>> Fetch(uint64_t addr, size_t len);
-
-  // Best-effort: loads the aligned window containing [addr, addr+len) into a
-  // spare slot so a later Fetch there is a buffer hit. Never evicts the
-  // window serving the most recent Fetch; with max_windows == 1 and a
-  // resident window this is a no-op. Errors are swallowed (the later Fetch
-  // reports them).
-  void ReadAhead(uint64_t addr, size_t len = 1);
 
   uint64_t limit() const { return limit_; }
 
   // Fetch calls served, and how many of them had to load a window from the
-  // log (the rest were satisfied from resident buffers). ReadAhead loads
-  // count separately.
+  // log (the rest were satisfied from resident buffers).
   uint64_t fetches() const { return fetches_; }
   uint64_t window_loads() const { return window_loads_; }
-  uint64_t readahead_loads() const { return readahead_loads_; }
 
  private:
   struct Window {
@@ -68,10 +53,9 @@ class CachedLogReader {
 
   // Index of the resident window covering [addr, addr+len), or -1.
   int FindWindow(uint64_t addr, size_t len) const;
-  // Slot to load into, never `pinned` (-1 allowed): an empty slot, a new
-  // slot below max_windows_, or the least-recently-used unpinned one.
-  // Returns -1 when every slot is pinned.
-  int VictimSlot(int pinned);
+  // Slot to load into: an empty slot, a new slot below max_windows_, or the
+  // least-recently-used one.
+  int VictimSlot();
   // Loads the aligned window containing [addr, addr+len) into slot `w`.
   Status LoadWindow(int w, uint64_t addr, size_t len);
 
@@ -80,11 +64,9 @@ class CachedLogReader {
   size_t window_;
   size_t max_windows_;
   std::vector<Window> windows_;
-  int current_ = -1;  // window serving the most recent Fetch; pinned
   uint64_t use_tick_ = 0;
   uint64_t fetches_ = 0;
   uint64_t window_loads_ = 0;
-  uint64_t readahead_loads_ = 0;
 };
 
 }  // namespace loom

@@ -84,10 +84,6 @@ ChunkPrefetcher::Job::~Job() {
   owner->cv_.notify_all();
 }
 
-uint64_t ChunkPrefetcher::Job::range_addr(size_t i) const {
-  return i < state_->ranges.size() ? state_->ranges[i].addr : ~uint64_t{0};
-}
-
 std::optional<std::vector<uint8_t>> ChunkPrefetcher::Job::Take(size_t i) {
   State& s = *state_;
   std::optional<std::vector<uint8_t>> out;

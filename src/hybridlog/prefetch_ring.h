@@ -1,10 +1,12 @@
 // Chunk prefetch ring: overlaps log I/O for chunk c+k with decode of chunk c.
 //
-// The serial query planner produces an ordered candidate list of chunk
-// addresses before any chunk is decoded, so the I/O schedule is known up
-// front. A single background thread walks that list a bounded distance
-// (`depth`) ahead of the consumers and copies each chunk's bytes into an
-// owned buffer. Consumers call Take(i) — never blocking — and either get the
+// A percentile query's stage-2 rescan knows its exact list of chunks to read
+// (decoded summaries in hand, every listed chunk is scanned), so the I/O
+// schedule is known up front. A single background thread walks that list a
+// bounded distance (`depth`) ahead of the consumers and copies each chunk's
+// bytes into an owned buffer. Candidate lists are not submitted: summaries
+// prune or fold most candidates, and reading those ahead cost more CPU than
+// the overlap saved (DESIGN.md "Prefetch ring"). Consumers call Take(i) — never blocking — and either get the
 // prefetched buffer (hit: decode starts without touching the log) or nothing
 // (miss: the consumer falls back to its CachedLogReader and the ring skips
 // that index).
@@ -69,11 +71,6 @@ class ChunkPrefetcher {
     // Each index is taken at most once; callers may take out of order from
     // multiple threads. Advances the read-ahead window either way.
     std::optional<std::vector<uint8_t>> Take(size_t i);
-
-    // The log address range i was submitted with (immutable after Submit, so
-    // safe without the lock). Consumers use this to verify a taken buffer
-    // really covers the span they are about to decode.
-    uint64_t range_addr(size_t i) const;
 
    private:
     friend class ChunkPrefetcher;

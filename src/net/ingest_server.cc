@@ -144,17 +144,21 @@ void IngestServer::AcceptLoop() {
 void IngestServer::ConnectionLoop(int fd) {
   // Clients buffer many records per send (IngestClient::kBufferSize), so a
   // wave of records usually arrives in one TCP segment burst. Parse the wave
-  // out of a framing buffer and publish runs of same-source records under a
-  // single producer-lock acquisition, instead of one header read + one
-  // payload read + one lock per record.
+  // out of a framing buffer and publish each source's records in it with one
+  // PublishBatch under one producer-lock acquisition, instead of one header
+  // read + one payload read + one lock per record. Only the order within a
+  // source survives into the engine (each source has its own channel), and
+  // grouping keeps it.
   std::vector<uint8_t> buf;  // [start, buf.size()) holds unparsed bytes
   size_t start = 0;
-  struct Frame {
-    uint32_t source_id;
-    size_t off;  // payload offset in buf
-    uint32_t len;
+  struct SourceRun {
+    uint32_t source_id = 0;
+    std::vector<std::span<const uint8_t>> payloads;  // views into buf
+    uint64_t bytes = 0;
   };
-  std::vector<Frame> frames;
+  // runs[0, used) hold this wave's sources in first-seen order; the vectors
+  // keep their capacity across waves, so steady state allocates nothing.
+  std::vector<SourceRun> runs;
 
   // Appends up to kRecvChunk bytes. Returns false when no data is available
   // (EOF, or EAGAIN in non-blocking mode).
@@ -224,7 +228,8 @@ void IngestServer::ConnectionLoop(int fd) {
     }
 
     // Parse complete frames; a partial frame stays for the next wave.
-    frames.clear();
+    size_t used = 0;
+    size_t last = 0;  // run of the previous frame
     bool protocol_error = false;
     while (buf.size() - start >= 8) {
       const uint32_t source_id = LoadU32(buf.data() + start);
@@ -236,43 +241,55 @@ void IngestServer::ConnectionLoop(int fd) {
       if (buf.size() - start < 8ull + payload_len) {
         break;
       }
-      frames.push_back(Frame{source_id, start + 8, payload_len});
+      if (used == 0 || runs[last].source_id != source_id) {
+        last = 0;
+        while (last < used && runs[last].source_id != source_id) {
+          ++last;
+        }
+        if (last == used) {
+          if (used == runs.size()) {
+            runs.emplace_back();
+          }
+          runs[used].source_id = source_id;
+          runs[used].payloads.clear();
+          runs[used].bytes = 0;
+          ++used;
+        }
+      }
+      runs[last].payloads.emplace_back(buf.data() + start + 8, payload_len);
+      runs[last].bytes += payload_len;
       start += 8 + payload_len;
     }
 
-    // Publish runs of consecutive same-source frames under one lock.
-    size_t i = 0;
-    while (i < frames.size()) {
-      size_t j = i;
-      while (j < frames.size() && frames[j].source_id == frames[i].source_id) {
-        ++j;
+    uint64_t stored = 0;
+    uint64_t stored_bytes = 0;
+    uint64_t rejected = protocol_error ? 1 : 0;
+    for (size_t r = 0; r < used; ++r) {
+      const SourceRun& run = runs[r];
+      // Serialize producers: the daemon channel is single-producer.
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = channels_.find(run.source_id);
+      if (it == channels_.end()) {
+        rejected += run.payloads.size();
+        continue;
       }
-      uint64_t run_bytes = 0;
-      {
-        // Serialize producers: the daemon channel is single-producer.
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = channels_.find(frames[i].source_id);
-        if (it == channels_.end()) {
-          rejected_.fetch_add(j - i, std::memory_order_relaxed);
-          rejected_metric_->Increment(j - i);
-          i = j;
-          continue;
-        }
-        for (size_t k = i; k < j; ++k) {
-          it->second->Publish(std::span<const uint8_t>(buf.data() + frames[k].off,
-                                                       frames[k].len));
-          run_bytes += frames[k].len;
-        }
-      }
-      records_.fetch_add(j - i, std::memory_order_relaxed);
-      records_metric_->Increment(j - i);
-      bytes_.fetch_add(run_bytes, std::memory_order_relaxed);
-      bytes_metric_->Increment(run_bytes);
-      i = j;
+      // Records above the channel's max_record_bytes come back dropped.
+      const size_t accepted = it->second->PublishBatch(run.payloads);
+      rejected += run.payloads.size() - accepted;
+      stored += accepted;
+      stored_bytes += run.bytes;
+    }
+    if (stored > 0) {
+      records_.fetch_add(stored, std::memory_order_relaxed);
+      records_metric_->Increment(stored);
+      bytes_.fetch_add(stored_bytes, std::memory_order_relaxed);
+      bytes_metric_->Increment(stored_bytes);
+    }
+    if (rejected > 0) {
+      rejected_.fetch_add(rejected, std::memory_order_relaxed);
+      rejected_metric_->Increment(rejected);
     }
     if (protocol_error) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      rejected_metric_->Increment();
       break;
     }
   }

@@ -8,9 +8,9 @@
 //
 // The server accepts connections on a listener thread and reads each
 // connection on its own thread, forwarding records into the daemon's
-// per-source channels. Multiple connections may carry the same source id;
-// the server serializes access to each channel (the daemon's channels are
-// single-producer).
+// per-source channels, one PublishBatch per source per received wave.
+// Multiple connections may carry the same source id; the server serializes
+// access to each channel (the daemon's channels are single-producer).
 //
 // This is deliberately minimal — no TLS, no auth, loopback-oriented — it
 // exists to exercise the daemon the way a real collector is driven, and to
@@ -53,9 +53,9 @@ namespace loom {
 
 struct IngestServerStats {
   uint64_t connections = 0;
-  uint64_t records = 0;
-  uint64_t bytes = 0;
-  uint64_t rejected = 0;  // unknown source or oversized record
+  uint64_t records = 0;   // accepted into a daemon channel
+  uint64_t bytes = 0;     // payload bytes received for registered sources
+  uint64_t rejected = 0;  // unknown source, record above max_record_bytes, bad frame
 };
 
 class IngestServer {

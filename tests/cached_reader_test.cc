@@ -127,99 +127,30 @@ TEST(CachedReaderTest, FetchSpanningPastWindowEndExtends) {
   EXPECT_EQ(reader.window_loads(), 1u);
 }
 
-// --- prefetch-aware multi-window behavior ---------------------------------
-
-TEST(CachedReaderTest, ReadAheadMakesNextFetchResident) {
+TEST(CachedReaderTest, TwoWindowsEvictLeastRecentlyUsed) {
+  // A walk alternating between two regions keeps both resident; a third
+  // region evicts whichever was used least recently.
   TempDir dir;
   auto log = MakePatternLog(dir, 4096);
   CachedLogReader reader(log.get(), log->queryable_tail(), 512, /*max_windows=*/2);
 
-  auto got = reader.Fetch(0, 64);  // window [0, 512)
-  ASSERT_TRUE(got.ok());
-  reader.ReadAhead(512, 64);  // warms [512, 1024) in the spare slot
-  EXPECT_EQ(reader.readahead_loads(), 1u);
-
-  got = reader.Fetch(512, 64);
-  ASSERT_TRUE(got.ok());
-  ExpectPattern(got.value(), 512);
-  EXPECT_EQ(reader.window_loads(), 1u);  // only the initial Fetch loaded
-}
-
-TEST(CachedReaderTest, ReadAheadNeverEvictsWindowQueuedForDecode) {
-  // The regression this satellite pins: ring read-ahead racing a decode must
-  // not evict the window whose span the decoder still holds. Eviction order
-  // is LRU over the *unpinned* windows; the most recent Fetch's window is
-  // pinned.
-  TempDir dir;
-  auto log = MakePatternLog(dir, 4096);
-  CachedLogReader reader(log.get(), log->queryable_tail(), 512, /*max_windows=*/2);
-
-  auto span_a = reader.Fetch(0, 128);  // window A = [0, 512), pinned (current)
-  ASSERT_TRUE(span_a.ok());
-  reader.ReadAhead(512, 64);   // fills the spare slot with B = [512, 1024)
-  reader.ReadAhead(1024, 64);  // must evict B, NOT the pinned A
-  reader.ReadAhead(1536, 64);  // must evict C = [1024, ...), NOT A
-  EXPECT_EQ(reader.readahead_loads(), 3u);
-
-  // The span handed out before the read-aheads is still byte-valid.
-  ExpectPattern(span_a.value(), 0);
-  // And re-fetching inside A costs no window load: A was never evicted.
-  auto again = reader.Fetch(64, 64);
-  ASSERT_TRUE(again.ok());
-  ExpectPattern(again.value(), 64);
-  EXPECT_EQ(reader.window_loads(), 1u);
-
-  // The last read-ahead window (D = [1536, 2048)) is the resident spare;
-  // fetching it is a hit, while the evicted B needs a fresh load.
-  ASSERT_TRUE(reader.Fetch(1536, 64).ok());
-  EXPECT_EQ(reader.window_loads(), 1u);
-  ASSERT_TRUE(reader.Fetch(512, 64).ok());
+  ASSERT_TRUE(reader.Fetch(0, 64).ok());     // A = [0, 512)
+  ASSERT_TRUE(reader.Fetch(2048, 64).ok());  // B = [2048, 2560)
+  ASSERT_TRUE(reader.Fetch(64, 64).ok());    // A again: resident
   EXPECT_EQ(reader.window_loads(), 2u);
-}
-
-TEST(CachedReaderTest, SingleWindowReadAheadIsNoOp) {
-  // With the historical max_windows == 1 there is no spare slot: read-ahead
-  // must refuse to clobber the current window rather than "help".
-  TempDir dir;
-  auto log = MakePatternLog(dir, 4096);
-  CachedLogReader reader(log.get(), log->queryable_tail(), 512);
-
-  auto span = reader.Fetch(0, 64);
-  ASSERT_TRUE(span.ok());
-  reader.ReadAhead(1024, 64);
-  EXPECT_EQ(reader.readahead_loads(), 0u);
-  ExpectPattern(span.value(), 0);  // untouched
-  ASSERT_TRUE(reader.Fetch(128, 64).ok());
-  EXPECT_EQ(reader.window_loads(), 1u);  // still the original window
-}
-
-TEST(CachedReaderTest, ReadAheadBeforeAnyFetchUsesFreeSlot) {
-  TempDir dir;
-  auto log = MakePatternLog(dir, 4096);
-  CachedLogReader reader(log.get(), log->queryable_tail(), 512, /*max_windows=*/2);
-
-  reader.ReadAhead(0, 64);
-  EXPECT_EQ(reader.readahead_loads(), 1u);
-  auto got = reader.Fetch(0, 64);
+  auto got = reader.Fetch(1024, 64);  // C evicts B, the least recently used
   ASSERT_TRUE(got.ok());
-  ExpectPattern(got.value(), 0);
-  EXPECT_EQ(reader.window_loads(), 0u);  // served by the warmed window
-}
-
-TEST(CachedReaderTest, ReadAheadPastLimitIsIgnored) {
-  TempDir dir;
-  auto log = MakePatternLog(dir, 1024);
-  CachedLogReader reader(log.get(), /*limit=*/512, 256, /*max_windows=*/2);
-
-  reader.ReadAhead(512, 1);  // at the limit: ignored
-  reader.ReadAhead(500, 64);  // spills past the limit: ignored
-  EXPECT_EQ(reader.readahead_loads(), 0u);
+  ExpectPattern(got.value(), 1024);
+  EXPECT_EQ(reader.window_loads(), 3u);
+  ASSERT_TRUE(reader.Fetch(128, 64).ok());  // A survived
+  EXPECT_EQ(reader.window_loads(), 3u);
+  ASSERT_TRUE(reader.Fetch(2100, 64).ok());  // B must reload
+  EXPECT_EQ(reader.window_loads(), 4u);
 }
 
 TEST(CachedReaderTest, FetchMissMayReplaceCurrentWindow) {
-  // Fetch (unlike ReadAhead) is allowed to evict the current window — the
-  // historical single-buffer semantics, which keep memory bounded when a
-  // scan jumps around.
+  // A Fetch miss may evict the current window — the single-buffer
+  // semantics, which keep memory bounded when a scan jumps around.
   TempDir dir;
   auto log = MakePatternLog(dir, 4096);
   CachedLogReader reader(log.get(), log->queryable_tail(), 512);

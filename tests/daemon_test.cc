@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -91,7 +94,8 @@ TEST_F(DaemonTest, OversizeRecordDropped) {
 
 TEST_F(DaemonTest, OfferCountsDropsWhenChannelFull) {
   DaemonOptions opts;
-  opts.channel_capacity = 4;
+  opts.max_record_bytes = 64;
+  opts.channel_bytes = 256;  // four 48-byte records
   auto daemon = StartDaemon(opts);
   auto channel = daemon->AddSource(1);
   ASSERT_TRUE(channel.ok());
@@ -109,6 +113,235 @@ TEST_F(DaemonTest, OfferCountsDropsWhenChannelFull) {
   EXPECT_EQ(stats.accepted, accepted);
   EXPECT_EQ(stats.accepted + stats.dropped, stats.offered);
   EXPECT_EQ(daemon->records_ingested(), accepted);
+}
+
+// --- The channel's byte ring ----------------------------------------------
+
+// Holds the ingest thread inside PushBatch (the index function runs there)
+// until opened, so a test can fill a ring that nothing drains.
+struct IngestGate {
+  std::atomic<bool> entered{false};
+  std::atomic<bool> open{false};
+
+  Loom::IndexFunc Func() {
+    return [this](std::span<const uint8_t>) -> std::optional<double> {
+      entered.store(true);
+      while (!open.load()) {
+        std::this_thread::yield();
+      }
+      return 0.0;
+    };
+  }
+
+  // Publishes one record and returns once the ingest thread is stuck on it.
+  void Close(MonitoringDaemon* daemon, SourceChannel* channel) {
+    ASSERT_TRUE(daemon->AddIndex(channel->source_id(), Func(),
+                                 HistogramSpec::Uniform(0, 1, 1).value())
+                    .ok());
+    channel->Publish(AppPayload(0));
+    while (!entered.load()) {
+      std::this_thread::yield();
+    }
+  }
+};
+
+// Payload of record `seq` of `source`: a size in [0, max_bytes] that moves
+// frames across every offset of the ring, then a checkable fill pattern.
+std::vector<uint8_t> SizedPayload(uint32_t source, uint32_t seq, size_t max_bytes) {
+  const size_t len = (static_cast<size_t>(seq) * 977 + source * 131) % (max_bytes + 1);
+  std::vector<uint8_t> buf(len);
+  for (size_t i = 0; i < len; ++i) {
+    buf[i] = static_cast<uint8_t>(seq + source + i);
+  }
+  if (len >= 8) {
+    std::memcpy(buf.data(), &source, 4);
+    std::memcpy(buf.data() + 4, &seq, 4);
+  }
+  return buf;
+}
+
+TEST_F(DaemonTest, RingWrapsManyTimesAndDeliversEveryRecordInOrder) {
+  DaemonOptions opts;  // max_record_bytes 4096
+  opts.channel_bytes = 2 * (4 + 4096);  // rounds up to 16 KiB
+  auto daemon = StartDaemon(opts);
+  constexpr uint32_t kSources = 2;
+  constexpr uint32_t kPerSource = 3000;  // ~6 MiB per source: hundreds of wraps
+  std::vector<SourceChannel*> channels;
+  for (uint32_t s = 1; s <= kSources; ++s) {
+    auto channel = daemon->AddSource(s);
+    ASSERT_TRUE(channel.ok());
+    channels.push_back(channel.value());
+  }
+  std::vector<std::thread> producers;
+  for (uint32_t s = 1; s <= kSources; ++s) {
+    producers.emplace_back([&, s] {
+      // Alternate single records and batches of up to 7.
+      std::vector<std::vector<uint8_t>> batch;
+      std::vector<std::span<const uint8_t>> spans;
+      for (uint32_t seq = 0; seq < kPerSource;) {
+        batch.clear();
+        spans.clear();
+        const uint32_t n = std::min<uint32_t>(1 + seq % 7, kPerSource - seq);
+        for (uint32_t k = 0; k < n; ++k) {
+          batch.push_back(SizedPayload(s, seq + k, opts.max_record_bytes));
+        }
+        for (const auto& b : batch) {
+          spans.emplace_back(b);
+        }
+        EXPECT_EQ(channels[s - 1]->PublishBatch(spans), n);
+        seq += n;
+      }
+    });
+  }
+  for (auto& t : producers) {
+    t.join();
+  }
+  daemon->Flush();
+  EXPECT_EQ(daemon->records_ingested(), uint64_t{kSources} * kPerSource);
+  for (uint32_t s = 1; s <= kSources; ++s) {
+    const DaemonSourceStats stats = channels[s - 1]->stats();
+    EXPECT_EQ(stats.accepted, kPerSource);
+    EXPECT_EQ(stats.dropped, 0u);
+    // RawScan walks newest-first: expect kPerSource-1 down to 0.
+    uint32_t want = kPerSource;
+    ASSERT_TRUE(daemon->engine()
+                    ->RawScan(s, {0, ~0ULL},
+                              [&](const RecordView& r) {
+                                --want;
+                                const std::vector<uint8_t> expect =
+                                    SizedPayload(s, want, opts.max_record_bytes);
+                                EXPECT_TRUE(std::equal(r.payload.begin(), r.payload.end(),
+                                                       expect.begin(), expect.end()))
+                                    << "source " << s << " record " << want;
+                                return true;
+                              })
+                    .ok());
+    EXPECT_EQ(want, 0u) << "source " << s;
+  }
+}
+
+TEST_F(DaemonTest, OfferOnFullRingReturnsFalseAndCountsOneDrop) {
+  IngestGate gate;  // outlives the daemon that calls its index function
+  DaemonOptions opts;
+  opts.max_record_bytes = 64;
+  opts.channel_bytes = 256;
+  auto daemon = StartDaemon(opts);
+  auto channel = daemon->AddSource(1);
+  ASSERT_TRUE(channel.ok());
+  gate.Close(daemon.get(), channel.value());
+
+  uint64_t accepted = 1;  // the record holding the gate
+  int offers = 0;
+  while (channel.value()->Offer(AppPayload(1))) {
+    ++accepted;
+    ASSERT_LT(++offers, 100) << "a 256-byte ring never filled";
+  }
+  DaemonSourceStats stats = channel.value()->stats();
+  EXPECT_EQ(stats.dropped, 1u);
+  EXPECT_EQ(stats.accepted, accepted);
+  EXPECT_EQ(stats.offered, accepted + 1);
+
+  gate.open.store(true);
+  daemon->Flush();
+  EXPECT_EQ(daemon->records_ingested(), accepted);
+  const MetricsSnapshot snap = daemon->metrics()->Snapshot();
+  EXPECT_EQ(snap.counters.at("loom_daemon_dropped_records_total"), 1u);
+  EXPECT_EQ(snap.counters.at("loom_daemon_offered_records_total"), accepted + 1);
+  EXPECT_EQ(snap.gauges.at("loom_daemon_queue_depth"), 0.0);
+}
+
+TEST_F(DaemonTest, PublisherOutrunningIngestWaitsInsteadOfDropping) {
+  IngestGate gate;  // outlives the daemon that calls its index function
+  DaemonOptions opts;
+  opts.max_record_bytes = 64;
+  opts.channel_bytes = 256;
+  auto daemon = StartDaemon(opts);
+  auto channel = daemon->AddSource(1);
+  ASSERT_TRUE(channel.ok());
+  gate.Close(daemon.get(), channel.value());
+
+  constexpr uint64_t kRecords = 20000;
+  std::thread producer([&] {
+    for (uint64_t i = 1; i < kRecords; ++i) {
+      channel.value()->Publish(AppPayload(static_cast<double>(i)));
+    }
+  });
+  // The ring fills behind the held ingest thread; the producer must wait.
+  while (channel.value()->stats().publish_waits == 0) {
+    std::this_thread::yield();
+  }
+  gate.open.store(true);
+  producer.join();
+  daemon->Flush();
+
+  const DaemonSourceStats stats = channel.value()->stats();
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.offered, kRecords);
+  EXPECT_EQ(stats.accepted, kRecords);
+  EXPECT_GE(stats.publish_waits, 1u);
+  EXPECT_EQ(daemon->records_ingested(), kRecords);
+  const MetricsSnapshot snap = daemon->metrics()->Snapshot();
+  EXPECT_EQ(snap.counters.at("loom_daemon_dropped_records_total"), 0u);
+  EXPECT_EQ(snap.counters.at("loom_daemon_offered_records_total"), kRecords);
+  EXPECT_EQ(snap.counters.at("loom_daemon_accepted_records_total"), kRecords);
+  EXPECT_EQ(snap.counters.at("loom_daemon_publish_waits_total"), stats.publish_waits);
+}
+
+TEST_F(DaemonTest, StartRejectsRingSmallerThanTwoMaximumFrames) {
+  DaemonOptions opts;
+  opts.loom.dir = dir_.FilePath("small-ring");
+  opts.max_record_bytes = 100;       // frame: 4 + 100 bytes
+  opts.channel_bytes = 2 * 104 - 1;
+  auto rejected = MonitoringDaemon::Start(opts);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  opts.channel_bytes = 2 * 104;
+  EXPECT_TRUE(MonitoringDaemon::Start(opts).ok());
+}
+
+TEST_F(DaemonTest, FlushWaitsUntilRingRecordsAreStored) {
+  IngestGate gate;  // outlives the daemon that calls its index function
+  auto daemon = StartDaemon();
+  auto channel = daemon->AddSource(1);
+  ASSERT_TRUE(channel.ok());
+  gate.Close(daemon.get(), channel.value());
+  for (int i = 0; i < 100; ++i) {
+    channel.value()->Publish(AppPayload(i));
+  }
+  std::atomic<bool> flushed{false};
+  std::thread flusher([&] {
+    daemon->Flush();
+    flushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(flushed.load()) << "Flush returned while records sat in the ring";
+  gate.open.store(true);
+  flusher.join();
+  EXPECT_EQ(daemon->records_ingested(), 101u);
+  auto count = daemon->engine()->CountRecords(1, {0, ~0ULL});
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count.value(), 101u);
+}
+
+TEST_F(DaemonTest, IdleIngestThreadStillPushesSelfTelemetry) {
+  // No source ever publishes, so the ingest thread parks; it must still wake
+  // on the self-telemetry period and push samples.
+  DaemonOptions opts;
+  opts.self_telemetry = true;
+  opts.self_telemetry_period_nanos = 5'000'000;  // 5 ms
+  auto daemon = StartDaemon(opts);
+  int pushes = 0;
+  uint64_t last = daemon->records_ingested();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pushes < 5 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const uint64_t now = daemon->records_ingested();
+    if (now != last) {
+      ++pushes;
+      last = now;
+    }
+  }
+  EXPECT_GE(pushes, 5);
 }
 
 TEST_F(DaemonTest, MultipleConcurrentProducers) {
@@ -289,11 +522,11 @@ TEST_F(DaemonTest, TierKnobsWireThroughDaemonConfig) {
 
 TEST_F(DaemonTest, ConfigParserAcceptsAllSurfaces) {
   // Equals form, separate-value form, dashed and underscored keys.
-  auto args = ParseDaemonConfigArgs({"--pipelined-ingest=on", "--channel_capacity", "64",
+  auto args = ParseDaemonConfigArgs({"--pipelined-ingest=on", "--channel_bytes", "65536",
                                      "--self-telemetry", "true", "--dir=/tmp/x"});
   ASSERT_TRUE(args.ok()) << args.status().ToString();
   EXPECT_TRUE(args.value().loom.pipelined_ingest);
-  EXPECT_EQ(args.value().channel_capacity, 64u);
+  EXPECT_EQ(args.value().channel_bytes, 65536u);
   EXPECT_TRUE(args.value().self_telemetry);
   EXPECT_EQ(args.value().loom.dir, "/tmp/x");
 

@@ -419,9 +419,11 @@ TEST_F(ParallelQueryTest, ForcedScalarNoPrefetchBitIdentical) {
   EXPECT_EQ(scalar->metrics()->Snapshot().gauges.at("loom_query_kernel_mode"), 0.0);
 }
 
-// Prefetch ring observability: a scan-heavy query on a prefetch-enabled
-// engine must account every issued read as a hit or wasted, and the gauges
-// must be absent when the ring is disabled.
+// Prefetch ring observability: the ring serves percentile stage 2, whose
+// rescan list is exact. A p50 over the whole range folds every candidate from
+// its summary, then rescans every chunk holding the target bin; each read the
+// ring made must be accounted as a hit or wasted, and the gauges must be
+// absent when the ring is disabled.
 TEST_F(ParallelQueryTest, PrefetchMetricsAccountIssuedReads) {
   const TimestampNanos last = parallel_clock_.NowNanos();
   // The ring worker races the consumers for scheduler time; on a loaded
@@ -429,15 +431,11 @@ TEST_F(ParallelQueryTest, PrefetchMetricsAccountIssuedReads) {
   // submits a fresh job, so repeat until the worker lands a hit (bounded).
   MetricsSnapshot snap;
   for (int attempt = 0; attempt < 50; ++attempt) {
-    size_t n = 0;
-    ASSERT_TRUE(parallel_
-                    ->IndexedScanValues(kSource, parallel_index_, {0, last + 1}, {0.0, 1e9},
-                                        [&](double, const RecordView&) {
-                                          ++n;
-                                          return true;
-                                        })
-                    .ok());
-    EXPECT_EQ(n, kNumRecords);
+    QueryTrace trace;
+    auto p50 = parallel_->IndexedAggregate(kSource, parallel_index_, {0, last + 1},
+                                           AggregateMethod::kPercentile, 50.0, &trace);
+    ASSERT_TRUE(p50.ok());
+    ASSERT_GE(trace.chunks_scanned, 2u);  // stage 2 rescanned at least two chunks
     snap = parallel_->metrics()->Snapshot();
     if (snap.gauges.at("loom_query_prefetch_hits_total") > 0.0) {
       break;
@@ -459,6 +457,39 @@ TEST_F(ParallelQueryTest, PrefetchMetricsAccountIssuedReads) {
       BuildEngine(dir_.FilePath("off"), 4, &clock, &index_id, SimdMode::kAuto,
                   /*prefetch_depth=*/0);
   EXPECT_EQ(off->metrics()->Snapshot().gauges.count("loom_query_prefetch_issued_total"), 0u);
+}
+
+// Only exact stage-2 lists go to the ring: a value scan and a distributive
+// aggregate read each candidate's chunk on the scanning thread, after its
+// summary said scan, and leave the ring's read count where it was.
+TEST_F(ParallelQueryTest, CandidateScansLeavePrefetchRingIdle) {
+  const TimestampNanos last = serial_clock_.NowNanos();
+  for (auto [engine, index_id] : {std::pair{serial_.get(), serial_index_},
+                                  std::pair{parallel_.get(), parallel_index_}}) {
+    auto ring_reads = [engine] {
+      return engine->metrics()->Snapshot().gauges.at("loom_query_prefetch_issued_total");
+    };
+    const double before = ring_reads();
+    QueryTrace scan_trace;
+    size_t n = 0;
+    ASSERT_TRUE(engine
+                    ->IndexedScanValues(kSource, index_id, {0, last + 1}, {0.0, 1e9},
+                                        [&](double, const RecordView&) {
+                                          ++n;
+                                          return true;
+                                        },
+                                        &scan_trace)
+                    .ok());
+    EXPECT_EQ(n, kNumRecords);
+    EXPECT_GE(scan_trace.chunks_scanned, 2u);
+    QueryTrace sum_trace;
+    ASSERT_TRUE(engine
+                    ->IndexedAggregate(kSource, index_id, {last / 4, (3 * last) / 4},
+                                       AggregateMethod::kSum, 0.0, &sum_trace)
+                    .ok());
+    EXPECT_GE(sum_trace.chunks_scanned, 1u);  // the partial chunks at both ends
+    EXPECT_EQ(ring_reads(), before);
+  }
 }
 
 // query_threads=1 still goes through the pool with one worker; it must be

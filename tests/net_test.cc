@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -119,6 +120,43 @@ TEST_F(NetTest, UnknownSourceRejectedNotFatal) {
   }
   EXPECT_GE(server_->stats().rejected, 1u);
   EXPECT_EQ(server_->stats().records, 1u);
+}
+
+TEST_F(NetTest, OversizeRecordIsDroppedOnceAndLaterRecordsStored) {
+  // A record above max_record_bytes (4096) but inside the wire limit must not
+  // wedge the connection: it is dropped once and the records around it go in.
+  SourceChannel* channel = Register(1);
+  auto client = IngestClient::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(client.ok());
+  const std::vector<uint8_t> oversize(5000, 0x5A);
+  ASSERT_TRUE((*client)->Send(1, AppPayload(1)).ok());
+  ASSERT_TRUE((*client)->Send(1, oversize).ok());
+  ASSERT_TRUE((*client)->Send(1, AppPayload(2)).ok());
+  ASSERT_TRUE((*client)->Flush().ok());
+  // A later wave on the same connection still gets through.
+  ASSERT_TRUE((*client)->Send(1, AppPayload(3)).ok());
+  ASSERT_TRUE((*client)->Flush().ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->stats().records < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  daemon_->Flush();
+  double sum = 0;
+  int count = 0;
+  ASSERT_TRUE(daemon_->engine()
+                  ->RawScan(1, {0, ~0ULL},
+                            [&](const RecordView& r) {
+                              sum += AppLatencyUs(r.payload).value_or(0);
+                              ++count;
+                              return true;
+                            })
+                  .ok());
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(sum, 6.0);
+  EXPECT_EQ(server_->stats().records, 3u);
+  EXPECT_EQ(server_->stats().rejected, 1u);
+  EXPECT_EQ(channel->stats().dropped, 1u);
+  EXPECT_EQ(channel->stats().offered, 4u);
 }
 
 TEST_F(NetTest, EmptyPayloadRecord) {

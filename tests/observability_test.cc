@@ -203,7 +203,8 @@ TEST(SelfWatchAlertTest, DropsAlertFiresAndResolvesOverSubscription) {
   opts.loom.chunk_size = 4 << 10;  // seal often so windows close promptly
   opts.self_telemetry = true;
   opts.self_telemetry_period_nanos = 2'000'000;  // 2 ms
-  opts.channel_capacity = 8;                     // tiny: flooding must drop
+  opts.max_record_bytes = 32;
+  opts.channel_bytes = 128;  // three records: flooding must drop
   opts.self_watches = DefaultSelfWatches();
   auto daemon = MonitoringDaemon::Start(opts);
   ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();

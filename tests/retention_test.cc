@@ -32,11 +32,19 @@ TEST(HybridLogRetentionTest, FloorAdvancesAndOldReadsFail) {
     ASSERT_TRUE((*log)->Append(cell).ok());
   }
   (*log)->Publish();
-  // Give the flusher a moment to flush + retire blocks.
-  for (int spin = 0; spin < 1000 && (*log)->retained_floor() == 0; ++spin) {
+  // Wait for the flusher to go quiet: it has flushed every block the writer
+  // handed it (all but the tail's block) and applied retention for them.
+  // Sampling the floor earlier races the flusher, which may retire the
+  // sampled floor before Read(floor) below.
+  const uint64_t handed = ((*log)->queryable_tail() - 1) / opts.block_size * opts.block_size;
+  for (int spin = 0; spin < 10000 && ((*log)->flushed_tail() < handed ||
+                                      (*log)->retained_floor() != (*log)->DesiredRetentionFloor());
+       ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ASSERT_GE((*log)->flushed_tail(), handed);
   const uint64_t floor = (*log)->retained_floor();
+  ASSERT_EQ(floor, (*log)->DesiredRetentionFloor());
   EXPECT_GT(floor, 0u);
   EXPECT_EQ(floor % opts.block_size, 0u);  // block-aligned
 

@@ -173,6 +173,26 @@ for name in $required_standing; do
   fi
 done
 
+# The daemon front-door family: every record offered to a channel is either
+# accepted or dropped, publishers that waited for ring space are counted
+# apart from drops, and the handoff batch size and ring backlog (records)
+# show how far the ingest thread trails (DESIGN.md "Monitoring daemon").
+required_daemon="
+loom_daemon_offered_records_total
+loom_daemon_accepted_records_total
+loom_daemon_dropped_records_total
+loom_daemon_publish_waits_total
+loom_daemon_batch_records
+loom_daemon_queue_depth
+"
+for name in $required_daemon; do
+  total=$((total + 1))
+  if ! printf '%s\n' "$all_names" | grep -qx "$name"; then
+    echo "BAD  $name  (required loom_daemon_* metric is no longer registered)" >&2
+    fail=1
+  fi
+done
+
 if [ "$total" -lt 30 ]; then
   echo "BAD  extraction found only $total checked names; the grep patterns no longer match" \
     "the registration call sites" >&2

@@ -17,6 +17,9 @@
 #                              shared ArchiveWriter
 #   standing_query_test        seal-path window accumulators, the shared
 #                              chunk-rescan cache, and event queue teardown
+#   daemon_test                the per-source byte rings: frames written up to
+#                              the ring's end, wrap markers, and spans handed
+#                              to PushBatch straight out of the ring
 #
 # Wired as a ctest (asan_smoke) in the default build so `ctest` exercises it;
 # run manually from anywhere:
@@ -29,7 +32,7 @@ build="$repo/build-asan"
 
 cmake --preset asan -S "$repo" >/dev/null
 cmake --build "$build" --target loom_ingest_pipeline_test hybridlog_test \
-  tiering_test export_test standing_query_test -j "$(nproc)"
+  tiering_test export_test standing_query_test daemon_test -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 "$build/tests/loom_ingest_pipeline_test"
@@ -37,4 +40,5 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 "$build/tests/tiering_test"
 "$build/tests/export_test"
 "$build/tests/standing_query_test"
+"$build/tests/daemon_test"
 echo "asan smoke: OK"

@@ -19,6 +19,9 @@
 #                             events to subscriptions polled from other threads
 #   net_test                  the TCP front door: REG/SUB streaming and
 #                             concurrent /metrics scrapes against live ingest
+#   daemon_test               the per-source byte rings (producer and ingest
+#                             thread indexes, wrap markers, release after
+#                             PushBatch) and the ingest thread's park/wake
 #
 # Wired as a ctest (tsan_smoke) in the default build so `ctest` exercises it;
 # run manually from anywhere:
@@ -32,7 +35,7 @@ build="$repo/build-tsan"
 cmake --preset tsan -S "$repo" >/dev/null
 cmake --build "$build" --target loom_concurrency_test loom_parallel_query_test \
   loom_ingest_pipeline_test loom_seal_shards_test tiering_test standing_query_test \
-  net_test -j "$(nproc)"
+  net_test daemon_test -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 "$build/tests/loom_concurrency_test"
@@ -42,4 +45,5 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 "$build/tests/tiering_test"
 "$build/tests/standing_query_test"
 "$build/tests/net_test"
+"$build/tests/daemon_test"
 echo "tsan smoke: OK"
