@@ -82,39 +82,81 @@ std::vector<std::pair<size_t, size_t>> MakeMorsels(size_t n, size_t workers) {
   return morsels;
 }
 
-// Per-source facts a zone map (chunk summary) states about one chunk, shared
-// by the archive-tier classification in the query operators. Mirrors the
-// entry sweeps in ProcessScanCandidate / ProcessAggregateCandidate.
-struct ZoneFacts {
-  bool has_presence = false;
-  uint64_t presence_count = 0;
-  uint64_t evaluated_count = 0;
-  bool bin_match = false;
-  TimestampNanos min_ts = 0;
-  TimestampNanos max_ts = 0;
+// A value scan's filter as the zone-map classifier sees it: the range and the
+// histogram bins overlapping it.
+struct ValueFilter {
+  ValueRange range;
+  uint32_t first_bin = 0;
+  uint32_t last_bin = 0;
 };
 
-ZoneFacts CollectZoneFacts(const ChunkSummary& s, uint32_t source_id, uint32_t index_id,
-                           uint32_t first_bin, uint32_t last_bin) {
-  ZoneFacts f;
+// What a zone map proves about one chunk for one query.
+enum class Zone : uint8_t {
+  kPrune,  // no record the query wants lies in the chunk
+  kFold,   // wholly inside the time range and fully indexed: the entries
+           // describe the chunk exactly (aggregates and counts only)
+  kScan,   // the chunk's records must be read
+};
+
+// The one zone-map classifier: every operator's prune / fold / scan decision,
+// for hot chunk summaries and archive footers alike. `index_id` is
+// kPresenceIndexId for record-level operators (RawScan, CountRecords), whose
+// fold is the presence count, stored in *presence_count when asked. With a
+// `values` filter (value scans) a chunk scans only if a bin entry in the
+// filter's bins has [min, max] overlapping its range — NaN never moves
+// min/max and never matches, so the test stays exact — or if it holds
+// records that predate the index (evaluated < presence, §5.3).
+Zone ClassifyZone(const ChunkSummary& s, uint32_t source_id, uint32_t index_id,
+                  TimeRange t_range, const ValueFilter* values,
+                  uint64_t* presence_count = nullptr) {
+  const BinStats* presence = nullptr;
+  uint64_t evaluated = 0;
+  bool value_match = false;
   for (const ChunkSummary::Entry& e : s.entries) {
     if (e.source_id != source_id) {
       continue;
     }
     if (e.index_id == kPresenceIndexId) {
-      f.has_presence = true;
-      f.presence_count = e.stats.count;
-      f.min_ts = e.stats.min_ts;
-      f.max_ts = e.stats.max_ts;
+      presence = &e.stats;
     } else if (e.index_id == index_id) {
       if (e.bin == kEvaluatedBin) {
-        f.evaluated_count = e.stats.count;
-      } else if (e.bin >= first_bin && e.bin <= last_bin) {
-        f.bin_match = true;
+        evaluated = e.stats.count;
+      } else if (values != nullptr && e.bin >= values->first_bin && e.bin <= values->last_bin &&
+                 e.stats.max >= values->range.lo && e.stats.min <= values->range.hi) {
+        value_match = true;
       }
     }
   }
-  return f;
+  if (presence == nullptr || presence->max_ts < t_range.start || presence->min_ts > t_range.end) {
+    return Zone::kPrune;
+  }
+  if (presence_count != nullptr) {
+    *presence_count = presence->count;
+  }
+  const bool all_indexed = index_id == kPresenceIndexId || evaluated == presence->count;
+  if (values != nullptr) {
+    return value_match || !all_indexed ? Zone::kScan : Zone::kPrune;
+  }
+  const bool covered = presence->min_ts >= t_range.start && presence->max_ts <= t_range.end;
+  return covered && all_indexed ? Zone::kFold : Zone::kScan;
+}
+
+// Counts one classified archive block into both the chunks_* and tier_*
+// trace families.
+void CountArchiveZone(QueryTrace* trace, Zone zone) {
+  ++trace->chunks_considered;
+  ++trace->tier_chunks_considered;
+  if (zone == Zone::kScan) {
+    ++trace->chunks_scanned;
+    ++trace->tier_chunks_scanned;
+    return;
+  }
+  ++trace->chunks_pruned;
+  ++trace->tier_chunks_pruned;
+  if (zone == Zone::kFold) {
+    ++trace->chunks_summary_folded;
+    ++trace->tier_chunks_summary_folded;
+  }
 }
 
 }  // namespace
@@ -1606,16 +1648,13 @@ Status Loom::RawScanArchiveTier(uint32_t source_id, TimeRange t_range,
       PlanArchiveCandidates(record_log_->retained_floor(), t_range, trace);
   for (size_t i = archived.size(); i-- > 0;) {
     const ArchiveCandidate& a = archived[i];
-    ++trace->chunks_considered;
-    ++trace->tier_chunks_considered;
-    const ZoneFacts f = CollectZoneFacts(*a.summary, source_id, kPresenceIndexId, 1, 0);
-    if (!f.has_presence || f.max_ts < t_range.start || f.min_ts > t_range.end) {
-      ++trace->chunks_pruned;
-      ++trace->tier_chunks_pruned;
+    // A raw scan reads every block holding the source in range; it never folds.
+    const bool prune =
+        ClassifyZone(*a.summary, source_id, kPresenceIndexId, t_range, nullptr) == Zone::kPrune;
+    CountArchiveZone(trace, prune ? Zone::kPrune : Zone::kScan);
+    if (prune) {
       continue;
     }
-    ++trace->chunks_scanned;
-    ++trace->tier_chunks_scanned;
     // Blocks decode oldest-first; buffer one block's matches (bounded by a
     // chunk) and emit them reversed.
     std::vector<ChunkOutcome::Match> buffered;
@@ -1838,36 +1877,17 @@ Status Loom::ProcessAggregateCandidate(uint32_t source_id, uint32_t index_id,
   }
   out->summary = std::move(loaded.value());
   const ChunkSummary& s = *out->summary;
-  bool has_presence = false;
-  uint64_t presence_count = 0;
-  uint64_t evaluated_count = 0;
-  TimestampNanos src_min_ts = 0;
-  TimestampNanos src_max_ts = 0;
-  for (const ChunkSummary::Entry& e : s.entries) {
-    if (e.source_id != source_id) {
-      continue;
-    }
-    if (e.index_id == kPresenceIndexId) {
-      has_presence = true;
-      presence_count = e.stats.count;
-      src_min_ts = e.stats.min_ts;
-      src_max_ts = e.stats.max_ts;
-    } else if (e.index_id == index_id && e.bin == kEvaluatedBin) {
-      evaluated_count = e.stats.count;
-    }
-  }
-  if (!has_presence || src_max_ts < t_range.start || src_min_ts > t_range.end) {
-    out->kind = ChunkOutcome::Kind::kPruned;
-    return Status::Ok();
-  }
-  const bool fully_covered = src_min_ts >= t_range.start && src_max_ts <= t_range.end;
-  // Every source record in the chunk was seen by the index function, so the
-  // bins fully describe the chunk's indexed values (§5.3). The actual bin
-  // fold happens on the coordinator, in candidate order.
-  const bool all_indexed = evaluated_count == presence_count;
-  if (fully_covered && all_indexed) {
-    out->kind = ChunkOutcome::Kind::kFolded;
-    return Status::Ok();
+  // A fold means the bins fully describe the chunk's indexed values (§5.3);
+  // the fold itself happens on the coordinator, in candidate order.
+  switch (ClassifyZone(s, source_id, index_id, t_range, nullptr)) {
+    case Zone::kPrune:
+      out->kind = ChunkOutcome::Kind::kPruned;
+      return Status::Ok();
+    case Zone::kFold:
+      out->kind = ChunkOutcome::Kind::kFolded;
+      return Status::Ok();
+    case Zone::kScan:
+      break;
   }
   out->kind = ChunkOutcome::Kind::kScanned;
   const IndexFunc& func = idx.func;
@@ -1899,39 +1919,8 @@ Status Loom::ProcessScanCandidate(uint32_t source_id, uint32_t index_id, const I
   }
   out->summary = std::move(loaded.value());
   const ChunkSummary& s = *out->summary;
-  bool has_presence = false;
-  uint64_t presence_count = 0;
-  uint64_t evaluated_count = 0;
-  bool bin_match = false;
-  TimestampNanos src_min_ts = 0;
-  TimestampNanos src_max_ts = 0;
-  for (const ChunkSummary::Entry& e : s.entries) {
-    if (e.source_id != source_id) {
-      continue;
-    }
-    if (e.index_id == kPresenceIndexId) {
-      has_presence = true;
-      presence_count = e.stats.count;
-      src_min_ts = e.stats.min_ts;
-      src_max_ts = e.stats.max_ts;
-    } else if (e.index_id == index_id) {
-      if (e.bin == kEvaluatedBin) {
-        evaluated_count = e.stats.count;
-      } else if (e.bin >= first_bin && e.bin <= last_bin) {
-        bin_match = true;
-      }
-    }
-  }
-  if (!has_presence || src_max_ts < t_range.start || src_min_ts > t_range.end) {
-    out->kind = ChunkOutcome::Kind::kPruned;
-    return Status::Ok();
-  }
-  // Chunks holding records that predate the index definition must be
-  // scanned: the bins cannot prove absence for never-evaluated records
-  // (§5.3). Records the index function merely skipped are provably
-  // non-matching and need no scan.
-  const bool has_unindexed = evaluated_count < presence_count;
-  if (!bin_match && !has_unindexed) {
+  const ValueFilter values{v_range, first_bin, last_bin};
+  if (ClassifyZone(s, source_id, index_id, t_range, &values) == Zone::kPrune) {
     out->kind = ChunkOutcome::Kind::kPruned;
     return Status::Ok();
   }
@@ -2362,6 +2351,7 @@ Status Loom::IndexedScanValuesImpl(uint32_t source_id, uint32_t index_id, TimeRa
   const IndexFunc& func = idx.value().func;
   const Snapshot snap = TakeSnapshot(src);
   const auto [first_bin, last_bin] = spec.BinsOverlapping(v_range.lo, v_range.hi);
+  const ValueFilter values{v_range, first_bin, last_bin};
 
   bool stopped = false;
   // The index function runs once per candidate record; its value is handed
@@ -2393,18 +2383,11 @@ Status Loom::IndexedScanValuesImpl(uint32_t source_id, uint32_t index_id, TimeRa
     // oldest-first order. Zone maps prune exactly like hot summaries.
     for (const ArchiveCandidate& a :
          PlanArchiveCandidates(record_log_->retained_floor(), t_range, trace)) {
-      ++trace->chunks_considered;
-      ++trace->tier_chunks_considered;
-      const ZoneFacts f = CollectZoneFacts(*a.summary, source_id, index_id, first_bin, last_bin);
-      const bool has_unindexed = f.evaluated_count < f.presence_count;
-      if (!f.has_presence || f.max_ts < t_range.start || f.min_ts > t_range.end ||
-          (!f.bin_match && !has_unindexed)) {
-        ++trace->chunks_pruned;
-        ++trace->tier_chunks_pruned;
+      const Zone zone = ClassifyZone(*a.summary, source_id, index_id, t_range, &values);
+      CountArchiveZone(trace, zone);
+      if (zone == Zone::kPrune) {
         continue;
       }
-      ++trace->chunks_scanned;
-      ++trace->tier_chunks_scanned;
       LOOM_RETURN_IF_ERROR(ScanArchiveBlockFor(
           a, source_id, t_range,
           [&](const RecordView& view) -> bool {
@@ -2643,16 +2626,12 @@ Status Loom::AccumulateIndexed(uint32_t source_id, uint32_t index_id, const Inde
     archived = PlanArchiveCandidates(record_log_->retained_floor(), t_range, trace);
     for (size_t ai = 0; ai < archived.size(); ++ai) {
       const ChunkSummary& s = *archived[ai].summary;
-      ++trace->chunks_considered;
-      ++trace->tier_chunks_considered;
-      const ZoneFacts f = CollectZoneFacts(s, source_id, index_id, 1, 0);
-      if (!f.has_presence || f.max_ts < t_range.start || f.min_ts > t_range.end) {
-        ++trace->chunks_pruned;
-        ++trace->tier_chunks_pruned;
+      const Zone zone = ClassifyZone(s, source_id, index_id, t_range, nullptr);
+      CountArchiveZone(trace, zone);
+      if (zone == Zone::kPrune) {
         continue;
       }
-      const bool fully_covered = f.min_ts >= t_range.start && f.max_ts <= t_range.end;
-      if (fully_covered && f.evaluated_count == f.presence_count) {
+      if (zone == Zone::kFold) {
         for (const ChunkSummary::Entry& e : s.entries) {
           if (e.source_id == source_id && e.index_id == index_id && e.bin != kEvaluatedBin) {
             merged.Merge(e.stats);
@@ -2660,14 +2639,8 @@ Status Loom::AccumulateIndexed(uint32_t source_id, uint32_t index_id, const Inde
           }
         }
         fully_merged.push_back({&s, static_cast<int>(ai)});
-        ++trace->chunks_pruned;
-        ++trace->chunks_summary_folded;
-        ++trace->tier_chunks_pruned;
-        ++trace->tier_chunks_summary_folded;
         continue;
       }
-      ++trace->chunks_scanned;
-      ++trace->tier_chunks_scanned;
       // Same collect-then-batch-classify shape as the hot scanned path, so
       // bin assignment stays bit-exact across tiers.
       std::vector<std::pair<double, TimestampNanos>> vals;
@@ -2866,52 +2839,37 @@ Result<uint64_t> Loom::CountRecordsImpl(uint32_t source_id, TimeRange t_range,
   LOOM_RETURN_IF_ERROR(CollectCandidateSummaries(snap, t_range, candidates, trace));
   // Archive tier: fully-covered demoted blocks answer straight from their
   // zone maps; partially-covered ones decompress and count.
+  uint64_t presence_count = 0;
   for (const ArchiveCandidate& a :
        PlanArchiveCandidates(record_log_->retained_floor(), t_range, trace)) {
-    ++trace->chunks_considered;
-    ++trace->tier_chunks_considered;
-    const ZoneFacts f = CollectZoneFacts(*a.summary, source_id, kPresenceIndexId, 1, 0);
-    if (!f.has_presence || f.max_ts < t_range.start || f.min_ts > t_range.end) {
-      ++trace->chunks_pruned;
-      ++trace->tier_chunks_pruned;
-      continue;
+    const Zone zone =
+        ClassifyZone(*a.summary, source_id, kPresenceIndexId, t_range, nullptr, &presence_count);
+    CountArchiveZone(trace, zone);
+    if (zone == Zone::kFold) {
+      count += presence_count;
+    } else if (zone == Zone::kScan) {
+      LOOM_RETURN_IF_ERROR(ScanArchiveBlockFor(a, source_id, t_range, count_scan, trace));
     }
-    if (f.min_ts >= t_range.start && f.max_ts <= t_range.end) {
-      count += f.presence_count;
-      ++trace->chunks_pruned;
-      ++trace->chunks_summary_folded;
-      ++trace->tier_chunks_pruned;
-      ++trace->tier_chunks_summary_folded;
-      continue;
-    }
-    ++trace->chunks_scanned;
-    ++trace->tier_chunks_scanned;
-    LOOM_RETURN_IF_ERROR(ScanArchiveBlockFor(a, source_id, t_range, count_scan, trace));
   }
   for (const auto& candidate : candidates) {
     const ChunkSummary& s = *candidate;
     ++trace->chunks_considered;
-    const ChunkSummary::Entry* presence = nullptr;
-    for (const ChunkSummary::Entry& e : s.entries) {
-      if (e.source_id == source_id && e.index_id == kPresenceIndexId) {
-        presence = &e;
+    switch (ClassifyZone(s, source_id, kPresenceIndexId, t_range, nullptr, &presence_count)) {
+      case Zone::kPrune:
+        ++trace->chunks_pruned;
+        break;
+      case Zone::kFold:
+        count += presence_count;  // fully covered: the summary answers
+        ++trace->chunks_pruned;
+        ++trace->chunks_summary_folded;
+        break;
+      case Zone::kScan: {
+        ++trace->chunks_scanned;
+        const uint64_t end = std::min<uint64_t>(s.chunk_addr + s.chunk_len, snap.record_tail);
+        LOOM_RETURN_IF_ERROR(
+            ScanRecordRangeFor(s.chunk_addr, end, source_id, t_range, {}, count_scan, trace));
         break;
       }
-    }
-    if (presence == nullptr || presence->stats.max_ts < t_range.start ||
-        presence->stats.min_ts > t_range.end) {
-      ++trace->chunks_pruned;
-      continue;
-    }
-    if (presence->stats.min_ts >= t_range.start && presence->stats.max_ts <= t_range.end) {
-      count += presence->stats.count;  // fully covered: summary answers
-      ++trace->chunks_pruned;
-      ++trace->chunks_summary_folded;
-    } else {
-      ++trace->chunks_scanned;
-      const uint64_t end = std::min<uint64_t>(s.chunk_addr + s.chunk_len, snap.record_tail);
-      LOOM_RETURN_IF_ERROR(
-          ScanRecordRangeFor(s.chunk_addr, end, source_id, t_range, {}, count_scan, trace));
     }
   }
   LOOM_RETURN_IF_ERROR(ScanRecordRangeFor(snap.indexed_tail, snap.record_tail, source_id,
@@ -3046,23 +3004,78 @@ Result<double> Loom::IndexedAggregateImpl(uint32_t source_id, uint32_t index_id,
       }
     }
   }
-  // Stage 2: the summaries did not settle these chunks after all — read their
-  // records to materialize the target bin. Reclassify so the trace invariant
-  // (pruned + scanned == considered) keeps holding, in the tier_* family too
-  // for chunks whose records now live in the archive.
-  std::vector<BinAccumulation::MergedChunk> rescan;
-  size_t rescan_archived = 0;
+  // Stage 2: a folded chunk's target-bin entry pins its values exactly when
+  // it holds one value, or two distinct ones (min and max); otherwise it
+  // bounds `count` values to [min, max]. Picking each interval's min (max)
+  // gives the bracket L <= answer <= U, so an interval wholly below L only
+  // counts toward the rank, one wholly above U drops out, and only the rest
+  // are rescanned (DESIGN.md, "Bin-level zone maps"). NaN lands in the
+  // overflow bin without moving min/max, so that bin rescans every interval.
+  struct Interval {
+    const BinStats* stats;
+    BinAccumulation::MergedChunk chunk;
+  };
+  std::vector<Interval> intervals;
+  const bool bounded = target_bin + 1 < bin_counts.size();
   for (const BinAccumulation::MergedChunk& mc : fully_merged) {
     for (const ChunkSummary::Entry& e : mc.summary->entries) {
       if (e.source_id == source_id && e.index_id == index_id && e.bin == target_bin) {
-        rescan.push_back(mc);
-        if (mc.archive_ref >= 0) {
-          ++rescan_archived;
+        if (bounded && e.stats.count == 1) {
+          bin_values.push_back(e.stats.min);
+        } else if (bounded && e.stats.count == 2 && e.stats.min < e.stats.max) {
+          bin_values.push_back(e.stats.min);
+          bin_values.push_back(e.stats.max);
+        } else {
+          intervals.push_back({&e.stats, mc});
         }
         break;
       }
     }
   }
+  // The local_rank-th smallest of the exact values plus each interval's min
+  // (or max, with use_max), repeated `count` times.
+  auto rank_bound = [&](bool use_max) {
+    std::vector<std::pair<double, uint64_t>> weighted;
+    weighted.reserve(bin_values.size() + intervals.size());
+    for (double v : bin_values) {
+      weighted.emplace_back(v, 1);
+    }
+    for (const Interval& iv : intervals) {
+      weighted.emplace_back(use_max ? iv.stats->max : iv.stats->min, iv.stats->count);
+    }
+    std::sort(weighted.begin(), weighted.end());
+    uint64_t seen = 0;
+    for (const auto& [v, n] : weighted) {
+      seen += n;
+      if (seen >= local_rank) {
+        return v;
+      }
+    }
+    return weighted.back().first;
+  };
+  uint64_t below = 0;  // values in intervals wholly below the answer
+  std::vector<BinAccumulation::MergedChunk> rescan;
+  if (bounded && !intervals.empty()) {
+    const double lower = rank_bound(false);  // L
+    const double upper = rank_bound(true);   // U
+    for (const Interval& iv : intervals) {
+      if (iv.stats->max < lower) {
+        below += iv.stats->count;
+      } else if (iv.stats->min <= upper) {
+        rescan.push_back(iv.chunk);
+      }
+    }
+  } else {
+    for (const Interval& iv : intervals) {
+      rescan.push_back(iv.chunk);
+    }
+  }
+  // Only rescanned chunks move from pruned to scanned, so the trace invariant
+  // (pruned + scanned == considered) keeps holding, in the tier_* family too
+  // for chunks whose records now live in the archive.
+  const size_t rescan_archived = static_cast<size_t>(
+      std::count_if(rescan.begin(), rescan.end(),
+                    [](const BinAccumulation::MergedChunk& mc) { return mc.archive_ref >= 0; }));
   trace->chunks_pruned -= rescan.size();
   trace->chunks_summary_folded -= rescan.size();
   trace->chunks_scanned += rescan.size();
@@ -3175,12 +3188,15 @@ Result<double> Loom::IndexedAggregateImpl(uint32_t source_id, uint32_t index_id,
   for (const std::vector<double>& values : chunk_values) {
     bin_values.insert(bin_values.end(), values.begin(), values.end());
   }
-  if (bin_values.size() < local_rank) {
+  // `below` values rank under the answer, and the bracket proves
+  // below < local_rank, so the answer's rank among the rest is >= 1.
+  const uint64_t rest_rank = local_rank - below;
+  if (bin_values.size() < rest_rank) {
     return Status::Internal("percentile bin materialization mismatch");
   }
-  std::nth_element(bin_values.begin(), bin_values.begin() + static_cast<long>(local_rank - 1),
+  std::nth_element(bin_values.begin(), bin_values.begin() + static_cast<long>(rest_rank - 1),
                    bin_values.end());
-  return bin_values[local_rank - 1];
+  return bin_values[rest_rank - 1];
 }
 
 Result<HistogramSpec> Loom::IndexSpec(uint32_t index_id) const {

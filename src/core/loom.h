@@ -334,15 +334,20 @@ class Loom {
                  QueryTrace* trace = nullptr) const;
 
   // Scans records of `source_id` in `t_range` whose indexed value (per
-  // `index_id`) is in `v_range`, using the chunk index to skip chunks.
-  // Records are delivered in log (oldest-first) order.
+  // `index_id`) is in `v_range`, using the chunk index to skip chunks: a
+  // chunk (or archived block) is read only when one of its bins overlapping
+  // `v_range` has a [min, max] that overlaps `v_range` too, or when it holds
+  // records that predate the index. Records are delivered in log
+  // (oldest-first) order.
   Status IndexedScan(uint32_t source_id, uint32_t index_id, TimeRange t_range, ValueRange v_range,
                      const RecordCallback& cb, QueryTrace* trace = nullptr) const;
 
   // Aggregates the indexed values of `source_id` in `t_range`. Distributive
   // aggregates are served from chunk summaries where chunks are fully inside
-  // the range; holistic percentile uses the summary bins as a CDF and scans
-  // only chunks contributing to the target bin (§4.3).
+  // the range; holistic percentile uses the summary bins as a CDF to find the
+  // target bin (§4.3), then uses each summarized chunk's target-bin
+  // [min, max] to bracket the answer and rescans only the chunks whose
+  // values the bracket cannot place (see DESIGN.md, "Bin-level zone maps").
   Result<double> IndexedAggregate(uint32_t source_id, uint32_t index_id, TimeRange t_range,
                                   AggregateMethod method, double percentile = 0.0,
                                   QueryTrace* trace = nullptr) const;
@@ -687,7 +692,8 @@ class Loom {
     // Archived blocks this query consulted (readers keep zone maps alive).
     std::vector<ArchiveCandidate> archive_candidates;
     // Candidates folded purely from summary bins (percentile stage 2 rescans
-    // only these when their bins hold the target rank). `summary` points
+    // only those whose target-bin [min, max] cannot be placed against the
+    // answer without their records). `summary` points
     // into `candidates` or an `archive_candidates` footer; `archive_ref`
     // says which tier a stage-2 rescan must read (-1 = hot record log,
     // otherwise an index into archive_candidates).

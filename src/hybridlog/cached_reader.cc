@@ -38,23 +38,30 @@ Status CachedLogReader::LoadWindow(int w, uint64_t addr, size_t len) {
   // window boundaries (records never span chunks, but callers may use
   // windows smaller than a chunk). The window must not dip below the
   // retention floor, where reads fail.
-  uint64_t start = addr - (addr % window_);
-  const uint64_t floor = log_->retained_floor();
-  if (start < floor) {
-    start = std::min(floor, addr);
-  }
-  const uint64_t end = std::min<uint64_t>(limit_, std::max<uint64_t>(start + window_, addr + len));
+  const uint64_t aligned = addr - (addr % window_);
   Window& win = windows_[static_cast<size_t>(w)];
-  win.buf.resize(static_cast<size_t>(end - start));
-  Status st = log_->Read(start, std::span<uint8_t>(win.buf.data(), win.buf.size()));
-  if (!st.ok()) {
-    win.len = 0;
-    return st;
+  win.len = 0;
+  for (;;) {
+    const uint64_t start = std::max(aligned, std::min(log_->retained_floor(), addr));
+    const uint64_t end =
+        std::min<uint64_t>(limit_, std::max<uint64_t>(start + window_, addr + len));
+    win.buf.resize(static_cast<size_t>(end - start));
+    Status st = log_->Read(start, std::span<uint8_t>(win.buf.data(), win.buf.size()));
+    if (st.ok()) {
+      win.addr = start;
+      win.len = win.buf.size();
+      win.last_use = ++use_tick_;
+      return Status::Ok();
+    }
+    // Retention may advance between sampling the floor and the read, leaving
+    // the window's start below the new floor. Retry from the new floor while
+    // the requested bytes themselves are still retained; otherwise the read
+    // really reached reclaimed data.
+    const uint64_t floor = log_->retained_floor();
+    if (st.code() != StatusCode::kOutOfRange || floor <= start || addr < floor) {
+      return st;
+    }
   }
-  win.addr = start;
-  win.len = win.buf.size();
-  win.last_use = ++use_tick_;
-  return Status::Ok();
 }
 
 Result<std::span<const uint8_t>> CachedLogReader::Fetch(uint64_t addr, size_t len) {

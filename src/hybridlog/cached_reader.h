@@ -34,6 +34,9 @@ class CachedLogReader {
         max_windows_(max_windows == 0 ? 1 : max_windows) {}
 
   // Returns a view of [addr, addr+len) valid until the next Fetch call.
+  // Fails with OutOfRange only when those bytes are past `limit` or below the
+  // retention floor, not when retention merely reclaims the start of the
+  // window being loaded around them.
   Result<std::span<const uint8_t>> Fetch(uint64_t addr, size_t len);
 
   uint64_t limit() const { return limit_; }

@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <ostream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/file.h"
@@ -494,26 +499,70 @@ struct RefRecord {
   double value;
 };
 
-class LoomDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+// One differential configuration: the workload seed, the query pool size, and
+// whether the probes run after demoting most chunks into the archive tier.
+struct DiffCase {
+  uint64_t seed;
+  size_t query_threads;
+  bool archived;
+};
+
+// Names the case after its seed alone for the serial hot-only engine, so that
+// configuration keeps its historical test names.
+void PrintTo(const DiffCase& c, std::ostream* os) {
+  *os << c.seed;
+  if (c.query_threads > 0) {
+    *os << "_threads" << c.query_threads;
+  }
+  if (c.archived) {
+    *os << "_archived";
+  }
+}
+
+std::vector<DiffCase> DiffCases() {
+  std::vector<DiffCase> cases;
+  for (size_t threads : {size_t{0}, size_t{4}}) {
+    for (bool archived : {false, true}) {
+      for (uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u}) {
+        cases.push_back({seed, threads, archived});
+      }
+    }
+  }
+  return cases;
+}
+
+class LoomDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 
 // Pushes a random multi-source workload, then checks random raw scans,
-// indexed scans, and aggregates against a brute-force in-memory model.
+// indexed scans, counts, and aggregates against a brute-force in-memory
+// model. The value mixes reach every zone-map branch: uniform values over the
+// outlier bins (source 1), ties drawn from a few values sitting on bin edges
+// (2), one dense bin with one or two outliers per chunk, +/-inf included (3),
+// and NaN (4, checked by scans and counts only: NaN has no percentile).
 TEST_P(LoomDifferentialTest, MatchesReferenceModel) {
+  const DiffCase& c = GetParam();
   TempDir dir;
   ManualClock clock(1);
   LoomOptions opts;
   opts.dir = dir.FilePath("loom");
-  opts.chunk_size = 512;
+  opts.chunk_size = 1024;  // ~14 records, a few per source and bin
   opts.record_block_size = 4096;
   opts.chunk_index_block_size = 4096;
   opts.ts_index_block_size = 2048;
   opts.ts_marker_period = 5;
+  opts.query_threads = c.query_threads;
   opts.clock = &clock;
+  if (c.archived) {
+    opts.archive_dir = dir.FilePath("cold");
+    opts.record_retain_bytes = opts.record_block_size;
+  }
   auto loom = Loom::Open(opts);
   ASSERT_TRUE(loom.ok());
 
-  Rng rng(GetParam());
-  constexpr int kSources = 3;
+  Rng rng(c.seed);
+  constexpr uint32_t kSources = 4;
+  constexpr uint32_t kNanSource = 4;
+  const double inf = std::numeric_limits<double>::infinity();
   std::map<uint32_t, std::vector<RefRecord>> model;
   std::map<uint32_t, uint32_t> index_ids;
   auto spec = HistogramSpec::Uniform(0, 1000, 8).value();
@@ -531,84 +580,175 @@ TEST_P(LoomDifferentialTest, MatchesReferenceModel) {
     index_ids[s] = idx.value();
   }
 
+  // Mostly bin edges (0, 125, ..., 1000); 250 is drawn twice as often.
+  const std::vector<double> ties = {-1.0, 0.0, 125.0, 250.0, 250.0, 375.0, 500.0, 999.5, 1000.0};
+  const std::vector<double> outliers = {-inf, inf, -50.0, 1050.0, 130.0, 240.0};
+  auto draw = [&](uint32_t s) -> double {
+    switch (s) {
+      case 1:
+        return rng.NextUniform(-100, 1100);
+      case 2:
+        return ties[rng.NextBounded(ties.size())];
+      case 3:
+        if (rng.NextBounded(10) == 0) {
+          return outliers[rng.NextBounded(outliers.size())];
+        }
+        return rng.NextUniform(500, 625);
+      default:
+        if (rng.NextBounded(5) == 0) {
+          return std::nan("");
+        }
+        return rng.NextBounded(20) == 0 ? -inf : rng.NextUniform(0, 1000);
+    }
+  };
   constexpr int kRecords = 3000;
   for (int i = 0; i < kRecords; ++i) {
     clock.AdvanceNanos(1 + rng.NextBounded(100));
-    uint32_t s = 1 + static_cast<uint32_t>(rng.NextBounded(kSources));
-    double v = rng.NextUniform(-100, 1100);  // exercises outlier bins
+    // Source 3 (the dense bin) gets 40% of the records, 4 (NaN) 10%.
+    const uint64_t pick = rng.NextBounded(20);
+    const uint32_t s = pick < 5 ? 1 : pick < 10 ? 2 : pick < 18 ? 3 : kNanSource;
+    const double v = draw(s);
     ASSERT_TRUE((*loom)->Push(s, ValuePayload(v)).ok());
     model[s].push_back({clock.NowNanos(), v});
   }
   const TimestampNanos t_max = clock.NowNanos();
 
-  for (int probe = 0; probe < 30; ++probe) {
-    uint32_t s = 1 + static_cast<uint32_t>(rng.NextBounded(kSources));
-    TimestampNanos a = rng.NextBounded(t_max + 10);
-    TimestampNanos b = rng.NextBounded(t_max + 10);
-    TimeRange range{std::min(a, b), std::max(a, b)};
+  if (c.archived) {
+    for (uint32_t s = 1; s <= kSources; ++s) {
+      ASSERT_TRUE((*loom)->Sync(s).ok());
+    }
+    // Demotion follows flushed bytes: let the flusher catch up, then demote
+    // until a pass archives nothing new.
+    const uint64_t full_blocks = (*loom)->stats().record_log.bytes_appended / 4096;
+    for (int spin = 0; spin < 5000 && (*loom)->stats().record_log.blocks_flushed < full_blocks;
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    size_t prev;
+    do {
+      prev = (*loom)->ArchiveCount();
+      ASSERT_TRUE((*loom)->DemoteNow().ok());
+    } while ((*loom)->ArchiveCount() != prev);
+    ASSERT_GE((*loom)->ArchiveCount(), 1u);
+  }
 
-    // Reference.
-    std::vector<double> ref;
+  for (int probe = 0; probe < 30; ++probe) {
+    const uint32_t s = 1 + static_cast<uint32_t>(rng.NextBounded(kSources));
+    const TimestampNanos a = rng.NextBounded(t_max + 10);
+    const TimestampNanos b = rng.NextBounded(t_max + 10);
+    const TimeRange range =
+        probe % 5 == 0 ? TimeRange{0, ~0ULL} : TimeRange{std::min(a, b), std::max(a, b)};
+    const std::string where = "source " + std::to_string(s) + " probe " + std::to_string(probe);
+
+    // Reference, in log (= arrival) order.
+    std::vector<RefRecord> ref;
     for (const RefRecord& r : model[s]) {
       if (range.Contains(r.ts)) {
-        ref.push_back(r.value);
+        ref.push_back(r);
       }
     }
 
-    // Raw scan (newest first) -> compare as multiset.
-    std::vector<double> raw;
-    ASSERT_TRUE((*loom)->RawScan(s, range, [&](const RecordView& r) {
-                  raw.push_back(PayloadValue(r.payload));
-                  return true;
-                }).ok());
-    std::vector<double> ref_sorted = ref;
-    std::sort(ref_sorted.begin(), ref_sorted.end());
-    std::sort(raw.begin(), raw.end());
-    EXPECT_EQ(raw, ref_sorted) << "source " << s << " probe " << probe;
-
-    // Indexed scan over a random value range.
-    double v1 = rng.NextUniform(-200, 1200);
-    double v2 = rng.NextUniform(-200, 1200);
-    ValueRange vr{std::min(v1, v2), std::max(v1, v2)};
-    std::vector<double> indexed;
-    ASSERT_TRUE((*loom)->IndexedScan(s, index_ids[s], range, vr,
-                                     [&](const RecordView& r) {
-                                       indexed.push_back(PayloadValue(r.payload));
-                                       return true;
-                                     })
+    // Raw scan delivers newest first.
+    std::vector<TimestampNanos> raw;
+    QueryTrace raw_trace;
+    ASSERT_TRUE((*loom)
+                    ->RawScan(
+                        s, range,
+                        [&](const RecordView& r) {
+                          raw.push_back(r.ts);
+                          return true;
+                        },
+                        &raw_trace)
                     .ok());
-    std::vector<double> ref_filtered;
-    for (double v : ref) {
-      if (vr.Contains(v)) {
-        ref_filtered.push_back(v);
-      }
+    std::reverse(raw.begin(), raw.end());
+    std::vector<TimestampNanos> ref_ts;
+    for (const RefRecord& r : ref) {
+      ref_ts.push_back(r.ts);
     }
-    std::sort(indexed.begin(), indexed.end());
-    std::sort(ref_filtered.begin(), ref_filtered.end());
-    EXPECT_EQ(indexed, ref_filtered) << "source " << s << " probe " << probe;
-
-    // Aggregates.
-    auto count = (*loom)->IndexedAggregate(s, index_ids[s], range, AggregateMethod::kCount);
+    EXPECT_EQ(raw, ref_ts) << where;
+    EXPECT_EQ(raw_trace.chunks_pruned + raw_trace.chunks_scanned, raw_trace.chunks_considered);
+    auto count = (*loom)->CountRecords(s, range);
     ASSERT_TRUE(count.ok());
-    EXPECT_EQ(count.value(), static_cast<double>(ref.size()));
-    if (!ref.empty()) {
-      auto max = (*loom)->IndexedAggregate(s, index_ids[s], range, AggregateMethod::kMax);
-      ASSERT_TRUE(max.ok());
-      EXPECT_DOUBLE_EQ(max.value(), *std::max_element(ref.begin(), ref.end()));
-      double pct = rng.NextUniform(0, 100);
+    EXPECT_EQ(count.value(), ref.size()) << where;
+
+    // Indexed scans: a random range, ends on stored values (a point range
+    // included), ends on bin edges, and empty ranges (lo > hi).
+    const std::vector<double>& edges = spec.edges();
+    auto stored = [&]() { return model[s][rng.NextBounded(model[s].size())].value; };
+    auto edge = [&]() { return edges[rng.NextBounded(edges.size())]; };
+    const double v1 = rng.NextUniform(-200, 1200);
+    const double v2 = rng.NextUniform(-200, 1200);
+    const double sv1 = stored();
+    const double sv2 = stored();
+    const double e1 = edge();
+    const double e2 = edge();
+    const std::vector<ValueRange> value_ranges = {
+        {std::min(v1, v2), std::max(v1, v2)},
+        {std::min(sv1, sv2), std::max(sv1, sv2)},
+        {sv1, sv1},
+        {std::min(e1, e2), std::max(e1, e2)},
+        {std::min(e1, sv1), std::max(e1, sv1)},
+        {std::max(v1, v2), std::min(v1, v2)},
+        {e1, std::nextafter(e1, -inf)},
+    };
+    for (const ValueRange& vr : value_ranges) {
+      std::vector<TimestampNanos> indexed;
+      QueryTrace trace;
+      ASSERT_TRUE((*loom)
+                      ->IndexedScan(
+                          s, index_ids[s], range, vr,
+                          [&](const RecordView& r) {
+                            indexed.push_back(r.ts);
+                            return true;
+                          },
+                          &trace)
+                      .ok());
+      std::vector<TimestampNanos> ref_filtered;
+      for (const RefRecord& r : ref) {
+        if (vr.Contains(r.value)) {
+          ref_filtered.push_back(r.ts);
+        }
+      }
+      EXPECT_EQ(indexed, ref_filtered) << where << " v [" << vr.lo << ", " << vr.hi << "]";
+      EXPECT_EQ(trace.chunks_pruned + trace.chunks_scanned, trace.chunks_considered);
+      EXPECT_EQ(trace.tier_chunks_pruned + trace.tier_chunks_scanned,
+                trace.tier_chunks_considered);
+    }
+    if (s == kNanSource) {
+      continue;
+    }
+
+    // Aggregates: count, max, and percentiles at 0, 100 and a random p.
+    std::vector<double> ref_values;
+    for (const RefRecord& r : ref) {
+      ref_values.push_back(r.value);
+    }
+    auto agg_count = (*loom)->IndexedAggregate(s, index_ids[s], range, AggregateMethod::kCount);
+    ASSERT_TRUE(agg_count.ok());
+    EXPECT_EQ(agg_count.value(), static_cast<double>(ref.size()));
+    if (ref.empty()) {
+      continue;
+    }
+    auto max = (*loom)->IndexedAggregate(s, index_ids[s], range, AggregateMethod::kMax);
+    ASSERT_TRUE(max.ok());
+    EXPECT_EQ(max.value(), *std::max_element(ref_values.begin(), ref_values.end()));
+    std::sort(ref_values.begin(), ref_values.end());
+    for (double pct : {0.0, 100.0, rng.NextUniform(0, 100)}) {
+      QueryTrace trace;
       auto p = (*loom)->IndexedAggregate(s, index_ids[s], range, AggregateMethod::kPercentile,
-                                         pct);
-      ASSERT_TRUE(p.ok());
-      std::sort(ref.begin(), ref.end());
-      size_t rank = static_cast<size_t>(std::ceil(pct / 100.0 * ref.size()));
-      rank = std::max<size_t>(1, std::min(rank, ref.size()));
-      EXPECT_DOUBLE_EQ(p.value(), ref[rank - 1]) << "pct=" << pct;
+                                         pct, &trace);
+      ASSERT_TRUE(p.ok()) << p.status().ToString();
+      size_t rank = static_cast<size_t>(std::ceil(pct / 100.0 * ref_values.size()));
+      rank = std::max<size_t>(1, std::min(rank, ref_values.size()));
+      EXPECT_EQ(p.value(), ref_values[rank - 1]) << where << " pct=" << pct;
+      EXPECT_EQ(trace.chunks_pruned + trace.chunks_scanned, trace.chunks_considered);
+      EXPECT_EQ(trace.tier_chunks_pruned + trace.tier_chunks_scanned,
+                trace.tier_chunks_considered);
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LoomDifferentialTest,
-                         ::testing::Values(11u, 22u, 33u, 44u, 55u, 66u));
+INSTANTIATE_TEST_SUITE_P(Seeds, LoomDifferentialTest, ::testing::ValuesIn(DiffCases()));
 
 // --- Stats ------------------------------------------------------------------------
 

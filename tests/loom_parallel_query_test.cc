@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -505,6 +508,185 @@ TEST_F(ParallelQueryTest, SingleWorkerPoolMatchesSerial) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(std::memcmp(&a.value(), &b.value(), sizeof(double)), 0);
+}
+
+// --- Bin-level zone maps ----------------------------------------------------
+//
+// Every summary entry keeps its bin's [min, max]. These cases pin, by trace
+// counts, the record reads that lets a query skip, on four engines holding the
+// same stream: serial and parallel, hot only and mostly archived.
+
+constexpr size_t kZoneRecords = 3000;
+
+struct ZoneEngine {
+  std::string name;
+  bool archived = false;
+  std::unique_ptr<ManualClock> clock;
+  std::unique_ptr<Loom> loom;
+  uint32_t index_id = 0;
+};
+
+class BinZoneMapTest : public ::testing::Test {
+ protected:
+  void Build(const std::vector<double>& values) {
+    for (size_t threads : {size_t{0}, size_t{4}}) {
+      for (bool archived : {false, true}) {
+        ZoneEngine e;
+        e.name = std::string(threads > 0 ? "parallel" : "serial") + (archived ? "-archived" : "-hot");
+        e.archived = archived;
+        e.clock = std::make_unique<ManualClock>(1);
+        LoomOptions opts;
+        opts.dir = dir_.FilePath(e.name);
+        opts.chunk_size = 1024;  // ~14 records per chunk
+        opts.record_block_size = 8192;
+        opts.query_threads = threads;
+        opts.clock = e.clock.get();
+        if (archived) {
+          opts.archive_dir = dir_.FilePath(e.name + "-cold");
+          opts.record_retain_bytes = opts.record_block_size;
+        }
+        auto loom = Loom::Open(opts);
+        ASSERT_TRUE(loom.ok()) << loom.status().ToString();
+        e.loom = std::move(loom.value());
+        ASSERT_TRUE(e.loom->DefineSource(kSource).ok());
+        auto idx = e.loom->DefineIndex(kSource, ValueIndexFunc(),
+                                       HistogramSpec::Exponential(1.0, 2.0, 20).value());
+        ASSERT_TRUE(idx.ok());
+        e.index_id = idx.value();
+        for (double v : values) {
+          e.clock->AdvanceNanos(1000);
+          ASSERT_TRUE(e.loom->Push(kSource, ValuePayload(v)).ok());
+        }
+        ASSERT_TRUE(e.loom->Sync(kSource).ok());
+        if (archived) {
+          // Demotion follows flushed bytes: let the flusher catch up, then
+          // demote until a pass archives nothing new.
+          const uint64_t full_blocks = e.loom->stats().record_log.bytes_appended / 8192;
+          for (int spin = 0;
+               spin < 5000 && e.loom->stats().record_log.blocks_flushed < full_blocks; ++spin) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          size_t prev;
+          do {
+            prev = e.loom->ArchiveCount();
+            ASSERT_TRUE(e.loom->DemoteNow().ok());
+          } while (e.loom->ArchiveCount() != prev);
+          ASSERT_GE(e.loom->ArchiveCount(), 1u);
+        }
+        engines_.push_back(std::move(e));
+      }
+    }
+  }
+
+  static void ExpectInvariants(const QueryTrace& t, const ZoneEngine& e) {
+    EXPECT_GT(t.chunks_considered, 0u) << e.name;
+    EXPECT_EQ(t.chunks_pruned + t.chunks_scanned, t.chunks_considered) << e.name;
+    EXPECT_EQ(t.tier_chunks_pruned + t.tier_chunks_scanned, t.tier_chunks_considered) << e.name;
+    EXPECT_EQ(t.tier_chunks_considered > 0, e.archived) << e.name;
+  }
+
+  // The p-th percentile of `values` by the engine's rank rule.
+  static double Percentile(std::vector<double> values, double p) {
+    std::sort(values.begin(), values.end());
+    size_t rank = static_cast<size_t>(std::ceil(p / 100.0 * static_cast<double>(values.size())));
+    rank = std::max<size_t>(1, std::min(rank, values.size()));
+    return values[rank - 1];
+  }
+
+  TempDir dir_;
+  std::vector<ZoneEngine> engines_;
+};
+
+// Bin [32, 64) is in every chunk, but its values never pass 38: a scan for
+// [50, 60], which overlaps only that bin, reads no chunk.
+TEST_F(BinZoneMapTest, ScanSkipsChunksWhoseBinValuesMissTheRange) {
+  std::vector<double> values;
+  for (size_t i = 0; i < kZoneRecords; ++i) {
+    values.push_back(i % 2 == 0 ? 32.0 + static_cast<double>(i % 7)
+                                : 4.0 + static_cast<double>(i % 3));
+  }
+  ASSERT_NO_FATAL_FAILURE(Build(values));
+  const size_t in_36_38 = static_cast<size_t>(
+      std::count_if(values.begin(), values.end(), [](double v) { return v >= 36.0; }));
+  for (const ZoneEngine& e : engines_) {
+    for (const ValueRange vr : {ValueRange{50.0, 60.0}, ValueRange{36.0, 60.0}}) {
+      QueryTrace trace;
+      size_t matched = 0;
+      ASSERT_TRUE(e.loom
+                      ->IndexedScan(
+                          kSource, e.index_id, {0, ~0ULL}, vr,
+                          [&](const RecordView&) {
+                            ++matched;
+                            return true;
+                          },
+                          &trace)
+                      .ok());
+      ExpectInvariants(trace, e);
+      if (vr.lo == 50.0) {
+        EXPECT_EQ(matched, 0u) << e.name;
+        EXPECT_EQ(trace.chunks_scanned, 0u) << e.name;
+      } else {
+        EXPECT_EQ(matched, in_36_38) << e.name;
+        EXPECT_GT(trace.chunks_scanned, 0u) << e.name;
+      }
+    }
+  }
+}
+
+// Every eighth value lands in bin [32, 64), so each chunk's entry for it holds
+// one value or two distinct ones: the summaries pin them exactly and the p45
+// in that bin needs no stage-2 rescan.
+TEST_F(BinZoneMapTest, PercentileOverExactEntriesRescansNothing) {
+  std::vector<double> values;
+  for (size_t i = 0; i < kZoneRecords; ++i) {
+    if (i % 8 == 0) {
+      values.push_back(32.0 + 0.001 * static_cast<double>(i));
+    } else {
+      values.push_back(i % 2 == 0 ? 2.5 : 1000.5);
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(Build(values));
+  const double want = Percentile(values, 45.0);
+  ASSERT_GE(want, 32.0);
+  ASSERT_LT(want, 64.0);
+  for (const ZoneEngine& e : engines_) {
+    QueryTrace trace;
+    auto got = e.loom->IndexedAggregate(kSource, e.index_id, {0, ~0ULL},
+                                        AggregateMethod::kPercentile, 45.0, &trace);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), want) << e.name;
+    ExpectInvariants(trace, e);
+    EXPECT_EQ(trace.chunks_scanned, 0u) << e.name;
+    EXPECT_GT(trace.chunks_summary_folded, 0u) << e.name;
+  }
+}
+
+// Every value lands in bin [32, 64): the first half in [32, 39), the second in
+// [40, 63). The p75 lies in the second half, so the first half's chunks sit
+// wholly below the bracket and only count toward the rank.
+TEST_F(BinZoneMapTest, DenseBinPercentileRescansOnlyChunksNearTheAnswer) {
+  Rng rng(7);
+  std::vector<double> values;
+  for (size_t i = 0; i < kZoneRecords; ++i) {
+    values.push_back(i < kZoneRecords / 2 ? rng.NextUniform(32.0, 39.0)
+                                          : rng.NextUniform(40.0, 63.0));
+  }
+  ASSERT_NO_FATAL_FAILURE(Build(values));
+  const double want = Percentile(values, 75.0);
+  for (const ZoneEngine& e : engines_) {
+    QueryTrace trace;
+    auto got = e.loom->IndexedAggregate(kSource, e.index_id, {0, ~0ULL},
+                                        AggregateMethod::kPercentile, 75.0, &trace);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), want) << e.name;
+    ExpectInvariants(trace, e);
+    // Every considered chunk holds the bin; only some are read.
+    EXPECT_GT(trace.chunks_scanned, 0u) << e.name;
+    EXPECT_LT(trace.chunks_scanned, trace.chunks_considered) << e.name;
+    if (e.archived) {
+      EXPECT_LT(trace.tier_chunks_scanned, trace.tier_chunks_considered) << e.name;
+    }
+  }
 }
 
 }  // namespace

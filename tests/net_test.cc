@@ -115,9 +115,15 @@ TEST_F(NetTest, UnknownSourceRejectedNotFatal) {
   ASSERT_TRUE((*client)->Send(99, AppPayload(1)).ok());  // unregistered
   ASSERT_TRUE((*client)->Send(1, AppPayload(2)).ok());   // fine
   ASSERT_TRUE((*client)->Flush().ok());
-  while (daemon_->records_ingested() < 1) {
+  // The server counts a wave only after publishing it, and the daemon may
+  // store the record before that: wait on the server's own counters too.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((daemon_->records_ingested() < 1 || server_->stats().records < 1 ||
+          server_->stats().rejected < 1) &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
+  EXPECT_GE(daemon_->records_ingested(), 1u);
   EXPECT_GE(server_->stats().rejected, 1u);
   EXPECT_EQ(server_->stats().records, 1u);
 }

@@ -186,8 +186,9 @@ TEST(ProbeAppTest, ExpensiveSinkReducesThroughput) {
   auto fast = ProbeApp::Run(config, [](std::span<const uint8_t>) {});
   volatile uint64_t sum = 0;
   auto slow = ProbeApp::Run(config, [&](std::span<const uint8_t> p) {
-    // A deliberately expensive sink.
-    for (int i = 0; i < 50; ++i) {
+    // A deliberately expensive sink: many times an operation's own cost, so
+    // scheduling noise between the two timed runs cannot flip the order.
+    for (int i = 0; i < 2000; ++i) {
       sum = sum + p[static_cast<size_t>(i) % p.size()];
     }
   });

@@ -20,6 +20,9 @@
 #   daemon_test                the per-source byte rings: frames written up to
 #                              the ring's end, wrap markers, and spans handed
 #                              to PushBatch straight out of the ring
+#   loom_engine_test           the differential suite: zone-map pointers into
+#                              archive footers and the percentile stage-2
+#                              bracket, hot and archived
 #
 # Wired as a ctest (asan_smoke) in the default build so `ctest` exercises it;
 # run manually from anywhere:
@@ -32,7 +35,8 @@ build="$repo/build-asan"
 
 cmake --preset asan -S "$repo" >/dev/null
 cmake --build "$build" --target loom_ingest_pipeline_test hybridlog_test \
-  tiering_test export_test standing_query_test daemon_test -j "$(nproc)"
+  tiering_test export_test standing_query_test daemon_test loom_engine_test \
+  -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 "$build/tests/loom_ingest_pipeline_test"
@@ -41,4 +45,5 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 "$build/tests/export_test"
 "$build/tests/standing_query_test"
 "$build/tests/daemon_test"
+"$build/tests/loom_engine_test"
 echo "asan smoke: OK"

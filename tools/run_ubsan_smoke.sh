@@ -10,6 +10,9 @@
 #   loom_parallel_query_test  the batched decode/emission restructure and the
 #                             prefetch ring, under both dispatches (the
 #                             second run forces LOOM_SIMD=scalar)
+#   loom_engine_test          the differential suite: the percentile bracket's
+#                             rank arithmetic (local_rank - below) and the
+#                             archive zone-map pointers, serial and parallel
 #
 # Wired as a ctest (ubsan_smoke) in the default build; run manually:
 #   tools/run_ubsan_smoke.sh
@@ -20,11 +23,12 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="$repo/build-ubsan"
 
 cmake --preset ubsan -S "$repo" >/dev/null
-cmake --build "$build" --target kernels_test loom_parallel_query_test \
+cmake --build "$build" --target kernels_test loom_parallel_query_test loom_engine_test \
   -j "$(nproc)"
 
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$build/tests/kernels_test"
 "$build/tests/loom_parallel_query_test"
 LOOM_SIMD=scalar "$build/tests/loom_parallel_query_test"
+"$build/tests/loom_engine_test"
 echo "ubsan smoke: OK"
