@@ -26,12 +26,10 @@ constexpr size_t kScanWindow = 64 << 10;
 // bounded; past this many entries the query falls back to the chain walk.
 constexpr uint64_t kChunkEventScanCap = 8192;
 
-// Queries with fewer candidates than this stay serial — pool coordination
-// costs more than it buys on tiny plans.
+// Plans with fewer candidates than this stay serial — pool coordination
+// costs more than it buys on tiny plans. RawScan's chain fans out only into
+// at least this many segments.
 constexpr size_t kMinParallelCandidates = 4;
-
-// Parallel RawScan needs at least this many chain segments to fan out.
-constexpr size_t kMinParallelSegments = 4;
 
 // Backward chain walks batch this many headers before running the vectorized
 // time filter over them (the walk itself is data-dependent and stays serial).
@@ -141,23 +139,39 @@ Zone ClassifyZone(const ChunkSummary& s, uint32_t source_id, uint32_t index_id,
   return covered && all_indexed ? Zone::kFold : Zone::kScan;
 }
 
-// Counts one classified archive block into both the chunks_* and tier_*
-// trace families.
-void CountArchiveZone(QueryTrace* trace, Zone zone) {
+// Counts one classified chunk into the trace; an archived block counts into
+// both the chunks_* and the tier_* families.
+void CountZone(QueryTrace* trace, Zone zone, bool archived) {
   ++trace->chunks_considered;
-  ++trace->tier_chunks_considered;
+  trace->tier_chunks_considered += archived;
   if (zone == Zone::kScan) {
     ++trace->chunks_scanned;
-    ++trace->tier_chunks_scanned;
+    trace->tier_chunks_scanned += archived;
     return;
   }
   ++trace->chunks_pruned;
-  ++trace->tier_chunks_pruned;
+  trace->tier_chunks_pruned += archived;
   if (zone == Zone::kFold) {
     ++trace->chunks_summary_folded;
-    ++trace->tier_chunks_summary_folded;
+    trace->tier_chunks_summary_folded += archived;
   }
 }
+
+// Holds a query's pin on the record log's retention floor (see
+// HybridLog::PinFloor) for the life of the scope.
+class FloorPin {
+ public:
+  explicit FloorPin(HybridLog* log) : log_(log), floor_(log->PinFloor()) {}
+  ~FloorPin() { log_->UnpinFloor(floor_); }
+  FloorPin(const FloorPin&) = delete;
+  FloorPin& operator=(const FloorPin&) = delete;
+
+  uint64_t floor() const { return floor_; }
+
+ private:
+  HybridLog* log_;
+  uint64_t floor_;
+};
 
 }  // namespace
 
@@ -339,7 +353,7 @@ Loom::Loom(const LoomOptions& options, std::unique_ptr<MetricsRegistry> owned_me
       // path) guarantees the chunk's record bytes are published.
       QueryTrace scratch;
       return ScanRecordRangeFor(chunk_addr, chunk_addr + chunk_len, source_id,
-                                TimeRange{start, end}, {}, fn, &scratch);
+                                TimeRange{start, end}, fn, &scratch);
     };
     standing_ = std::make_unique<StandingQueryEngine>(std::move(standing_opts));
   }
@@ -1146,7 +1160,7 @@ Status Loom::PipelineStatus() const {
 
 // --- Snapshots and lookups ----------------------------------------------------
 
-Loom::Snapshot Loom::TakeSnapshot(const SourceState* src) const {
+Loom::Snapshot Loom::TakeSnapshot(const SourceState* src, uint64_t floor) const {
   Snapshot snap;
   if (src != nullptr) {
     snap.source_tail = src->published_last_record.load(std::memory_order_acquire);
@@ -1155,6 +1169,7 @@ Loom::Snapshot Loom::TakeSnapshot(const SourceState* src) const {
   snap.ts_tail = ts_log_->queryable_tail();
   snap.chunk_tail = chunk_log_->queryable_tail();
   snap.record_tail = record_log_->queryable_tail();
+  snap.floor = floor;
   return snap;
 }
 
@@ -1176,6 +1191,14 @@ Result<Loom::IndexSnapshot> Loom::GetIndexSnapshot(uint32_t index_id) const {
   return it->second;
 }
 
+Result<Loom::IndexSnapshot> Loom::GetIndexSnapshot(uint32_t source_id, uint32_t index_id) const {
+  auto idx = GetIndexSnapshot(index_id);
+  if (idx.ok() && idx.value().source_id != source_id) {
+    return Status::InvalidArgument("index does not cover source");
+  }
+  return idx;
+}
+
 // --- Standing queries --------------------------------------------------------
 
 Status Loom::UnregisterStandingQuery(uint64_t query_id) {
@@ -1189,12 +1212,9 @@ Result<uint64_t> Loom::RegisterStandingQuery(const StandingQuerySpec& spec) {
   if (standing_ == nullptr) {
     return Status::FailedPrecondition("standing queries require enable_chunk_index");
   }
-  auto idx = GetIndexSnapshot(spec.index_id);
+  auto idx = GetIndexSnapshot(spec.source_id, spec.index_id);
   if (!idx.ok()) {
     return idx.status();
-  }
-  if (idx.value().source_id != spec.source_id) {
-    return Status::InvalidArgument("index does not cover the requested source");
   }
   return standing_->Register(spec, idx.value().func, idx.value().spec);
 }
@@ -1215,18 +1235,16 @@ Status Loom::ScanRecordRange(uint64_t from, uint64_t to,
   return ScanRecordRangeInternal(from, to, /*filtered=*/false, 0, TimeRange{}, {}, fn, trace);
 }
 
-Status Loom::ScanRecordRangeFor(uint64_t from, uint64_t to, uint32_t source_id,
-                                TimeRange t_range, std::span<const uint8_t> preloaded,
+Status Loom::ScanRecordRangeFor(uint64_t from, uint64_t to, uint32_t source_id, TimeRange t_range,
                                 const std::function<bool(const RecordView&)>& fn,
                                 QueryTrace* trace) const {
-  return ScanRecordRangeInternal(from, to, /*filtered=*/true, source_id, t_range, preloaded, fn,
-                                 trace);
+  return ScanRecordRangeInternal(from, to, /*filtered=*/true, source_id, t_range, {}, fn, trace);
 }
 
+template <typename Fn>
 Status Loom::ScanRecordRangeInternal(uint64_t from, uint64_t to, bool filtered,
                                      uint32_t source_id, TimeRange t_range,
-                                     std::span<const uint8_t> preloaded,
-                                     const std::function<bool(const RecordView&)>& fn,
+                                     std::span<const uint8_t> preloaded, const Fn& fn,
                                      QueryTrace* trace) const {
   // Data below the retention floor is gone; scan the retained suffix. Chunk
   // alignment survives because the floor advances in block multiples and
@@ -1243,13 +1261,14 @@ Status Loom::ScanRecordRangeInternal(uint64_t from, uint64_t to, bool filtered,
   std::optional<CachedLogReader> reader;
   const uint64_t chunk_size = options_.chunk_size;
   uint64_t addr = from;
-  // Retention can advance mid-query: past the scan position, or merely past
-  // the start of the reader's aligned window while `addr` itself is still
-  // retained. The reclaimed data is gone either way, so whenever the floor
-  // moved, retry the fetch — skipping to the new floor (block-aligned, hence
-  // chunk-aligned) if it passed `addr`, re-clamping the window otherwise —
-  // instead of failing the query. A floor that did not move means the
-  // OutOfRange is real and propagates.
+  // A query pins the floor, but an unpinned reader (the standing-query
+  // rescan) can see retention advance mid-scan: past the scan position, or
+  // merely past the start of the reader's aligned window while `addr` itself
+  // is still retained. The reclaimed data is gone either way, so whenever the
+  // floor moved, retry the fetch — skipping to the new floor (block-aligned,
+  // hence chunk-aligned) if it passed `addr`, re-clamping the window
+  // otherwise — instead of failing the scan. A floor that did not move means
+  // the OutOfRange is real and propagates.
   const auto reclaimed_mid_scan = [&](const Status& st) {
     if (st.code() != StatusCode::kOutOfRange) {
       return false;
@@ -1324,6 +1343,9 @@ Status Loom::ScanRecordRangeInternal(uint64_t from, uint64_t to, bool filtered,
       // writer-produced data). The per-record walk stopped here too.
       break;
     }
+    if (filtered && n > 0 && batch.timestamps[n - 1] > t_range.end) {
+      break;  // log order is arrival order: no later record can match
+    }
     addr += consumed;
   }
   if (trace->detailed) {
@@ -1352,7 +1374,7 @@ Result<std::shared_ptr<const ChunkSummary>> Loom::ReadSummary(uint64_t addr, uin
   uint8_t len_buf[4];
   LOOM_RETURN_IF_ERROR(chunk_log_->Read(addr, std::span<uint8_t>(len_buf, 4)));
   const uint32_t len = LoadU32(len_buf);
-  if (len == 0xFFFFFFFFu || addr + 4 + len > chunk_tail) {
+  if (len == kChunkPadFrame || addr + 4 + len > chunk_tail) {
     return Status::DataLoss("corrupt chunk summary frame");
   }
   std::vector<uint8_t> buf(len);
@@ -1481,34 +1503,19 @@ Status Loom::DemoteOnce() {
   std::vector<Demotable> batch;
   const uint64_t chunk_tail = chunk_log_->queryable_tail();
   CachedLogReader reader(chunk_log_.get(), chunk_tail, kScanWindow);
-  const size_t bs = chunk_log_->block_size();
-  uint64_t addr = demote_cursor_;
-  while (batch.size() < options_.demote_batch_chunks && addr + 4 <= chunk_tail) {
-    auto len_bytes = reader.Fetch(addr, 4);
-    if (!len_bytes.ok()) {
-      return len_bytes.status();
+  ChunkFrameIterator frames(
+      [&reader](uint64_t addr, size_t len) { return reader.Fetch(addr, len); }, demote_cursor_,
+      chunk_tail, chunk_log_->block_size());
+  ChunkSummary summary;
+  while (batch.size() < options_.demote_batch_chunks) {
+    auto more = frames.Next(&summary);
+    if (!more.ok()) {
+      return more.status();
     }
-    const uint32_t len = LoadU32(len_bytes.value().data());
-    if (len == 0xFFFFFFFFu) {
-      addr = addr - (addr % bs) + bs;  // block padding
-      continue;
-    }
-    if (addr + 4 + len > chunk_tail) {
+    if (!more.value() || summary.chunk_addr + summary.chunk_len > limit) {
       break;
     }
-    auto body = reader.Fetch(addr + 4, len);
-    if (!body.ok()) {
-      return body.status();
-    }
-    auto summary = ChunkSummary::Decode(body.value());
-    if (!summary.ok()) {
-      return summary.status();
-    }
-    if (summary.value().chunk_addr + summary.value().chunk_len > limit) {
-      break;
-    }
-    addr += 4 + len;
-    batch.push_back({std::move(summary.value()), addr});
+    batch.push_back({std::move(summary), frames.addr()});
   }
   if (batch.empty()) {
     return Status::Ok();
@@ -1587,275 +1594,135 @@ Status Loom::DemoteOnce() {
   return Status::Ok();
 }
 
-std::vector<Loom::ArchiveCandidate> Loom::PlanArchiveCandidates(uint64_t floor,
-                                                                TimeRange t_range,
-                                                                QueryTrace* trace) const {
-  std::vector<ArchiveCandidate> out;
-  if (catalog_ == nullptr || floor == 0) {
-    return out;
-  }
-  for (const std::shared_ptr<const ArchiveReader>& reader : catalog_->Snapshot()) {
-    ++trace->tier_archives_consulted;
-    for (size_t b = 0; b < reader->block_count(); ++b) {
-      const ChunkSummary& s = reader->block(b).summary;
-      if (s.chunk_addr + s.chunk_len > floor) {
-        continue;  // chunk still hot at plan time: the hot tier serves it
-      }
-      if (s.max_ts < t_range.start || s.min_ts > t_range.end) {
-        continue;  // time-disjoint, mirroring LoadCandidate's filter
-      }
-      out.push_back({reader, b, &s});
-    }
-  }
-  return out;
-}
+// --- Query planner and executor ------------------------------------------------
 
-Status Loom::ScanArchiveBlockFor(const ArchiveCandidate& cand, uint32_t source_id,
-                                 TimeRange t_range,
-                                 const std::function<bool(const RecordView&)>& fn,
-                                 QueryTrace* trace) const {
-  const uint64_t scan_t0 = trace->detailed ? MetricsNowNanos() : 0;
-  uint64_t bytes = 0;
-  Status st = cand.reader->ScanBlock(
-      cand.block,
-      [&](const ArchiveRecord& rec) -> bool {
-        ++trace->records_examined;
-        if (rec.source_id != source_id || !t_range.Contains(rec.ts)) {
-          return true;
-        }
-        RecordView view;
-        view.source_id = rec.source_id;
-        view.ts = rec.ts;
-        view.addr = rec.addr;
-        view.payload = rec.payload;
-        return fn(view);
-      },
-      &bytes);
-  trace->bytes_read += bytes;
-  trace->tier_bytes_read += bytes;
-  if (trace->detailed) {
-    trace->scan_nanos += MetricsNowNanos() - scan_t0;
-  }
-  return st;
-}
+// One unit of planned work. The planner emits candidates in delivery order.
+struct Loom::Candidate {
+  enum class Kind : uint8_t {
+    kArchive,  // archived block `block` of `reader`; `summary` is its zone map
+               // and, aliasing the reader's footer, keeps the reader alive
+    kChunk,    // hot chunk whose summary frame sits at `addr` in the chunk log;
+               // it loads when the executor reaches the chunk, unless the plan
+               // already holds it in `summary` (chunk-log sweep, stage 2)
+    kRange,    // records [addr, end) with no summary, always scanned: the
+               // unindexed tail, or the forward scan without a chunk index
+    kChain,    // the source's back-pointer chain from `addr` down to `end`
+               // (exclusive; kNullAddr walks to the chain's oldest record)
+  };
+  Kind kind = Kind::kChunk;
+  uint64_t addr = 0;
+  uint64_t end = 0;
+  std::shared_ptr<const ChunkSummary> summary = nullptr;
+  const ArchiveReader* reader = nullptr;
+  size_t block = 0;
+};
 
-Status Loom::RawScanArchiveTier(uint32_t source_id, TimeRange t_range,
-                                const RecordCallback& cb, QueryTrace* trace) const {
-  if (catalog_ == nullptr) {
-    return Status::Ok();
-  }
-  const std::vector<ArchiveCandidate> archived =
-      PlanArchiveCandidates(record_log_->retained_floor(), t_range, trace);
-  for (size_t i = archived.size(); i-- > 0;) {
-    const ArchiveCandidate& a = archived[i];
-    // A raw scan reads every block holding the source in range; it never folds.
-    const bool prune =
-        ClassifyZone(*a.summary, source_id, kPresenceIndexId, t_range, nullptr) == Zone::kPrune;
-    CountArchiveZone(trace, prune ? Zone::kPrune : Zone::kScan);
-    if (prune) {
-      continue;
-    }
-    // Blocks decode oldest-first; buffer one block's matches (bounded by a
-    // chunk) and emit them reversed.
-    std::vector<ChunkOutcome::Match> buffered;
-    LOOM_RETURN_IF_ERROR(ScanArchiveBlockFor(
-        a, source_id, t_range,
-        [&](const RecordView& view) -> bool {
-          ChunkOutcome::Match m;
-          m.ts = view.ts;
-          m.addr = view.addr;
-          m.payload.assign(view.payload.begin(), view.payload.end());
-          buffered.push_back(std::move(m));
-          return true;
-        },
-        trace));
-    for (size_t r = buffered.size(); r-- > 0;) {
-      RecordView view;
-      view.source_id = source_id;
-      view.ts = buffered[r].ts;
-      view.addr = buffered[r].addr;
-      view.payload = std::span<const uint8_t>(buffered[r].payload);
-      ++trace->records_matched;
-      if (!cb(view)) {
-        return Status::Ok();
-      }
-    }
-  }
-  return Status::Ok();
-}
+struct Loom::QueryPlan {
+  Snapshot snap;
+  std::vector<Candidate> candidates;
+  // An unpartitioned chain walk runs on the calling thread, streaming: a
+  // worker would have to buffer the whole chain.
+  bool serial = false;
+  // Percentile stage 2 reads its hot chunks ahead: slot i is candidate i.
+  ChunkPrefetcher::Job* ring = nullptr;
+};
 
-Status Loom::PlanCandidates(const Snapshot& snap, TimeRange t_range, CandidatePlan* plan,
-                            QueryTrace* trace) const {
-  plan->addrs.clear();
-  plan->preloaded.clear();
-  plan->use_preloaded = false;
-  if (!options_.enable_chunk_index || snap.chunk_tail == 0) {
-    return Status::Ok();
-  }
-  const PlanTimer plan_timer(trace);
-  // Chunks below the retention floor no longer have data; skip their
-  // summaries. When the floor advanced since the last query, reclaim the
-  // cached summaries of dropped chunks (query-thread work — ingest never
-  // touches the cache). Workers re-check the floor per candidate, so the
-  // plan itself only needs it for the ablation sweep below.
-  const uint64_t floor = record_log_->retained_floor();
-  MaybeInvalidateCacheForRetention(floor);
-
-  if (!options_.enable_timestamp_index) {
-    // Ablation mode: no time index, so scan the whole chunk index log
-    // sequentially and filter by timestamp range (still skips record data).
-    plan->use_preloaded = true;
-    CachedLogReader reader(chunk_log_.get(), snap.chunk_tail, kScanWindow);
-    const size_t bs = chunk_log_->block_size();
+// What the executor made of one candidate: produced by the thread that ran
+// it, consumed by the operator on the calling thread in plan order.
+struct Loom::Outcome {
+  // A record kept for delivery after the scan, its payload copied out of
+  // the scan window.
+  struct Match {
+    double value = 0.0;
+    TimestampNanos ts = 0;
     uint64_t addr = 0;
-    while (addr + 4 <= snap.chunk_tail) {
-      auto len_bytes = reader.Fetch(addr, 4);
-      if (!len_bytes.ok()) {
-        return len_bytes.status();
-      }
-      const uint32_t len = LoadU32(len_bytes.value().data());
-      if (len == 0xFFFFFFFFu) {
-        addr = addr - (addr % bs) + bs;  // block padding
-        continue;
-      }
-      if (addr + 4 + len > snap.chunk_tail) {
-        break;
-      }
-      auto body = reader.Fetch(addr + 4, len);
-      if (!body.ok()) {
-        return body.status();
-      }
-      auto summary = ChunkSummary::Decode(body.value());
-      if (!summary.ok()) {
-        return summary.status();
-      }
-      const ChunkSummary& s = summary.value();
-      if (s.chunk_addr >= floor && s.chunk_addr + s.chunk_len <= snap.indexed_tail &&
-          s.max_ts >= t_range.start && s.min_ts <= t_range.end) {
-        plan->preloaded.push_back(std::make_shared<const ChunkSummary>(std::move(summary.value())));
-      }
-      addr += 4 + len;
-    }
-    return Status::Ok();
-  }
+    std::vector<uint8_t> payload;
 
-  TimestampIndexReader tsr(ts_log_.get(), snap.ts_tail);
-  const uint64_t n = tsr.num_entries();
-  if (n == 0) {
-    return Status::Ok();
-  }
-
-  // The plan deliberately reads no summaries: it derives the candidate set
-  // purely from timestamp-index entries, so the expensive summary
-  // load + decode runs per candidate on the executor (possibly fanned out
-  // across pool workers).
-  //
-  // Upper bound: binary search to the first entry after t_range.end, then a
-  // bounded forward scan for the next chunk event — the chunk containing
-  // t_range.end is finalized after it, and chunks are time-ordered and
-  // non-overlapping, so that event (inclusive) bounds the candidate set. No
-  // chunk event within the cap (or no entry past the range) means every
-  // chunk event up to the snapshot tail stays in play.
-  //
-  // One windowed reader serves the bounded scan and the collection sweep:
-  // timestamp entries are 32 bytes, so per-entry HybridLog::Read calls would
-  // pay the snapshot-validation protocol ~2000x per window.
-  CachedLogReader ts_reader(ts_log_.get(), snap.ts_tail, kScanWindow);
-  uint64_t hi = n;  // exclusive entry-index bound
-  auto pos = tsr.FirstEntryAfter(t_range.end);
-  if (!pos.ok()) {
-    return pos.status();
-  }
-  if (pos.value().has_value()) {
-    const uint64_t cap = std::min<uint64_t>(n, *pos.value() + kChunkEventScanCap);
-    for (uint64_t i = *pos.value(); i < cap; ++i) {
-      auto bytes = ts_reader.Fetch(i * TimestampIndexEntry::kEncodedSize,
-                                   TimestampIndexEntry::kEncodedSize);
-      if (!bytes.ok()) {
-        return bytes.status();
-      }
-      if (TimestampIndexEntry::Decode(bytes.value().data()).kind ==
-          TimestampIndexEntry::Kind::kChunk) {
-        hi = i + 1;
-        break;
-      }
+    RecordView View(uint32_t source_id) const {
+      return RecordView{source_id, ts, addr, std::span<const uint8_t>(payload)};
     }
-  }
-  // Lower bound: a chunk event's stamp is the finalize-time arrival clock,
-  // which is >= the chunk's max record timestamp (entries are written in
-  // monotone timestamp order), so chunk events before the first entry at or
-  // after t_range.start can only reference chunks entirely before the range
-  // — exactly the chunks the old backward chain walk stopped at.
-  uint64_t lo = 0;
-  if (t_range.start > 0) {
-    auto lower = tsr.FirstEntryAfter(t_range.start - 1);
-    if (!lower.ok()) {
-      return lower.status();
-    }
-    if (!lower.value().has_value()) {
-      return Status::Ok();  // every entry is before the range
-    }
-    lo = *lower.value();
-  }
-  // Forward sweep [lo, hi): chunk-event targets are the summary addresses,
-  // already oldest-first.
-  for (uint64_t i = lo; i < hi; ++i) {
-    auto bytes = ts_reader.Fetch(i * TimestampIndexEntry::kEncodedSize,
-                                 TimestampIndexEntry::kEncodedSize);
-    if (!bytes.ok()) {
-      return bytes.status();
-    }
-    const TimestampIndexEntry e = TimestampIndexEntry::Decode(bytes.value().data());
-    if (e.kind == TimestampIndexEntry::Kind::kChunk) {
-      plan->addrs.push_back(e.target_addr);
-    }
-  }
-  return Status::Ok();
-}
-
-Result<std::shared_ptr<const ChunkSummary>> Loom::LoadCandidate(const CandidatePlan& plan,
-                                                                size_t c, const Snapshot& snap,
-                                                                TimeRange t_range,
-                                                                QueryTrace* trace) const {
+  };
+  // Serial execution: the candidate is consumed before the next one runs,
+  // so its records may go straight to the caller instead of into `matches`.
+  bool stream = false;
+  // A summarized candidate that passed the filters; counted into the trace.
+  bool considered = false;
+  Zone zone = Zone::kScan;
   std::shared_ptr<const ChunkSummary> summary;
-  if (plan.use_preloaded) {
-    summary = plan.preloaded[c];
-  } else {
-    auto loaded = ReadSummary(plan.addrs[c], snap.chunk_tail, trace);
-    if (!loaded.ok()) {
-      return loaded.status();
-    }
-    summary = std::move(loaded.value());
-  }
-  const ChunkSummary& s = *summary;
-  // The retention floor is re-read here — per candidate, on whichever thread
-  // processes it — so a floor that advances mid-query drops exactly the
-  // chunks whose record data is already gone.
-  if (s.chunk_addr < record_log_->retained_floor() ||
-      s.chunk_addr + s.chunk_len > snap.indexed_tail || s.max_ts < t_range.start ||
-      s.min_ts > t_range.end) {
-    return std::shared_ptr<const ChunkSummary>();  // filtered: not a candidate
-  }
-  return summary;
-}
+  uint64_t presence = 0;   // the source's records in the chunk, when folded
+  bool chain_end = false;  // the walk reached the start of the range
+  std::vector<Match> matches;
+  std::vector<double> values;          // index values of read records, log order
+  std::vector<TimestampNanos> stamps;  // their arrival times, when the fold needs them
+  uint64_t count = 0;
+};
 
-Status Loom::CollectCandidateSummaries(
-    const Snapshot& snap, TimeRange t_range,
-    std::vector<std::shared_ptr<const ChunkSummary>>& out, QueryTrace* trace) const {
-  out.clear();
-  CandidatePlan plan;
-  LOOM_RETURN_IF_ERROR(PlanCandidates(snap, t_range, &plan, trace));
-  for (size_t c = 0; c < plan.size(); ++c) {
-    auto summary = LoadCandidate(plan, c, snap, t_range, trace);
-    if (!summary.ok()) {
-      return summary.status();
+// An operator's policy: how its candidates classify, what each scanned
+// record contributes, and how outcomes fold into the answer.
+struct Loom::QueryOp {
+  uint32_t source_id = 0;
+  TimeRange t_range;
+  uint32_t index_id = kPresenceIndexId;  // the index whose bins classify chunks
+  std::optional<ValueFilter> values;     // value scans only
+  bool walks_chain = false;  // RawScan: newest-first delivery along the chain,
+                             // reading every chunk holding the source (never folds)
+  bool rescan = false;       // percentile stage 2: every candidate is read, and
+                             // the first pass already counted it
+
+  // Per record of a scanned candidate that matches the source and the time
+  // range, on the thread running the candidate. False stops the candidate.
+  // (Policies keep the index function's std::optional result non-const:
+  // GCC 12 copies a const one through memory, a store-forwarding stall per
+  // record that cost percentile stage 2 about a tenth of its time.)
+  virtual bool OnRecord(const Candidate& c, const RecordView& view, Outcome* o) = 0;
+  // Per candidate, on the calling thread, in plan order. False ends the query.
+  virtual bool Consume(const Candidate& c, Outcome& o) = 0;
+
+ protected:
+  ~QueryOp() = default;  // operators live on their caller's stack
+};
+
+// The emit-matches policy of RawScan and IndexedScanValues: a match goes
+// straight to the caller when the executor streams its candidate, else it
+// is copied into the outcome and Consume replays it in plan order.
+struct Loom::EmitOp : QueryOp {
+  const RecordCallback* record_cb = nullptr;  // one of the two is set
+  const ValueCallback* value_cb = nullptr;
+  QueryTrace* trace = nullptr;
+  bool stopped = false;
+
+  bool Emit(const Candidate& c, double value, const RecordView& view, Outcome* o) {
+    if (o->stream && !Reversed(c)) {
+      return Deliver(value, view);
     }
-    if (summary.value() != nullptr) {
-      out.push_back(std::move(summary.value()));
-    }
+    o->matches.push_back({value, view.ts, view.addr, {view.payload.begin(), view.payload.end()}});
+    return true;
   }
-  return Status::Ok();
-}
+  bool Consume(const Candidate& c, Outcome& o) final {
+    const bool reversed = Reversed(c);
+    const size_t n = o.matches.size();
+    for (size_t i = 0; i < n && !stopped; ++i) {
+      const Outcome::Match& m = o.matches[reversed ? n - 1 - i : i];
+      Deliver(m.value, m.View(source_id));
+    }
+    return !stopped;
+  }
+
+ protected:
+  ~EmitOp() = default;
+
+ private:
+  // A newest-first walk takes each archived block, which decodes
+  // oldest-first, reversed.
+  bool Reversed(const Candidate& c) const {
+    return walks_chain && c.kind == Candidate::Kind::kArchive;
+  }
+  bool Deliver(double value, const RecordView& view) {
+    ++trace->records_matched;
+    stopped = value_cb != nullptr ? !(*value_cb)(value, view) : !(*record_cb)(view);
+    return !stopped;
+  }
+};
 
 bool Loom::CanRunParallel() const {
   // No nested parallelism: an index function or callback that re-enters the
@@ -1863,123 +1730,164 @@ bool Loom::CanRunParallel() const {
   return query_pool_ != nullptr && !QueryThreadPool::OnWorkerThread();
 }
 
-Status Loom::ProcessAggregateCandidate(uint32_t source_id, uint32_t index_id,
-                                       const IndexSnapshot& idx, TimeRange t_range,
-                                       const Snapshot& snap, const CandidatePlan& plan, size_t c,
-                                       ChunkOutcome* out, QueryTrace* trace) const {
-  auto loaded = LoadCandidate(plan, c, snap, t_range, trace);
-  if (!loaded.ok()) {
-    return loaded.status();
-  }
-  if (loaded.value() == nullptr) {
-    out->kind = ChunkOutcome::Kind::kFiltered;
-    return Status::Ok();
-  }
-  out->summary = std::move(loaded.value());
-  const ChunkSummary& s = *out->summary;
-  // A fold means the bins fully describe the chunk's indexed values (§5.3);
-  // the fold itself happens on the coordinator, in candidate order.
-  switch (ClassifyZone(s, source_id, index_id, t_range, nullptr)) {
-    case Zone::kPrune:
-      out->kind = ChunkOutcome::Kind::kPruned;
-      return Status::Ok();
-    case Zone::kFold:
-      out->kind = ChunkOutcome::Kind::kFolded;
-      return Status::Ok();
-    case Zone::kScan:
-      break;
-  }
-  out->kind = ChunkOutcome::Kind::kScanned;
-  const IndexFunc& func = idx.func;
-  const uint64_t end = std::min<uint64_t>(s.chunk_addr + s.chunk_len, snap.record_tail);
-  return ScanRecordRangeFor(
-      s.chunk_addr, end, source_id, t_range, {},
-      [&](const RecordView& view) -> bool {
-        std::optional<double> value = func(view.payload);
-        if (value.has_value()) {
-          out->values.emplace_back(*value, view.ts);
-        }
-        return true;
-      },
-      trace);
+Status Loom::Query(QueryOp& op, uint64_t floor, QueryTrace* trace) const {
+  QueryPlan plan;
+  LOOM_RETURN_IF_ERROR(Plan(op, floor, &plan, trace));
+  return Execute(plan, op, trace);
 }
 
-Status Loom::ProcessScanCandidate(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
-                                  TimeRange t_range, ValueRange v_range, uint32_t first_bin,
-                                  uint32_t last_bin, const Snapshot& snap,
-                                  const CandidatePlan& plan, size_t c, ChunkOutcome* out,
-                                  QueryTrace* trace) const {
-  auto loaded = LoadCandidate(plan, c, snap, t_range, trace);
-  if (!loaded.ok()) {
-    return loaded.status();
-  }
-  if (loaded.value() == nullptr) {
-    out->kind = ChunkOutcome::Kind::kFiltered;
-    return Status::Ok();
-  }
-  out->summary = std::move(loaded.value());
-  const ChunkSummary& s = *out->summary;
-  const ValueFilter values{v_range, first_bin, last_bin};
-  if (ClassifyZone(s, source_id, index_id, t_range, &values) == Zone::kPrune) {
-    out->kind = ChunkOutcome::Kind::kPruned;
-    return Status::Ok();
-  }
-  out->kind = ChunkOutcome::Kind::kScanned;
-  const IndexFunc& func = idx.func;
-  const uint64_t end = std::min<uint64_t>(s.chunk_addr + s.chunk_len, snap.record_tail);
-  return ScanRecordRangeFor(
-      s.chunk_addr, end, source_id, t_range, {},
-      [&](const RecordView& view) -> bool {
-        std::optional<double> value = func(view.payload);
-        if (!value.has_value() || !v_range.Contains(*value)) {
-          return true;
-        }
-        ChunkOutcome::Match m;
-        m.value = *value;
-        m.ts = view.ts;
-        m.addr = view.addr;
-        m.payload.assign(view.payload.begin(), view.payload.end());
-        out->matches.push_back(std::move(m));
-        return true;
-      },
-      trace);
-}
-
-// --- Query operators -------------------------------------------------------------
-//
-// Each public operator installs a trace (the caller's, or a local one so the
-// internals never branch on null), measures total latency, runs the *Impl
-// body, and folds the result into the registry exactly once.
-
-Status Loom::RawScan(uint32_t source_id, TimeRange t_range, const RecordCallback& cb,
-                     QueryTrace* trace) const {
-  QueryTrace local;
-  QueryTrace* t = trace != nullptr ? trace : &local;
-  *t = QueryTrace{};
-  t->op = "raw_scan";
-  t->detailed = trace != nullptr;
-  const bool timed = t->detailed || options_.enable_latency_metrics;
-  const uint64_t t0 = timed ? MetricsNowNanos() : 0;
-  Status st = RawScanImpl(source_id, t_range, cb, t);
-  if (timed) {
-    t->total_nanos = MetricsNowNanos() - t0;
-  }
-  FoldTraceIntoMetrics(*t, m_.raw_scan_seconds);
-  return st;
-}
-
-Status Loom::RawScanImpl(uint32_t source_id, TimeRange t_range, const RecordCallback& cb,
-                         QueryTrace* trace) const {
-  const SourceState* src = FindSource(source_id);
+Status Loom::Plan(const QueryOp& op, uint64_t floor, QueryPlan* plan, QueryTrace* trace) const {
+  const SourceState* src = FindSource(op.source_id);
   if (src == nullptr) {
     return Status::NotFound("source not defined");
   }
-  const Snapshot snap = TakeSnapshot(src);
+  const PlanTimer plan_timer(trace);
+  plan->snap = TakeSnapshot(src, floor);
+  const Snapshot& snap = plan->snap;
+  const TimeRange t_range = op.t_range;
+  std::vector<Candidate>& out = plan->candidates;
+  const bool ts_index = options_.enable_timestamp_index && snap.ts_tail > 0;
+  // Archived blocks hold strictly older records than any hot candidate, so
+  // planning them first keeps oldest-first operators in global time order:
+  // folds stay bit-identical to what the same data produced before demotion.
+  std::vector<Candidate> archived;
+  PlanArchiveCandidates(snap.floor, t_range, &archived, trace);
 
-  uint64_t start = snap.source_tail;
-  if (options_.enable_timestamp_index && snap.ts_tail > 0) {
+  if (op.walks_chain || (!options_.enable_chunk_index && !ts_index)) {
+    LOOM_RETURN_IF_ERROR(PlanChain(op, snap, &out));
+    plan->serial = out.size() == 1;
+    // Newest-first: the blocks follow the walk, newest block first.
+    out.insert(out.end(), archived.rbegin(), archived.rend());
+    return Status::Ok();
+  }
+  out = std::move(archived);
+
+  if (!options_.enable_chunk_index) {
+    // One forward range from the record the timestamp index places at or
+    // before the range start; the scan ends once it passes t_range.end.
     TimestampIndexReader tsr(ts_log_.get(), snap.ts_tail);
-    auto marker = tsr.FirstRecordMarkerAfter(source_id, t_range.end);
+    uint64_t start = 0;
+    auto pos = tsr.LastEntryAtOrBefore(t_range.start == 0 ? 0 : t_range.start - 1);
+    if (!pos.ok()) {
+      return pos.status();
+    }
+    if (pos.value().has_value()) {
+      auto e = tsr.ReadIndex(*pos.value());
+      if (!e.ok()) {
+        return e.status();
+      }
+      if (e.value().kind == TimestampIndexEntry::Kind::kRecord) {
+        start = e.value().target_addr;
+      }
+    }
+    out.push_back({Candidate::Kind::kRange, start, snap.record_tail});
+    return Status::Ok();
+  }
+
+  // When the floor advanced since the last query, reclaim the cached
+  // summaries of dropped chunks (query-thread work — ingest never touches
+  // the cache).
+  MaybeInvalidateCacheForRetention(snap.floor);
+
+  if (!options_.enable_timestamp_index) {
+    // No time index: sweep the whole chunk log and filter the summaries by
+    // time (still skipping record data).
+    CachedLogReader reader(chunk_log_.get(), snap.chunk_tail, kScanWindow);
+    ChunkFrameIterator frames(
+        [&reader](uint64_t addr, size_t len) { return reader.Fetch(addr, len); }, 0,
+        snap.chunk_tail, chunk_log_->block_size());
+    ChunkSummary s;
+    for (;;) {
+      auto more = frames.Next(&s);
+      if (!more.ok()) {
+        return more.status();
+      }
+      if (!more.value()) {
+        break;
+      }
+      if (s.chunk_addr >= snap.floor && s.chunk_addr + s.chunk_len <= snap.indexed_tail &&
+          s.max_ts >= t_range.start && s.min_ts <= t_range.end) {
+        out.push_back({Candidate::Kind::kChunk, 0, 0,
+                       std::make_shared<const ChunkSummary>(std::move(s))});
+      }
+    }
+  } else if (ts_index && snap.chunk_tail > 0) {
+    // The hot chunks come from timestamp-index entries alone; their summaries
+    // load per candidate on the executor (possibly on pool workers).
+    //
+    // Upper bound: binary search to the first entry after t_range.end, then a
+    // bounded forward scan for the next chunk event — the chunk containing
+    // t_range.end is finalized after it, and chunks are time-ordered and
+    // non-overlapping, so that event (inclusive) bounds the candidate set. No
+    // chunk event within the cap (or no entry past the range) means every
+    // chunk event up to the snapshot tail stays in play.
+    //
+    // One windowed reader serves the bounded scan and the collection sweep:
+    // timestamp entries are 32 bytes, so per-entry HybridLog::Read calls would
+    // pay the snapshot-validation protocol ~2000x per window.
+    TimestampIndexReader tsr(ts_log_.get(), snap.ts_tail);
+    const uint64_t n = tsr.num_entries();
+    CachedLogReader ts_reader(ts_log_.get(), snap.ts_tail, kScanWindow);
+    const auto entry_bytes = [&](uint64_t i) {
+      return ts_reader.Fetch(i * TimestampIndexEntry::kEncodedSize,
+                             TimestampIndexEntry::kEncodedSize);
+    };
+    uint64_t hi = n;  // exclusive entry-index bound
+    auto pos = tsr.FirstEntryAfter(t_range.end);
+    if (!pos.ok()) {
+      return pos.status();
+    }
+    if (pos.value().has_value()) {
+      const uint64_t cap = std::min<uint64_t>(n, *pos.value() + kChunkEventScanCap);
+      for (uint64_t i = *pos.value(); i < cap; ++i) {
+        auto bytes = entry_bytes(i);
+        if (!bytes.ok()) {
+          return bytes.status();
+        }
+        if (TimestampIndexEntry::Decode(bytes.value().data()).kind ==
+            TimestampIndexEntry::Kind::kChunk) {
+          hi = i + 1;
+          break;
+        }
+      }
+    }
+    // Lower bound: a chunk event's stamp is the finalize-time arrival clock,
+    // which is >= the chunk's max record timestamp (entries are written in
+    // monotone timestamp order), so chunk events before the first entry at or
+    // after t_range.start can only reference chunks entirely before the range.
+    uint64_t lo = 0;
+    if (t_range.start > 0) {
+      auto lower = tsr.FirstEntryAfter(t_range.start - 1);
+      if (!lower.ok()) {
+        return lower.status();
+      }
+      lo = lower.value().value_or(n);  // no entry in range: no chunk either
+    }
+    // Forward sweep [lo, hi): chunk-event targets are the summary addresses,
+    // already oldest-first.
+    for (uint64_t i = lo; i < hi; ++i) {
+      auto bytes = entry_bytes(i);
+      if (!bytes.ok()) {
+        return bytes.status();
+      }
+      const TimestampIndexEntry e = TimestampIndexEntry::Decode(bytes.value().data());
+      if (e.kind == TimestampIndexEntry::Kind::kChunk) {
+        out.push_back({Candidate::Kind::kChunk, e.target_addr});
+      }
+    }
+  }
+  // The active (not yet summarized) region, always scanned for recency.
+  out.push_back({Candidate::Kind::kRange, snap.indexed_tail, snap.record_tail});
+  return Status::Ok();
+}
+
+Status Loom::PlanChain(const QueryOp& op, const Snapshot& snap,
+                       std::vector<Candidate>* out) const {
+  uint64_t start = snap.source_tail;
+  const bool ts_index = options_.enable_timestamp_index && snap.ts_tail > 0;
+  if (ts_index) {
+    TimestampIndexReader tsr(ts_log_.get(), snap.ts_tail);
+    auto marker = tsr.FirstRecordMarkerAfter(op.source_id, op.t_range.end);
     if (!marker.ok()) {
       return marker.status();
     }
@@ -1992,63 +1900,301 @@ Status Loom::RawScanImpl(uint32_t source_id, TimeRange t_range, const RecordCall
   if (start == kNullAddr) {
     return Status::Ok();
   }
-
-  // Track whether the caller stopped the scan: archived records are only
-  // emitted after the hot walk ran to completion (they are strictly older
-  // than everything the walk delivered).
-  bool cb_stopped = false;
-  const RecordCallback hot_cb = [&](const RecordView& view) -> bool {
-    if (!cb(view)) {
-      cb_stopped = true;
-      return false;
+  if (!ts_index || !CanRunParallel()) {
+    out->push_back({Candidate::Kind::kChain, start, kNullAddr});
+    return Status::Ok();
+  }
+  // Partition the chain at record-marker targets: markers land every
+  // ts_marker_period records per source, so each [bounds[j], bounds[j+1])
+  // address segment is an independently walkable slice of the chain whose
+  // records are all newer than the next segment's.
+  std::vector<uint64_t> bounds{start};
+  TimestampIndexReader tsr(ts_log_.get(), snap.ts_tail);
+  auto marker = tsr.LastRecordMarkerAtOrBefore(op.source_id, op.t_range.end);
+  if (!marker.ok()) {
+    return marker.status();
+  }
+  CachedLogReader ts_reader(ts_log_.get(), snap.ts_tail, kScanWindow);
+  std::optional<TimestampIndexEntry> m = marker.value();
+  // Past a marker older than the range or below the floor, the walk stops
+  // inside the current last segment.
+  while (m.has_value() && m->ts >= op.t_range.start && m->target_addr >= snap.floor) {
+    if (m->target_addr < bounds.back()) {
+      bounds.push_back(m->target_addr);
     }
-    return true;
+    if (m->prev_addr == kNullAddr) {
+      break;
+    }
+    auto bytes = ts_reader.Fetch(m->prev_addr, TimestampIndexEntry::kEncodedSize);
+    if (!bytes.ok()) {
+      return bytes.status();
+    }
+    m = TimestampIndexEntry::Decode(bytes.value().data());
+  }
+  if (bounds.size() < kMinParallelCandidates) {
+    bounds.resize(1);  // too few segments to be worth fanning out
+  }
+  for (size_t j = 0; j < bounds.size(); ++j) {
+    out->push_back({Candidate::Kind::kChain, bounds[j],
+                    j + 1 < bounds.size() ? bounds[j + 1] : kNullAddr});
+  }
+  return Status::Ok();
+}
+
+void Loom::PlanArchiveCandidates(uint64_t floor, TimeRange t_range, std::vector<Candidate>* out,
+                                 QueryTrace* trace) const {
+  if (catalog_ == nullptr || floor == 0) {
+    return;
+  }
+  for (const std::shared_ptr<const ArchiveReader>& reader : catalog_->Snapshot()) {
+    ++trace->tier_archives_consulted;
+    for (size_t b = 0; b < reader->block_count(); ++b) {
+      const ChunkSummary& s = reader->block(b).summary;
+      if (s.chunk_addr + s.chunk_len > floor) {
+        continue;  // still hot for this query: the hot tier serves the chunk
+      }
+      if (s.max_ts < t_range.start || s.min_ts > t_range.end) {
+        continue;  // time-disjoint, like a filtered hot chunk
+      }
+      // The zone map lives in the reader's footer; the aliasing pointer keeps
+      // the reader alive with it even if the catalog grows mid-query.
+      out->push_back({Candidate::Kind::kArchive, 0, 0,
+                      std::shared_ptr<const ChunkSummary>(reader, &s), reader.get(), b});
+    }
+  }
+}
+
+Status Loom::ScanArchiveBlockFor(const Candidate& cand, uint32_t source_id, TimeRange t_range,
+                                 const std::function<bool(const RecordView&)>& fn,
+                                 QueryTrace* trace) const {
+  const uint64_t scan_t0 = trace->detailed ? MetricsNowNanos() : 0;
+  uint64_t bytes = 0;
+  Status st = cand.reader->ScanBlock(
+      cand.block,
+      [&](const ArchiveRecord& rec) -> bool {
+        ++trace->records_examined;
+        if (rec.source_id != source_id || !t_range.Contains(rec.ts)) {
+          return true;
+        }
+        return fn(RecordView{rec.source_id, rec.ts, rec.addr, rec.payload});
+      },
+      &bytes);
+  trace->bytes_read += bytes;
+  trace->tier_bytes_read += bytes;
+  if (trace->detailed) {
+    trace->scan_nanos += MetricsNowNanos() - scan_t0;
+  }
+  return st;
+}
+
+Status Loom::Execute(const QueryPlan& plan, QueryOp& op, QueryTrace* trace) const {
+  const size_t n = plan.candidates.size();
+  // Counts a summarized candidate into the trace, then hands it to the
+  // operator. Chain segments after the one whose walk reached the start of
+  // the range hold nothing the serial walk would deliver.
+  bool chain_done = false;
+  const auto consume = [&](size_t c, Outcome& o) {
+    const Candidate& cand = plan.candidates[c];
+    if (o.considered) {
+      CountZone(trace, o.zone, cand.kind == Candidate::Kind::kArchive);
+    }
+    if (cand.kind == Candidate::Kind::kChain) {
+      if (chain_done) {
+        return true;
+      }
+      chain_done = o.chain_end;
+    }
+    return op.Consume(cand, o);
   };
 
-  if (CanRunParallel()) {
-    bool executed = false;
-    Status st = RawScanParallel(source_id, t_range, snap, start, hot_cb, trace, &executed);
-    if (!st.ok()) {
-      return st;
-    }
-    if (executed) {
-      return cb_stopped ? Status::Ok() : RawScanArchiveTier(source_id, t_range, cb, trace);
-    }
-    // Not enough chain segments to be worth fanning out: fall through to the
-    // serial walk.
-  }
+  // Chain segments one thread walks in a row are adjacent in the log, so they
+  // share one record reader and its windows. Two windows: the payload fetches
+  // of the emission phase and the header walk of the next batch alternate
+  // between nearby-but-distinct spans.
+  const auto chain_reader = [&] {
+    return CachedLogReader(record_log_.get(), plan.snap.record_tail, kScanWindow,
+                           /*max_windows=*/2);
+  };
 
-  const uint64_t scan_t0 = trace->detailed ? MetricsNowNanos() : 0;
-  // Two windows: the payload fetches of the emission phase and the header
-  // walk of the next batch alternate between nearby-but-distinct spans.
-  CachedLogReader reader(record_log_.get(), snap.record_tail, kScanWindow, /*max_windows=*/2);
-  // The chain walk batches headers, runs the vectorized time filter over the
-  // batch, then emits matches in chain (newest-first) order with the same
-  // per-record accounting the single-step walk produced: every header
-  // fetched is examined, payload bytes count only for matches, and the
-  // first record with ts < t_range.start terminates the walk (it is
-  // examined, never delivered).
-  DecodedBatch batch;
-  std::vector<uint64_t> mask;
-  uint64_t addr = start;
-  bool done = false;
-  Status deferred;  // hard read error: surfaces after the collected prefix
-  while (!done && addr != kNullAddr) {
-    batch.Clear();
-    bool stop_after = false;
-    while (batch.size() < kChainWalkBatch && addr != kNullAddr) {
-      if (addr < record_log_->retained_floor()) {
-        stop_after = true;  // the chain continues into dropped territory
+  if (plan.serial || !CanRunParallel() || n < kMinParallelCandidates) {
+    // Serial: each outcome is consumed before the next candidate runs, so
+    // records stream to the operator and memory stays bounded by one
+    // candidate. A failed candidate still delivers what it read first.
+    CachedLogReader reader = chain_reader();
+    for (size_t c = 0; c < n; ++c) {
+      Outcome o;
+      o.stream = true;
+      const Status st = RunCandidate(plan, c, op, &o, &reader, trace);
+      if (!consume(c, o)) {
         break;
       }
-      auto head_bytes = reader.Fetch(addr, kRecordHeaderSize);
-      if (!head_bytes.ok()) {
-        if (head_bytes.status().code() == StatusCode::kOutOfRange) {
-          stop_after = true;  // retention advanced mid-walk
-        } else {
-          deferred = head_bytes.status();
-          stop_after = true;
+      LOOM_RETURN_IF_ERROR(st);
+    }
+    return Status::Ok();
+  }
+
+  // Parallel: workers run morsels of candidates into per-candidate outcomes,
+  // and the calling thread consumes them strictly in candidate order. That
+  // keeps results byte-identical to serial execution, double
+  // non-associativity and callback order included. Producers run at most
+  // `window` morsels ahead of consumption.
+  const std::vector<std::pair<size_t, size_t>> morsels =
+      MakeMorsels(n, query_pool_->num_threads());
+  std::vector<Outcome> outcomes(n);
+  // Per morsel: the candidates before `ran` ran, and `status` is how the last
+  // of them ended. A morsel stops at its first failure, or before running
+  // anything once a sibling failed.
+  struct MorselRun {
+    size_t ran = 0;
+    Status status;
+  };
+  std::vector<MorselRun> runs(morsels.size());
+  std::vector<QueryTrace> morsel_traces(morsels.size());
+  for (size_t mi = 0; mi < morsels.size(); ++mi) {
+    runs[mi].ran = morsels[mi].first;
+    morsel_traces[mi].detailed = trace->detailed;
+  }
+  std::atomic<bool> abort{false};
+  Status failed;
+  bool stopped = false;  // the operator ended the query
+  const bool timed = trace->detailed || options_.enable_latency_metrics;
+  const size_t window = std::max<size_t>(2 * query_pool_->num_threads(), 4);
+  const QueryThreadPool::RunStats stats = query_pool_->RunOrdered(
+      morsels.size(), window,
+      [&](size_t mi) {
+        MorselRun& run = runs[mi];
+        CachedLogReader reader = chain_reader();
+        for (size_t c = morsels[mi].first; c < morsels[mi].second; ++c) {
+          if (abort.load(std::memory_order_relaxed)) {
+            return;  // a sibling failed; the query returns its error
+          }
+          run.ran = c + 1;
+          run.status = RunCandidate(plan, c, op, &outcomes[c], &reader, &morsel_traces[mi]);
+          if (!run.status.ok()) {
+            abort.store(true, std::memory_order_relaxed);
+            return;
+          }
         }
+      },
+      [&](size_t mi) -> bool {
+        const uint64_t t0 = timed ? MetricsNowNanos() : 0;
+        const MorselRun& run = runs[mi];
+        // A failed candidate still delivers what it read before failing, the
+        // serial prefix; a morsel cut short by a sibling's failure ends the
+        // query with that failure.
+        for (size_t c = morsels[mi].first; c < run.ran && !stopped; ++c) {
+          stopped = !consume(c, outcomes[c]);
+          outcomes[c] = Outcome{};  // free buffered records eagerly
+        }
+        if (!stopped) {
+          failed = run.status;
+        }
+        if (timed) {
+          trace->merge_nanos += MetricsNowNanos() - t0;
+        }
+        return !stopped && failed.ok() && run.ran == morsels[mi].second;
+      });
+  trace->parallel_morsels += stats.morsels;
+  trace->parallel_workers += stats.workers_used;
+  for (const QueryTrace& mt : morsel_traces) {
+    trace->AbsorbWorker(mt);
+  }
+  for (size_t mi = 0; !stopped && failed.ok() && mi < runs.size(); ++mi) {
+    failed = runs[mi].status;  // the failure that cut a morsel short
+  }
+  return failed;
+}
+
+Status Loom::RunCandidate(const QueryPlan& plan, size_t c, QueryOp& op, Outcome* o,
+                          CachedLogReader* chain_reader, QueryTrace* trace) const {
+  const Candidate& cand = plan.candidates[c];
+  const Snapshot& snap = plan.snap;
+  if (cand.kind == Candidate::Kind::kChain) {
+    return WalkChain(cand, snap, op, o, chain_reader, trace);
+  }
+  uint64_t from = cand.addr;
+  uint64_t to = std::min(cand.end, snap.record_tail);
+  if (cand.kind == Candidate::Kind::kRange) {
+    // Below the query's floor the archive tier answers (or the data
+    // expired), even where the log has not reclaimed it yet.
+    from = std::max(from, snap.floor);
+  } else {
+    // 1. Load and filter. The planner filtered archived blocks and preloaded
+    // summaries; a loaded one must sit at or above the floor, below the
+    // snapshot's indexed watermark, and overlap the time range.
+    o->summary = cand.summary;
+    if (o->summary == nullptr) {
+      auto loaded = ReadSummary(cand.addr, snap.chunk_tail, trace);
+      if (!loaded.ok()) {
+        return loaded.status();
+      }
+      const ChunkSummary& s = *loaded.value();
+      if (s.chunk_addr < snap.floor || s.chunk_addr + s.chunk_len > snap.indexed_tail ||
+          s.max_ts < op.t_range.start || s.min_ts > op.t_range.end) {
+        o->zone = Zone::kPrune;  // filtered: not a candidate
+        return Status::Ok();
+      }
+      o->summary = std::move(loaded.value());
+    }
+    const ChunkSummary& s = *o->summary;
+    // 2. Classify.
+    if (!op.rescan) {
+      o->considered = true;
+      o->zone = ClassifyZone(s, op.source_id, op.index_id, op.t_range,
+                             op.values.has_value() ? &*op.values : nullptr, &o->presence);
+      if (o->zone == Zone::kFold && op.walks_chain) {
+        o->zone = Zone::kScan;
+      }
+      if (o->zone != Zone::kScan) {
+        return Status::Ok();
+      }
+    }
+    from = s.chunk_addr;
+    to = std::min<uint64_t>(s.chunk_addr + s.chunk_len, snap.record_tail);
+  }
+  // 3. Read the records.
+  const auto on_record = [&](const RecordView& view) { return op.OnRecord(cand, view, o); };
+  if (cand.kind == Candidate::Kind::kArchive) {
+    return ScanArchiveBlockFor(cand, op.source_id, op.t_range, on_record, trace);
+  }
+  std::optional<std::vector<uint8_t>> pre;
+  std::span<const uint8_t> preloaded;
+  if (plan.ring != nullptr) {
+    // Every slot is taken, hit or miss, so the ring's cursor advances.
+    pre = plan.ring->Take(c);
+    if (pre.has_value() && to > from && pre->size() >= to - from) {
+      preloaded = std::span<const uint8_t>(pre->data(), static_cast<size_t>(to - from));
+    }
+  }
+  return ScanRecordRangeInternal(from, to, /*filtered=*/true, op.source_id, op.t_range, preloaded,
+                                 on_record, trace);
+}
+
+Status Loom::WalkChain(const Candidate& seg, const Snapshot& snap, QueryOp& op, Outcome* o,
+                       CachedLogReader* reader, QueryTrace* trace) const {
+  const uint64_t scan_t0 = trace->detailed ? MetricsNowNanos() : 0;
+  // The walk batches headers, runs the vectorized time filter over the batch,
+  // then emits matches in chain (newest-first) order with per-record
+  // accounting: every header fetched is examined, payload bytes count only
+  // for matches, and the first record with ts < t_range.start ends the walk
+  // (it is examined, never delivered). The pinned floor keeps everything at
+  // or above it readable for the whole walk.
+  DecodedBatch batch;
+  std::vector<uint64_t> mask;
+  uint64_t addr = seg.addr;
+  bool done = false;
+  Status st;
+  while (!done && !o->chain_end && addr != kNullAddr && addr != seg.end) {
+    batch.Clear();
+    Status deferred;  // header read error: surfaces after the collected prefix
+    while (batch.size() < kChainWalkBatch && addr != kNullAddr && addr != seg.end) {
+      if (addr < snap.floor) {
+        o->chain_end = true;  // the chain continues into dropped territory
+        break;
+      }
+      auto head_bytes = reader->Fetch(addr, kRecordHeaderSize);
+      if (!head_bytes.ok()) {
+        deferred = head_bytes.status();
         break;
       }
       const RecordHeader header = RecordHeader::Decode(head_bytes.value().data());
@@ -2057,8 +2203,8 @@ Status Loom::RawScanImpl(uint32_t source_id, TimeRange t_range, const RecordCall
       batch.payload_lens.push_back(header.payload_len);
       batch.timestamps.push_back(header.ts);
       addr = header.prev_addr;
-      if (header.ts < t_range.start) {
-        stop_after = true;
+      if (header.ts < op.t_range.start) {
+        o->chain_end = true;
         break;
       }
     }
@@ -2066,246 +2212,88 @@ Status Loom::RawScanImpl(uint32_t source_id, TimeRange t_range, const RecordCall
     if (n > 0) {
       mask.assign(MaskWords(n), 0);
       kernels_->filter_source_time(batch.source_ids.data(), batch.timestamps.data(), n,
-                                   source_id, t_range.start, t_range.end, mask.data());
-      for (size_t i = 0; i < n; ++i) {
-        ++trace->records_examined;
-        trace->bytes_read += kRecordHeaderSize;
-        if (((mask[i >> 6] >> (i & 63)) & 1) == 0) {
-          continue;
-        }
-        auto payload = reader.Fetch(batch.addrs[i] + kRecordHeaderSize, batch.payload_lens[i]);
-        if (!payload.ok()) {
-          return payload.status();
-        }
-        trace->bytes_read += batch.payload_lens[i];
-        RecordView view;
-        view.source_id = batch.source_ids[i];
-        view.ts = batch.timestamps[i];
-        view.addr = batch.addrs[i];
-        view.payload = payload.value();
-        ++trace->records_matched;
-        if (!hot_cb(view)) {
-          done = true;
-          break;
-        }
-      }
+                                   op.source_id, op.t_range.start, op.t_range.end, mask.data());
     }
-    // A collection-phase read error surfaces only after the records ahead of
-    // it were delivered; if the callback already stopped, the interleaved
-    // walk would never have reached the error, so swallow it.
-    if (!deferred.ok() && !done) {
-      if (trace->detailed) {
-        trace->scan_nanos += MetricsNowNanos() - scan_t0;
+    for (size_t i = 0; i < n && !done; ++i) {
+      ++trace->records_examined;
+      trace->bytes_read += kRecordHeaderSize;
+      if (((mask[i >> 6] >> (i & 63)) & 1) == 0) {
+        continue;
       }
-      return deferred;
+      auto payload = reader->Fetch(batch.addrs[i] + kRecordHeaderSize, batch.payload_lens[i]);
+      if (!payload.ok()) {
+        st = payload.status();
+        done = true;
+        break;
+      }
+      trace->bytes_read += batch.payload_lens[i];
+      done = !op.OnRecord(seg,
+                          RecordView{batch.source_ids[i], batch.timestamps[i], batch.addrs[i],
+                                     payload.value()},
+                          o);
     }
-    if (stop_after) {
+    // A header read error surfaces only after the records ahead of it were
+    // delivered; if the operator stopped first, the record-by-record walk
+    // would never have reached it.
+    if (!deferred.ok()) {
+      if (!done) {
+        st = deferred;
+      }
       break;
     }
   }
   if (trace->detailed) {
     trace->scan_nanos += MetricsNowNanos() - scan_t0;
   }
-  return cb_stopped ? Status::Ok() : RawScanArchiveTier(source_id, t_range, cb, trace);
+  return st;
 }
 
-Status Loom::RawScanParallel(uint32_t source_id, TimeRange t_range, const Snapshot& snap,
-                             uint64_t start, const RecordCallback& cb, QueryTrace* trace,
-                             bool* executed) const {
-  *executed = false;
-  if (!options_.enable_timestamp_index || snap.ts_tail == 0) {
-    return Status::Ok();
-  }
-  // Partition the backward chain at record-marker targets: markers land every
-  // ts_marker_period records per source, so each [bounds[j], bounds[j+1])
-  // address segment is an independently walkable slice of the chain whose
-  // records are all newer than the next segment's.
-  TimestampIndexReader tsr(ts_log_.get(), snap.ts_tail);
-  auto marker = tsr.LastRecordMarkerAtOrBefore(source_id, t_range.end);
-  if (!marker.ok()) {
-    return marker.status();
-  }
-  if (!marker.value().has_value()) {
-    return Status::Ok();
-  }
-  std::vector<uint64_t> bounds;
-  bounds.push_back(start);
-  CachedLogReader ts_reader(ts_log_.get(), snap.ts_tail, kScanWindow);
-  TimestampIndexEntry m = *marker.value();
-  const uint64_t floor_hint = record_log_->retained_floor();
-  for (;;) {
-    if (m.ts < t_range.start || m.target_addr < floor_hint) {
-      break;  // the serial walk would stop inside the current last segment
-    }
-    if (m.target_addr < bounds.back()) {
-      bounds.push_back(m.target_addr);
-    }
-    if (m.prev_addr == kNullAddr) {
-      break;
-    }
-    auto bytes = ts_reader.Fetch(m.prev_addr, TimestampIndexEntry::kEncodedSize);
-    if (!bytes.ok()) {
-      return bytes.status();
-    }
-    m = TimestampIndexEntry::Decode(bytes.value().data());
-  }
-  if (bounds.size() < kMinParallelSegments) {
-    return Status::Ok();
-  }
+// --- Query operators -------------------------------------------------------------
+//
+// Each public operator is RunOperator around a policy: a QueryOp saying how
+// its candidates classify, what a scanned record contributes, and how
+// outcomes fold into the answer.
 
-  struct Segment {
-    uint64_t begin = 0;
-    uint64_t end = kNullAddr;  // exclusive; kNullAddr = walk to the chain tail
-  };
-  std::vector<Segment> segs(bounds.size());
-  for (size_t j = 0; j < bounds.size(); ++j) {
-    segs[j].begin = bounds[j];
-    segs[j].end = j + 1 < bounds.size() ? bounds[j + 1] : kNullAddr;
+template <typename R, typename Body>
+R Loom::RunOperator(const char* op, Histogram* latency, QueryTrace* trace,
+                    const Body& body) const {
+  QueryTrace local;
+  QueryTrace* t = trace != nullptr ? trace : &local;
+  *t = QueryTrace{};
+  t->op = op;
+  t->detailed = trace != nullptr;
+  const bool timed = t->detailed || options_.enable_latency_metrics;
+  const uint64_t t0 = timed ? MetricsNowNanos() : 0;
+  R result = [&] {
+    const FloorPin pin(record_log_.get());
+    return body(pin.floor(), t);
+  }();
+  if (timed) {
+    t->total_nanos = MetricsNowNanos() - t0;
   }
-  struct SegResult {
-    std::vector<ChunkOutcome::Match> matches;  // value unused on this path
-    bool hit_stop = false;  // the serial walk would have terminated here
-  };
-  std::vector<SegResult> results(segs.size());
+  FoldTraceIntoMetrics(*t, latency);
+  return result;
+}
 
-  const std::vector<std::pair<size_t, size_t>> morsels =
-      MakeMorsels(segs.size(), query_pool_->num_threads());
-  std::vector<Status> morsel_status(morsels.size());
-  std::vector<QueryTrace> morsel_traces(morsels.size());
-  for (QueryTrace& mt : morsel_traces) {
-    mt.detailed = trace->detailed;
-  }
-  std::atomic<bool> abort{false};
-  Status failed;
-  const size_t window = std::max<size_t>(2 * query_pool_->num_threads(), 4);
-  const QueryThreadPool::RunStats stats = query_pool_->RunOrdered(
-      morsels.size(), window,
-      [&](size_t mi) {
-        if (abort.load(std::memory_order_relaxed)) {
-          return;  // a sibling morsel failed; the query returns its error
-        }
-        QueryTrace* mt = &morsel_traces[mi];
-        const uint64_t scan_t0 = mt->detailed ? MetricsNowNanos() : 0;
-        CachedLogReader reader(record_log_.get(), snap.record_tail, kScanWindow,
-                               /*max_windows=*/2);
-        DecodedBatch batch;
-        std::vector<uint64_t> mask;
-        const auto [sb, se] = morsels[mi];
-        for (size_t s = sb; s < se; ++s) {
-          SegResult& r = results[s];
-          uint64_t addr = segs[s].begin;
-          bool seg_done = false;
-          // Same batched walk as the serial path: collect headers along the
-          // chain, vector-filter by time, then account and buffer matches in
-          // chain order. Each segment additionally stops at its exclusive
-          // end address.
-          while (!seg_done && addr != kNullAddr && addr != segs[s].end) {
-            batch.Clear();
-            while (batch.size() < kChainWalkBatch && addr != kNullAddr &&
-                   addr != segs[s].end) {
-              if (addr < record_log_->retained_floor()) {
-                r.hit_stop = true;  // chain continues into dropped territory
-                seg_done = true;
-                break;
-              }
-              auto head_bytes = reader.Fetch(addr, kRecordHeaderSize);
-              if (!head_bytes.ok()) {
-                if (head_bytes.status().code() == StatusCode::kOutOfRange) {
-                  r.hit_stop = true;  // retention advanced mid-walk
-                } else {
-                  morsel_status[mi] = head_bytes.status();
-                  abort.store(true, std::memory_order_relaxed);
-                }
-                seg_done = true;
-                break;
-              }
-              const RecordHeader header = RecordHeader::Decode(head_bytes.value().data());
-              batch.addrs.push_back(addr);
-              batch.source_ids.push_back(header.source_id);
-              batch.payload_lens.push_back(header.payload_len);
-              batch.timestamps.push_back(header.ts);
-              addr = header.prev_addr;
-              if (header.ts < t_range.start) {
-                r.hit_stop = true;
-                seg_done = true;
-                break;
-              }
-            }
-            const size_t n = batch.size();
-            if (n > 0) {
-              mask.assign(MaskWords(n), 0);
-              kernels_->filter_source_time(batch.source_ids.data(), batch.timestamps.data(),
-                                           n, source_id, t_range.start, t_range.end,
-                                           mask.data());
-              for (size_t i = 0; i < n; ++i) {
-                ++mt->records_examined;
-                mt->bytes_read += kRecordHeaderSize;
-                if (((mask[i >> 6] >> (i & 63)) & 1) == 0) {
-                  continue;
-                }
-                auto payload =
-                    reader.Fetch(batch.addrs[i] + kRecordHeaderSize, batch.payload_lens[i]);
-                if (!payload.ok()) {
-                  morsel_status[mi] = payload.status();
-                  abort.store(true, std::memory_order_relaxed);
-                  seg_done = true;
-                  break;
-                }
-                mt->bytes_read += batch.payload_lens[i];
-                ChunkOutcome::Match match;
-                match.ts = batch.timestamps[i];
-                match.addr = batch.addrs[i];
-                match.payload.assign(payload.value().begin(), payload.value().end());
-                r.matches.push_back(std::move(match));
-              }
-            }
-          }
-          if (r.hit_stop || !morsel_status[mi].ok()) {
-            break;  // remaining segments are past the serial stop / the error
-          }
-        }
-        if (mt->detailed) {
-          mt->scan_nanos += MetricsNowNanos() - scan_t0;
-        }
-      },
-      [&](size_t mi) -> bool {
-        // Emit this morsel's buffered records newest-first; the across-morsel
-        // consume order makes the overall delivery identical to the serial
-        // backward walk. A worker error surfaces only after the records it
-        // buffered before failing are delivered — the exact serial prefix.
-        const auto [sb, se] = morsels[mi];
-        for (size_t s = sb; s < se; ++s) {
-          SegResult& r = results[s];
-          for (const ChunkOutcome::Match& match : r.matches) {
-            RecordView view;
-            view.source_id = source_id;
-            view.ts = match.ts;
-            view.addr = match.addr;
-            view.payload = std::span<const uint8_t>(match.payload);
-            ++trace->records_matched;
-            if (!cb(view)) {
-              return false;
-            }
-          }
-          const bool stop = r.hit_stop;
-          r = SegResult{};  // free buffered payloads eagerly
-          if (stop) {
-            return false;
-          }
-        }
-        if (!morsel_status[mi].ok()) {
-          failed = morsel_status[mi];
-          return false;
-        }
-        return true;
+Status Loom::RawScan(uint32_t source_id, TimeRange t_range, const RecordCallback& cb,
+                     QueryTrace* trace) const {
+  // Newest-first: chain records as the walk meets them, then each archived
+  // block's records reversed (blocks decode oldest-first).
+  struct Op final : EmitOp {
+    bool OnRecord(const Candidate& c, const RecordView& view, Outcome* o) override {
+      return Emit(c, 0.0, view, o);
+    }
+  };
+  return RunOperator<Status>(
+      "raw_scan", m_.raw_scan_seconds, trace, [&](uint64_t floor, QueryTrace* t) {
+        Op op;
+        op.source_id = source_id;
+        op.t_range = t_range;
+        op.walks_chain = true;
+        op.record_cb = &cb;
+        op.trace = t;
+        return Query(op, floor, t);
       });
-  trace->parallel_morsels += stats.morsels;
-  trace->parallel_workers += stats.workers_used;
-  for (const QueryTrace& mt : morsel_traces) {
-    trace->AbsorbWorker(mt);
-  }
-  *executed = true;
-  return failed;
 }
 
 Status Loom::IndexedScan(uint32_t source_id, uint32_t index_id, TimeRange t_range,
@@ -2318,666 +2306,211 @@ Status Loom::IndexedScan(uint32_t source_id, uint32_t index_id, TimeRange t_rang
 Status Loom::IndexedScanValues(uint32_t source_id, uint32_t index_id, TimeRange t_range,
                                ValueRange v_range, const ValueCallback& cb,
                                QueryTrace* trace) const {
-  QueryTrace local;
-  QueryTrace* t = trace != nullptr ? trace : &local;
-  *t = QueryTrace{};
-  t->op = "indexed_scan";
-  t->detailed = trace != nullptr;
-  const bool timed = t->detailed || options_.enable_latency_metrics;
-  const uint64_t t0 = timed ? MetricsNowNanos() : 0;
-  Status st = IndexedScanValuesImpl(source_id, index_id, t_range, v_range, cb, t);
-  if (timed) {
-    t->total_nanos = MetricsNowNanos() - t0;
-  }
-  FoldTraceIntoMetrics(*t, m_.indexed_scan_seconds);
-  return st;
-}
-
-Status Loom::IndexedScanValuesImpl(uint32_t source_id, uint32_t index_id, TimeRange t_range,
-                                   ValueRange v_range, const ValueCallback& cb,
-                                   QueryTrace* trace) const {
-  auto idx = GetIndexSnapshot(index_id);
-  if (!idx.ok()) {
-    return idx.status();
-  }
-  if (idx.value().source_id != source_id) {
-    return Status::InvalidArgument("index does not cover source");
-  }
-  const SourceState* src = FindSource(source_id);
-  if (src == nullptr) {
-    return Status::NotFound("source not defined");
-  }
-  const HistogramSpec& spec = idx.value().spec;
-  const IndexFunc& func = idx.value().func;
-  const Snapshot snap = TakeSnapshot(src);
-  const auto [first_bin, last_bin] = spec.BinsOverlapping(v_range.lo, v_range.hi);
-  const ValueFilter values{v_range, first_bin, last_bin};
-
-  bool stopped = false;
-  // The index function runs once per candidate record; its value is handed
-  // to the callback so composed queries (drill-downs, distributed
+  // The index function runs once per record of a scanned candidate; its value
+  // is handed to the callback so composed queries (drill-downs, distributed
   // percentile) never re-evaluate it.
-  auto emit_matches = [&](const RecordView& view) -> bool {
-    if (view.source_id != source_id || !t_range.Contains(view.ts)) {
-      return true;
-    }
-    std::optional<double> value = func(view.payload);
-    if (!value.has_value() || !v_range.Contains(*value)) {
-      return true;
-    }
-    ++trace->records_matched;
-    if (!cb(*value, view)) {
-      stopped = true;
-      return false;
-    }
-    return true;
-  };
+  struct Op final : EmitOp {
+    IndexSnapshot idx;
 
-  if (options_.enable_chunk_index) {
-    CandidatePlan plan;
-    LOOM_RETURN_IF_ERROR(PlanCandidates(snap, t_range, &plan, trace));
-    const size_t n = plan.size();
-
-    // Archive tier first: demoted blocks hold strictly older data than any
-    // hot chunk, so emitting them first preserves the operator's global
-    // oldest-first order. Zone maps prune exactly like hot summaries.
-    for (const ArchiveCandidate& a :
-         PlanArchiveCandidates(record_log_->retained_floor(), t_range, trace)) {
-      const Zone zone = ClassifyZone(*a.summary, source_id, index_id, t_range, &values);
-      CountArchiveZone(trace, zone);
-      if (zone == Zone::kPrune) {
-        continue;
-      }
-      LOOM_RETURN_IF_ERROR(ScanArchiveBlockFor(
-          a, source_id, t_range,
-          [&](const RecordView& view) -> bool {
-            std::optional<double> value = func(view.payload);
-            if (!value.has_value() || !v_range.Contains(*value)) {
-              return true;
-            }
-            ++trace->records_matched;
-            if (!cb(*value, view)) {
-              stopped = true;
-              return false;
-            }
-            return true;
-          },
-          trace));
-      if (stopped) {
-        return Status::Ok();
-      }
-    }
-
-    // Emits one processed candidate's buffered matches. Always runs on the
-    // calling thread, strictly in candidate (= timestamp) order, so the
-    // caller observes the exact serial delivery sequence. Returns false when
-    // the callback stopped the scan.
-    auto emit_outcome = [&](ChunkOutcome& o) -> bool {
-      if (o.kind == ChunkOutcome::Kind::kFiltered) {
-        return true;  // not a candidate after per-worker filtering
-      }
-      ++trace->chunks_considered;
-      if (o.kind != ChunkOutcome::Kind::kScanned) {
-        ++trace->chunks_pruned;
+    bool OnRecord(const Candidate& c, const RecordView& view, Outcome* o) override {
+      std::optional<double> value = idx.func(view.payload);
+      if (!value.has_value() || !values->range.Contains(*value)) {
         return true;
       }
-      ++trace->chunks_scanned;
-      for (const ChunkOutcome::Match& m : o.matches) {
-        RecordView view;
-        view.source_id = source_id;
-        view.ts = m.ts;
-        view.addr = m.addr;
-        view.payload = std::span<const uint8_t>(m.payload);
-        ++trace->records_matched;
-        if (!cb(m.value, view)) {
-          stopped = true;
-          return false;
-        }
-      }
-      return true;
-    };
-
-    if (CanRunParallel() && n >= kMinParallelCandidates) {
-      const std::vector<std::pair<size_t, size_t>> morsels =
-          MakeMorsels(n, query_pool_->num_threads());
-      std::vector<ChunkOutcome> outcomes(n);
-      std::vector<Status> morsel_status(morsels.size());
-      std::vector<QueryTrace> morsel_traces(morsels.size());
-      for (QueryTrace& mt : morsel_traces) {
-        mt.detailed = trace->detailed;
-      }
-      std::atomic<bool> abort{false};
-      Status failed;
-      // Producers may run at most `window` morsels ahead of in-order
-      // emission, bounding buffered-match memory.
-      const size_t window = std::max<size_t>(2 * query_pool_->num_threads(), 4);
-      const QueryThreadPool::RunStats stats = query_pool_->RunOrdered(
-          morsels.size(), window,
-          [&](size_t mi) {
-            if (abort.load(std::memory_order_relaxed)) {
-              return;  // a sibling morsel failed; the query returns its error
-            }
-            const auto [begin, end] = morsels[mi];
-            for (size_t c = begin; c < end; ++c) {
-              Status st =
-                  ProcessScanCandidate(source_id, index_id, idx.value(), t_range, v_range,
-                                       first_bin, last_bin, snap, plan, c, &outcomes[c],
-                                       &morsel_traces[mi]);
-              if (!st.ok()) {
-                morsel_status[mi] = st;
-                abort.store(true, std::memory_order_relaxed);
-                return;
-              }
-            }
-          },
-          [&](size_t mi) -> bool {
-            if (!morsel_status[mi].ok()) {
-              failed = morsel_status[mi];
-              return false;
-            }
-            const auto [begin, end] = morsels[mi];
-            bool keep_going = true;
-            for (size_t c = begin; c < end && keep_going; ++c) {
-              keep_going = emit_outcome(outcomes[c]);
-            }
-            for (size_t c = begin; c < end; ++c) {
-              outcomes[c] = ChunkOutcome{};  // free buffered matches eagerly
-            }
-            return keep_going;
-          });
-      trace->parallel_morsels += stats.morsels;
-      trace->parallel_workers += stats.workers_used;
-      for (const QueryTrace& mt : morsel_traces) {
-        trace->AbsorbWorker(mt);
-      }
-      if (!failed.ok()) {
-        return failed;
-      }
-      if (stopped) {
-        return Status::Ok();
-      }
-    } else {
-      ChunkOutcome o;
-      for (size_t c = 0; c < n; ++c) {
-        o = ChunkOutcome{};
-        LOOM_RETURN_IF_ERROR(ProcessScanCandidate(source_id, index_id, idx.value(), t_range,
-                                                  v_range, first_bin, last_bin, snap, plan, c,
-                                                  &o, trace));
-        if (!emit_outcome(o)) {
-          return Status::Ok();
-        }
-      }
+      return Emit(c, *value, view, o);
     }
-    // Active (not yet summarized) region: the source/time filter runs
-    // vectorized over each decoded batch instead of inside the callback.
-    LOOM_RETURN_IF_ERROR(ScanRecordRangeFor(
-        snap.indexed_tail, snap.record_tail, source_id, t_range, {},
-        [&](const RecordView& view) -> bool {
-          std::optional<double> value = func(view.payload);
-          if (!value.has_value() || !v_range.Contains(*value)) {
-            return true;
-          }
-          ++trace->records_matched;
-          if (!cb(*value, view)) {
-            stopped = true;
-            return false;
-          }
-          return true;
-        },
-        trace));
-    return Status::Ok();
-  }
-
-  if (options_.enable_timestamp_index && snap.ts_tail > 0) {
-    // Timestamp-index-only mode: locate the scan start by time, then scan
-    // every record in the window.
-    TimestampIndexReader tsr(ts_log_.get(), snap.ts_tail);
-    uint64_t start_addr = 0;
-    auto pos = tsr.LastEntryAtOrBefore(t_range.start == 0 ? 0 : t_range.start - 1);
-    if (!pos.ok()) {
-      return pos.status();
-    }
-    if (pos.value().has_value()) {
-      auto e = tsr.ReadIndex(*pos.value());
-      if (!e.ok()) {
-        return e.status();
-      }
-      if (e.value().kind == TimestampIndexEntry::Kind::kRecord) {
-        start_addr = e.value().target_addr;
-      }
-    }
-    bool past_range = false;
-    LOOM_RETURN_IF_ERROR(ScanRecordRange(
-        start_addr, snap.record_tail,
-        [&](const RecordView& view) -> bool {
-          if (view.ts > t_range.end) {
-            past_range = true;
-            return false;
-          }
-          return emit_matches(view);
-        },
-        trace));
-    (void)past_range;
-    return Status::Ok();
-  }
-
-  // No indexes at all: backward chain walk with filtering (newest-first).
-  // The chain walk counts every time-matched record as matched; overwrite
-  // with the value-filtered count this query actually delivered.
-  uint64_t delivered = 0;
-  Status st = RawScanImpl(
-      source_id, t_range,
-      [&](const RecordView& view) -> bool {
-        std::optional<double> value = func(view.payload);
-        if (!value.has_value() || !v_range.Contains(*value)) {
-          return true;
-        }
-        ++delivered;
-        return cb(*value, view);
-      },
-      trace);
-  trace->records_matched = delivered;
-  return st;
-}
-
-Status Loom::AccumulateIndexed(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
-                               TimeRange t_range, BinAccumulation* out,
-                               QueryTrace* trace) const {
-  const SourceState* src = FindSource(source_id);
-  if (src == nullptr) {
-    return Status::NotFound("source not defined");
-  }
-  const HistogramSpec& spec = idx.spec;
-  const IndexFunc& func = idx.func;
-  out->snap = TakeSnapshot(src);
-  const Snapshot& snap = out->snap;
-  BinStats& merged = out->merged;
-  out->bin_counts.assign(spec.num_bins(), 0);
-  std::vector<uint64_t>& bin_counts = out->bin_counts;
-  std::vector<double>& loose_values = out->loose_values;
-
-  // Source/time filtering happens vectorized inside the batched scan; only
-  // matching records reach this callback.
-  auto scan_accumulate = [&](const RecordView& view) -> bool {
-    std::optional<double> value = func(view.payload);
-    if (!value.has_value()) {
-      return true;
-    }
-    merged.Update(*value, view.ts);
-    bin_counts[spec.BinOf(*value)]++;
-    loose_values.push_back(*value);
-    return true;
   };
-
-  std::vector<BinAccumulation::MergedChunk>& fully_merged = out->fully_merged;
-  std::vector<std::shared_ptr<const ChunkSummary>>& candidates = out->candidates;
-
-  if (options_.enable_chunk_index) {
-    CandidatePlan plan;
-    LOOM_RETURN_IF_ERROR(PlanCandidates(snap, t_range, &plan, trace));
-    const size_t n = plan.size();
-    std::vector<double> scan_vals;
-    std::vector<uint32_t> scan_bins;
-
-    // Archive tier first: demoted blocks are strictly older than any hot
-    // chunk, so folding them first keeps the accumulation in global time
-    // order — bit-identical to what the same data produced before demotion.
-    std::vector<ArchiveCandidate>& archived = out->archive_candidates;
-    archived = PlanArchiveCandidates(record_log_->retained_floor(), t_range, trace);
-    for (size_t ai = 0; ai < archived.size(); ++ai) {
-      const ChunkSummary& s = *archived[ai].summary;
-      const Zone zone = ClassifyZone(s, source_id, index_id, t_range, nullptr);
-      CountArchiveZone(trace, zone);
-      if (zone == Zone::kPrune) {
-        continue;
-      }
-      if (zone == Zone::kFold) {
-        for (const ChunkSummary::Entry& e : s.entries) {
-          if (e.source_id == source_id && e.index_id == index_id && e.bin != kEvaluatedBin) {
-            merged.Merge(e.stats);
-            bin_counts[e.bin] += e.stats.count;
-          }
+  return RunOperator<Status>(
+      "indexed_scan", m_.indexed_scan_seconds, trace,
+      [&](uint64_t floor, QueryTrace* t) -> Status {
+        auto idx = GetIndexSnapshot(source_id, index_id);
+        if (!idx.ok()) {
+          return idx.status();
         }
-        fully_merged.push_back({&s, static_cast<int>(ai)});
-        continue;
-      }
-      // Same collect-then-batch-classify shape as the hot scanned path, so
-      // bin assignment stays bit-exact across tiers.
-      std::vector<std::pair<double, TimestampNanos>> vals;
-      LOOM_RETURN_IF_ERROR(ScanArchiveBlockFor(
-          archived[ai], source_id, t_range,
-          [&](const RecordView& view) -> bool {
-            std::optional<double> value = func(view.payload);
-            if (value.has_value()) {
-              vals.emplace_back(*value, view.ts);
-            }
-            return true;
-          },
-          trace));
-      scan_vals.clear();
-      for (const auto& [value, ts] : vals) {
-        scan_vals.push_back(value);
-      }
-      scan_bins.resize(scan_vals.size());
-      spec.ClassifyBatch(*kernels_, scan_vals.data(), scan_vals.size(), scan_bins.data());
-      for (size_t i = 0; i < vals.size(); ++i) {
-        merged.Update(vals[i].first, vals[i].second);
-        bin_counts[scan_bins[i]]++;
-        loose_values.push_back(vals[i].first);
-      }
-    }
-
-    // Folds one processed outcome into the accumulation. Always runs on the
-    // coordinator, strictly in candidate (= log) order: partial aggregates
-    // combine in exactly the serial sequence, so results are byte-identical
-    // to serial execution, double non-associativity included.
-    auto merge_outcome = [&](ChunkOutcome& o) {
-      switch (o.kind) {
-        case ChunkOutcome::Kind::kFiltered:
-          break;  // not a candidate after per-worker filtering
-        case ChunkOutcome::Kind::kPruned:
-          ++trace->chunks_considered;
-          ++trace->chunks_pruned;
-          break;
-        case ChunkOutcome::Kind::kFolded:
-          ++trace->chunks_considered;
-          for (const ChunkSummary::Entry& e : o.summary->entries) {
-            if (e.source_id == source_id && e.index_id == index_id && e.bin != kEvaluatedBin) {
-              merged.Merge(e.stats);
-              bin_counts[e.bin] += e.stats.count;
-            }
-          }
-          candidates.push_back(o.summary);
-          fully_merged.push_back({candidates.back().get(), -1});
-          // Answered from summary bins alone: pruned from record reads. The
-          // percentile path may still rescan some of these in stage 2, which
-          // reclassifies them (see IndexedAggregateImpl).
-          ++trace->chunks_pruned;
-          ++trace->chunks_summary_folded;
-          break;
-        case ChunkOutcome::Kind::kScanned: {
-          ++trace->chunks_considered;
-          ++trace->chunks_scanned;
-          // Classify the whole chunk's values in one kernel pass (bit-exact
-          // with per-value BinOf), then fold in log order.
-          scan_vals.clear();
-          for (const auto& [value, ts] : o.values) {
-            scan_vals.push_back(value);
-          }
-          scan_bins.resize(scan_vals.size());
-          spec.ClassifyBatch(*kernels_, scan_vals.data(), scan_vals.size(), scan_bins.data());
-          for (size_t i = 0; i < o.values.size(); ++i) {
-            merged.Update(o.values[i].first, o.values[i].second);
-            bin_counts[scan_bins[i]]++;
-            loose_values.push_back(o.values[i].first);
-          }
-          break;
-        }
-      }
-    };
-
-    if (CanRunParallel() && n >= kMinParallelCandidates) {
-      const std::vector<std::pair<size_t, size_t>> morsels =
-          MakeMorsels(n, query_pool_->num_threads());
-      std::vector<ChunkOutcome> outcomes(n);
-      std::vector<Status> morsel_status(morsels.size());
-      std::vector<QueryTrace> morsel_traces(morsels.size());
-      for (QueryTrace& mt : morsel_traces) {
-        mt.detailed = trace->detailed;
-      }
-      std::atomic<bool> abort{false};
-      const QueryThreadPool::RunStats stats = query_pool_->Run(morsels.size(), [&](size_t mi) {
-        if (abort.load(std::memory_order_relaxed)) {
-          return;  // a sibling morsel failed; the query returns its error
-        }
-        const auto [begin, end] = morsels[mi];
-        for (size_t c = begin; c < end; ++c) {
-          Status st = ProcessAggregateCandidate(source_id, index_id, idx, t_range, snap, plan, c,
-                                                &outcomes[c], &morsel_traces[mi]);
-          if (!st.ok()) {
-            morsel_status[mi] = st;
-            abort.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
+        Op op;
+        op.source_id = source_id;
+        op.t_range = t_range;
+        op.index_id = index_id;
+        const auto [first_bin, last_bin] = idx.value().spec.BinsOverlapping(v_range.lo, v_range.hi);
+        op.values = ValueFilter{v_range, first_bin, last_bin};
+        op.idx = std::move(idx.value());
+        op.value_cb = &cb;
+        op.trace = t;
+        return Query(op, floor, t);
       });
-      trace->parallel_morsels += stats.morsels;
-      trace->parallel_workers += stats.workers_used;
-      for (const QueryTrace& mt : morsel_traces) {
-        trace->AbsorbWorker(mt);
-      }
-      for (const Status& st : morsel_status) {
-        if (!st.ok()) {
-          return st;
-        }
-      }
-      const bool timed = trace->detailed || options_.enable_latency_metrics;
-      const uint64_t merge_t0 = timed ? MetricsNowNanos() : 0;
-      for (ChunkOutcome& o : outcomes) {
-        merge_outcome(o);
-      }
-      if (timed) {
-        trace->merge_nanos += MetricsNowNanos() - merge_t0;
-      }
-    } else {
-      // Serial: process + merge one candidate at a time, keeping memory
-      // bounded by a single chunk's matches as before.
-      ChunkOutcome o;
-      for (size_t c = 0; c < n; ++c) {
-        o = ChunkOutcome{};
-        LOOM_RETURN_IF_ERROR(ProcessAggregateCandidate(source_id, index_id, idx, t_range, snap,
-                                                       plan, c, &o, trace));
-        merge_outcome(o);
-      }
-    }
-    LOOM_RETURN_IF_ERROR(ScanRecordRangeFor(snap.indexed_tail, snap.record_tail, source_id,
-                                            t_range, {}, scan_accumulate, trace));
-  } else {
-    // Ablation modes: aggregate by scanning, bounded by the timestamp index
-    // where available. Goes through the Impl so this query's trace keeps
-    // accumulating instead of folding twice into the registry.
-    LOOM_RETURN_IF_ERROR(IndexedScanValuesImpl(
-        source_id, index_id, t_range,
-        ValueRange{-std::numeric_limits<double>::infinity(),
-                   std::numeric_limits<double>::infinity()},
-        [&](double value, const RecordView& view) -> bool {
-          merged.Update(value, view.ts);
-          bin_counts[spec.BinOf(value)]++;
-          loose_values.push_back(value);
-          return true;
-        },
-        trace));
-  }
-  return Status::Ok();
 }
 
 Result<uint64_t> Loom::CountRecords(uint32_t source_id, TimeRange t_range,
                                     QueryTrace* trace) const {
-  QueryTrace local;
-  QueryTrace* t = trace != nullptr ? trace : &local;
-  *t = QueryTrace{};
-  t->op = "count_records";
-  t->detailed = trace != nullptr;
-  const bool timed = t->detailed || options_.enable_latency_metrics;
-  const uint64_t t0 = timed ? MetricsNowNanos() : 0;
-  Result<uint64_t> result = CountRecordsImpl(source_id, t_range, t);
-  if (timed) {
-    t->total_nanos = MetricsNowNanos() - t0;
-  }
-  FoldTraceIntoMetrics(*t, m_.count_seconds);
-  return result;
+  // Chunks the range covers whole are answered by the presence entry every
+  // summary keeps per source: no user-defined index is needed.
+  struct Op final : QueryOp {
+    uint64_t count = 0;
+
+    bool OnRecord(const Candidate&, const RecordView&, Outcome* o) override {
+      ++o->count;
+      return true;
+    }
+    bool Consume(const Candidate&, Outcome& o) override {
+      count += o.zone == Zone::kFold ? o.presence : o.count;
+      return true;
+    }
+  };
+  return RunOperator<Result<uint64_t>>(
+      "count_records", m_.count_seconds, trace,
+      [&](uint64_t floor, QueryTrace* t) -> Result<uint64_t> {
+        Op op;
+        op.source_id = source_id;
+        op.t_range = t_range;
+        LOOM_RETURN_IF_ERROR(Query(op, floor, t));
+        return op.count;
+      });
 }
 
-Result<uint64_t> Loom::CountRecordsImpl(uint32_t source_id, TimeRange t_range,
-                                        QueryTrace* trace) const {
-  const SourceState* src = FindSource(source_id);
-  if (src == nullptr) {
-    return Status::NotFound("source not defined");
-  }
-  const Snapshot snap = TakeSnapshot(src);
-  uint64_t count = 0;
-  // Invoked only for records passing the vectorized source/time filter.
-  auto count_scan = [&](const RecordView&) -> bool {
-    ++count;
-    return true;
+// The fold-bins state of IndexedAggregate and IndexedHistogram.
+struct Loom::BinAccumulation {
+  QueryPlan plan;
+  BinStats merged;
+  std::vector<uint64_t> bin_counts;
+  // Values from records that had to be read (bounded: a few chunks).
+  std::vector<double> loose_values;
+  // Candidates of `plan` folded from summary bins alone, in plan order, with
+  // their summaries: percentile stage 2 rescans those whose target-bin
+  // [min, max] cannot be placed against the answer without their records.
+  struct Folded {
+    const Candidate* cand = nullptr;
+    std::shared_ptr<const ChunkSummary> summary;
   };
-  if (!options_.enable_chunk_index) {
-    // Ablation fallback: a raw chain walk bounded by the time range.
-    Status st = RawScanImpl(
-        source_id, t_range,
-        [&](const RecordView&) {
-          ++count;
-          return true;
-        },
-        trace);
-    if (!st.ok()) {
-      return st;
-    }
-    return count;
-  }
-  std::vector<std::shared_ptr<const ChunkSummary>> candidates;
-  LOOM_RETURN_IF_ERROR(CollectCandidateSummaries(snap, t_range, candidates, trace));
-  // Archive tier: fully-covered demoted blocks answer straight from their
-  // zone maps; partially-covered ones decompress and count.
-  uint64_t presence_count = 0;
-  for (const ArchiveCandidate& a :
-       PlanArchiveCandidates(record_log_->retained_floor(), t_range, trace)) {
-    const Zone zone =
-        ClassifyZone(*a.summary, source_id, kPresenceIndexId, t_range, nullptr, &presence_count);
-    CountArchiveZone(trace, zone);
-    if (zone == Zone::kFold) {
-      count += presence_count;
-    } else if (zone == Zone::kScan) {
-      LOOM_RETURN_IF_ERROR(ScanArchiveBlockFor(a, source_id, t_range, count_scan, trace));
-    }
-  }
-  for (const auto& candidate : candidates) {
-    const ChunkSummary& s = *candidate;
-    ++trace->chunks_considered;
-    switch (ClassifyZone(s, source_id, kPresenceIndexId, t_range, nullptr, &presence_count)) {
-      case Zone::kPrune:
-        ++trace->chunks_pruned;
-        break;
-      case Zone::kFold:
-        count += presence_count;  // fully covered: the summary answers
-        ++trace->chunks_pruned;
-        ++trace->chunks_summary_folded;
-        break;
-      case Zone::kScan: {
-        ++trace->chunks_scanned;
-        const uint64_t end = std::min<uint64_t>(s.chunk_addr + s.chunk_len, snap.record_tail);
-        LOOM_RETURN_IF_ERROR(
-            ScanRecordRangeFor(s.chunk_addr, end, source_id, t_range, {}, count_scan, trace));
-        break;
+  std::vector<Folded> folded;
+};
+
+Status Loom::AccumulateBins(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
+                            TimeRange t_range, uint64_t floor, BinAccumulation* acc,
+                            QueryTrace* trace) const {
+  // Outcomes fold in plan (= log) order, so partial aggregates combine in
+  // exactly the serial sequence, double non-associativity included. Every
+  // value the index function yields counts, NaN too, in every index mode:
+  // NaN lands in the overflow bin, as it does in the summaries.
+  struct Op final : QueryOp {
+    const IndexSnapshot* idx = nullptr;
+    const KernelOps* kernels = nullptr;
+    BinAccumulation* acc = nullptr;
+    std::vector<uint32_t> bins;
+
+    bool OnRecord(const Candidate&, const RecordView& view, Outcome* o) override {
+      std::optional<double> value = idx->func(view.payload);
+      if (value.has_value()) {
+        o->values.push_back(*value);
+        o->stamps.push_back(view.ts);
       }
+      return true;
     }
-  }
-  LOOM_RETURN_IF_ERROR(ScanRecordRangeFor(snap.indexed_tail, snap.record_tail, source_id,
-                                          t_range, {}, count_scan, trace));
-  return count;
+    bool Consume(const Candidate& c, Outcome& o) override {
+      if (o.zone == Zone::kPrune) {
+        return true;
+      }
+      if (o.zone == Zone::kFold) {
+        // The bins fully describe the chunk's indexed values (§5.3).
+        for (const ChunkSummary::Entry& e : o.summary->entries) {
+          if (e.source_id == source_id && e.index_id == index_id && e.bin != kEvaluatedBin) {
+            acc->merged.Merge(e.stats);
+            acc->bin_counts[e.bin] += e.stats.count;
+          }
+        }
+        acc->folded.push_back({&c, o.summary});
+        return true;
+      }
+      // Classify the candidate's values in one kernel pass (bit-exact with
+      // per-value BinOf), then fold them in log order.
+      bins.resize(o.values.size());
+      idx->spec.ClassifyBatch(*kernels, o.values.data(), o.values.size(), bins.data());
+      for (size_t i = 0; i < o.values.size(); ++i) {
+        acc->merged.Update(o.values[i], o.stamps[i]);
+        acc->bin_counts[bins[i]]++;
+      }
+      acc->loose_values.insert(acc->loose_values.end(), o.values.begin(), o.values.end());
+      return true;
+    }
+  };
+  Op op;
+  op.source_id = source_id;
+  op.t_range = t_range;
+  op.index_id = index_id;
+  op.idx = &idx;
+  op.kernels = kernels_;
+  op.acc = acc;
+  acc->bin_counts.assign(idx.spec.num_bins(), 0);
+  LOOM_RETURN_IF_ERROR(Plan(op, floor, &acc->plan, trace));
+  return Execute(acc->plan, op, trace);
 }
 
 Result<std::vector<uint64_t>> Loom::IndexedHistogram(uint32_t source_id, uint32_t index_id,
                                                      TimeRange t_range,
                                                      QueryTrace* trace) const {
-  QueryTrace local;
-  QueryTrace* t = trace != nullptr ? trace : &local;
-  *t = QueryTrace{};
-  t->op = "indexed_histogram";
-  t->detailed = trace != nullptr;
-  const bool timed = t->detailed || options_.enable_latency_metrics;
-  const uint64_t t0 = timed ? MetricsNowNanos() : 0;
-  Result<std::vector<uint64_t>> result = [&]() -> Result<std::vector<uint64_t>> {
-    auto idx = GetIndexSnapshot(index_id);
-    if (!idx.ok()) {
-      return idx.status();
-    }
-    if (idx.value().source_id != source_id) {
-      return Status::InvalidArgument("index does not cover source");
-    }
-    BinAccumulation acc;
-    LOOM_RETURN_IF_ERROR(AccumulateIndexed(source_id, index_id, idx.value(), t_range, &acc, t));
-    return std::move(acc.bin_counts);
-  }();
-  if (timed) {
-    t->total_nanos = MetricsNowNanos() - t0;
-  }
-  FoldTraceIntoMetrics(*t, m_.histogram_seconds);
-  return result;
+  return RunOperator<Result<std::vector<uint64_t>>>(
+      "indexed_histogram", m_.histogram_seconds, trace,
+      [&](uint64_t floor, QueryTrace* t) -> Result<std::vector<uint64_t>> {
+        auto idx = GetIndexSnapshot(source_id, index_id);
+        if (!idx.ok()) {
+          return idx.status();
+        }
+        BinAccumulation acc;
+        LOOM_RETURN_IF_ERROR(
+            AccumulateBins(source_id, index_id, idx.value(), t_range, floor, &acc, t));
+        return std::move(acc.bin_counts);
+      });
 }
 
 Result<double> Loom::IndexedAggregate(uint32_t source_id, uint32_t index_id, TimeRange t_range,
                                       AggregateMethod method, double percentile,
                                       QueryTrace* trace) const {
-  QueryTrace local;
-  QueryTrace* t = trace != nullptr ? trace : &local;
-  *t = QueryTrace{};
-  t->op = "indexed_aggregate";
-  t->detailed = trace != nullptr;
-  const bool timed = t->detailed || options_.enable_latency_metrics;
-  const uint64_t t0 = timed ? MetricsNowNanos() : 0;
-  Result<double> result =
-      IndexedAggregateImpl(source_id, index_id, t_range, method, percentile, t);
-  if (timed) {
-    t->total_nanos = MetricsNowNanos() - t0;
-  }
-  FoldTraceIntoMetrics(*t, m_.aggregate_seconds);
-  return result;
+  return RunOperator<Result<double>>(
+      "indexed_aggregate", m_.aggregate_seconds, trace,
+      [&](uint64_t floor, QueryTrace* t) -> Result<double> {
+        auto idx = GetIndexSnapshot(source_id, index_id);
+        if (!idx.ok()) {
+          return idx.status();
+        }
+        if (method == AggregateMethod::kPercentile && (percentile < 0.0 || percentile > 100.0)) {
+          return Status::InvalidArgument("percentile must be in [0, 100]");
+        }
+        BinAccumulation acc;
+        LOOM_RETURN_IF_ERROR(
+            AccumulateBins(source_id, index_id, idx.value(), t_range, floor, &acc, t));
+        const BinStats& merged = acc.merged;
+        if (method == AggregateMethod::kCount) {
+          return static_cast<double>(merged.count);
+        }
+        if (method == AggregateMethod::kSum) {
+          return merged.sum;
+        }
+        if (merged.count == 0) {
+          return Status::NotFound("no data in range");
+        }
+        switch (method) {
+          case AggregateMethod::kMin:
+            return merged.min;
+          case AggregateMethod::kMax:
+            return merged.max;
+          case AggregateMethod::kMean:
+            return merged.sum / static_cast<double>(merged.count);
+          case AggregateMethod::kCount:
+          case AggregateMethod::kSum:
+          case AggregateMethod::kPercentile:
+            break;
+        }
+        return Percentile(source_id, index_id, idx.value(), t_range, percentile, acc, t);
+      });
 }
 
-Result<double> Loom::IndexedAggregateImpl(uint32_t source_id, uint32_t index_id,
-                                          TimeRange t_range, AggregateMethod method,
-                                          double percentile, QueryTrace* trace) const {
-  auto idx = GetIndexSnapshot(index_id);
-  if (!idx.ok()) {
-    return idx.status();
-  }
-  if (idx.value().source_id != source_id) {
-    return Status::InvalidArgument("index does not cover source");
-  }
-  if (method == AggregateMethod::kPercentile && (percentile < 0.0 || percentile > 100.0)) {
-    return Status::InvalidArgument("percentile must be in [0, 100]");
-  }
-  const HistogramSpec& spec = idx.value().spec;
-  const IndexFunc& func = idx.value().func;
-  BinAccumulation acc;
-  LOOM_RETURN_IF_ERROR(AccumulateIndexed(source_id, index_id, idx.value(), t_range, &acc, trace));
-  const Snapshot& snap = acc.snap;
-  BinStats& merged = acc.merged;
-  std::vector<uint64_t>& bin_counts = acc.bin_counts;
-  std::vector<double>& loose_values = acc.loose_values;
-  std::vector<BinAccumulation::MergedChunk>& fully_merged = acc.fully_merged;
-
-  switch (method) {
-    case AggregateMethod::kCount:
-      return static_cast<double>(merged.count);
-    case AggregateMethod::kSum:
-      return merged.sum;
-    case AggregateMethod::kMin:
-      if (merged.count == 0) {
-        return Status::NotFound("no data in range");
-      }
-      return merged.min;
-    case AggregateMethod::kMax:
-      if (merged.count == 0) {
-        return Status::NotFound("no data in range");
-      }
-      return merged.max;
-    case AggregateMethod::kMean:
-      if (merged.count == 0) {
-        return Status::NotFound("no data in range");
-      }
-      return merged.sum / static_cast<double>(merged.count);
-    case AggregateMethod::kPercentile:
-      break;
-  }
-
+Result<double> Loom::Percentile(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
+                                TimeRange t_range, double percentile, BinAccumulation& acc,
+                                QueryTrace* trace) const {
   // Holistic percentile: bins as a CDF (§4.3). Find the bin containing the
   // requested rank, then materialize only that bin's values.
-  const uint64_t total = merged.count;
-  if (total == 0) {
-    return Status::NotFound("no data in range");
-  }
+  const HistogramSpec& spec = idx.spec;
+  const std::vector<uint64_t>& bin_counts = acc.bin_counts;
+  const uint64_t total = acc.merged.count;
   uint64_t rank = static_cast<uint64_t>(std::ceil(percentile / 100.0 * static_cast<double>(total)));
   rank = std::max<uint64_t>(1, std::min(rank, total));
   uint32_t target_bin = 0;
@@ -2996,11 +2529,12 @@ Result<double> Loom::IndexedAggregateImpl(uint32_t source_id, uint32_t index_id,
   {
     // One kernel pass over all loosely-scanned values instead of a
     // binary-search per value (bit-exact with BinOf).
-    std::vector<uint32_t> loose_bins(loose_values.size());
-    spec.ClassifyBatch(*kernels_, loose_values.data(), loose_values.size(), loose_bins.data());
-    for (size_t i = 0; i < loose_values.size(); ++i) {
+    std::vector<uint32_t> loose_bins(acc.loose_values.size());
+    spec.ClassifyBatch(*kernels_, acc.loose_values.data(), acc.loose_values.size(),
+                       loose_bins.data());
+    for (size_t i = 0; i < acc.loose_values.size(); ++i) {
       if (loose_bins[i] == target_bin) {
-        bin_values.push_back(loose_values[i]);
+        bin_values.push_back(acc.loose_values[i]);
       }
     }
   }
@@ -3013,12 +2547,12 @@ Result<double> Loom::IndexedAggregateImpl(uint32_t source_id, uint32_t index_id,
   // overflow bin without moving min/max, so that bin rescans every interval.
   struct Interval {
     const BinStats* stats;
-    BinAccumulation::MergedChunk chunk;
+    const BinAccumulation::Folded* chunk;
   };
   std::vector<Interval> intervals;
   const bool bounded = target_bin + 1 < bin_counts.size();
-  for (const BinAccumulation::MergedChunk& mc : fully_merged) {
-    for (const ChunkSummary::Entry& e : mc.summary->entries) {
+  for (const BinAccumulation::Folded& fc : acc.folded) {
+    for (const ChunkSummary::Entry& e : fc.summary->entries) {
       if (e.source_id == source_id && e.index_id == index_id && e.bin == target_bin) {
         if (bounded && e.stats.count == 1) {
           bin_values.push_back(e.stats.min);
@@ -3026,7 +2560,7 @@ Result<double> Loom::IndexedAggregateImpl(uint32_t source_id, uint32_t index_id,
           bin_values.push_back(e.stats.min);
           bin_values.push_back(e.stats.max);
         } else {
-          intervals.push_back({&e.stats, mc});
+          intervals.push_back({&e.stats, &fc});
         }
         break;
       }
@@ -3054,7 +2588,13 @@ Result<double> Loom::IndexedAggregateImpl(uint32_t source_id, uint32_t index_id,
     return weighted.back().first;
   };
   uint64_t below = 0;  // values in intervals wholly below the answer
-  std::vector<BinAccumulation::MergedChunk> rescan;
+  QueryPlan stage2;
+  stage2.snap = acc.plan.snap;
+  std::vector<Candidate>& rescan = stage2.candidates;
+  const auto add_rescan = [&](const BinAccumulation::Folded& fc) {
+    rescan.push_back(*fc.cand);
+    rescan.back().summary = fc.summary;
+  };
   if (bounded && !intervals.empty()) {
     const double lower = rank_bound(false);  // L
     const double upper = rank_bound(true);   // U
@@ -3062,20 +2602,21 @@ Result<double> Loom::IndexedAggregateImpl(uint32_t source_id, uint32_t index_id,
       if (iv.stats->max < lower) {
         below += iv.stats->count;
       } else if (iv.stats->min <= upper) {
-        rescan.push_back(iv.chunk);
+        add_rescan(*iv.chunk);
       }
     }
   } else {
     for (const Interval& iv : intervals) {
-      rescan.push_back(iv.chunk);
+      add_rescan(*iv.chunk);
     }
   }
   // Only rescanned chunks move from pruned to scanned, so the trace invariant
   // (pruned + scanned == considered) keeps holding, in the tier_* family too
   // for chunks whose records now live in the archive.
   const size_t rescan_archived = static_cast<size_t>(
-      std::count_if(rescan.begin(), rescan.end(),
-                    [](const BinAccumulation::MergedChunk& mc) { return mc.archive_ref >= 0; }));
+      std::count_if(rescan.begin(), rescan.end(), [](const Candidate& c) {
+        return c.kind == Candidate::Kind::kArchive;
+      }));
   trace->chunks_pruned -= rescan.size();
   trace->chunks_summary_folded -= rescan.size();
   trace->chunks_scanned += rescan.size();
@@ -3087,107 +2628,57 @@ Result<double> Loom::IndexedAggregateImpl(uint32_t source_id, uint32_t index_id,
   // gets precise ranges and no read is wasted on a chunk a summary settles.
   // Archived rescans stream from their archives instead, so the ring only
   // runs when every rescan chunk is hot (slot indexes must line up).
-  std::unique_ptr<ChunkPrefetcher::Job> stage2_ring;
+  std::unique_ptr<ChunkPrefetcher::Job> ring;
   if (options_.prefetch_depth > 0 && rescan.size() >= 2 && rescan_archived == 0) {
     std::vector<ChunkPrefetcher::Range> ranges;
     ranges.reserve(rescan.size());
-    for (const BinAccumulation::MergedChunk& mc : rescan) {
+    for (const Candidate& c : rescan) {
+      const ChunkSummary& s = *c.summary;
       const uint64_t end =
-          std::min<uint64_t>(mc.summary->chunk_addr + mc.summary->chunk_len, snap.record_tail);
-      ranges.push_back({mc.summary->chunk_addr,
-                        static_cast<uint32_t>(end > mc.summary->chunk_addr
-                                                  ? end - mc.summary->chunk_addr
-                                                  : 0)});
+          std::min<uint64_t>(s.chunk_addr + s.chunk_len, stage2.snap.record_tail);
+      ranges.push_back(
+          {s.chunk_addr, static_cast<uint32_t>(end > s.chunk_addr ? end - s.chunk_addr : 0)});
     }
-    stage2_ring = prefetcher_.Submit(record_log_.get(), std::move(ranges),
-                                     options_.prefetch_depth);
+    ring = prefetcher_.Submit(record_log_.get(), std::move(ranges), options_.prefetch_depth);
+    stage2.ring = ring.get();
   }
-  std::vector<std::vector<double>> chunk_values(rescan.size());
-  auto scan_chunk = [&](size_t i, QueryTrace* t) -> Status {
-    const BinAccumulation::MergedChunk& mchunk = rescan[i];
-    // Collect the chunk's extracted values, then classify them in one kernel
-    // pass; order (and therefore nth_element input) matches the per-record
-    // BinOf filter exactly.
-    std::vector<double> vals;
-    auto collect = [&](const RecordView& view) -> bool {
-      std::optional<double> value = func(view.payload);
+  // Collect each rescanned chunk's values, classify them in one kernel pass
+  // (order, and so nth_element's input, matches a per-record BinOf filter)
+  // and keep the target bin's.
+  struct Op final : QueryOp {
+    const IndexSnapshot* idx = nullptr;
+    const KernelOps* kernels = nullptr;
+    uint32_t target_bin = 0;
+    std::vector<double>* bin_values = nullptr;
+    std::vector<uint32_t> bins;
+
+    bool OnRecord(const Candidate&, const RecordView& view, Outcome* o) override {
+      std::optional<double> value = idx->func(view.payload);
       if (value.has_value()) {
-        vals.push_back(*value);
+        o->values.push_back(*value);
       }
       return true;
-    };
-    Status st;
-    if (mchunk.archive_ref >= 0) {
-      st = ScanArchiveBlockFor(
-          acc.archive_candidates[static_cast<size_t>(mchunk.archive_ref)], source_id, t_range,
-          collect, t);
-    } else {
-      const ChunkSummary* mc = mchunk.summary;
-      const uint64_t end = std::min<uint64_t>(mc->chunk_addr + mc->chunk_len, snap.record_tail);
-      std::optional<std::vector<uint8_t>> pre;
-      if (stage2_ring != nullptr) {
-        pre = stage2_ring->Take(i);
-      }
-      std::span<const uint8_t> preloaded;
-      if (pre.has_value() && end > mc->chunk_addr && pre->size() >= end - mc->chunk_addr) {
-        preloaded =
-            std::span<const uint8_t>(pre->data(), static_cast<size_t>(end - mc->chunk_addr));
-      }
-      st = ScanRecordRangeFor(mc->chunk_addr, end, source_id, t_range, preloaded, collect, t);
     }
-    if (!st.ok()) {
-      return st;
-    }
-    std::vector<uint32_t> bins(vals.size());
-    spec.ClassifyBatch(*kernels_, vals.data(), vals.size(), bins.data());
-    for (size_t v = 0; v < vals.size(); ++v) {
-      if (bins[v] == target_bin) {
-        chunk_values[i].push_back(vals[v]);
-      }
-    }
-    return Status::Ok();
-  };
-  if (CanRunParallel() && rescan.size() >= kMinParallelCandidates) {
-    const std::vector<std::pair<size_t, size_t>> morsels =
-        MakeMorsels(rescan.size(), query_pool_->num_threads());
-    std::vector<Status> morsel_status(morsels.size());
-    std::vector<QueryTrace> morsel_traces(morsels.size());
-    for (QueryTrace& mt : morsel_traces) {
-      mt.detailed = trace->detailed;
-    }
-    std::atomic<bool> abort{false};
-    const QueryThreadPool::RunStats stats = query_pool_->Run(morsels.size(), [&](size_t mi) {
-      if (abort.load(std::memory_order_relaxed)) {
-        return;
-      }
-      const auto [begin, end] = morsels[mi];
-      for (size_t i = begin; i < end; ++i) {
-        Status st = scan_chunk(i, &morsel_traces[mi]);
-        if (!st.ok()) {
-          morsel_status[mi] = st;
-          abort.store(true, std::memory_order_relaxed);
-          return;
+    bool Consume(const Candidate&, Outcome& o) override {
+      bins.resize(o.values.size());
+      idx->spec.ClassifyBatch(*kernels, o.values.data(), o.values.size(), bins.data());
+      for (size_t v = 0; v < o.values.size(); ++v) {
+        if (bins[v] == target_bin) {
+          bin_values->push_back(o.values[v]);
         }
       }
-    });
-    trace->parallel_morsels += stats.morsels;
-    trace->parallel_workers += stats.workers_used;
-    for (const QueryTrace& mt : morsel_traces) {
-      trace->AbsorbWorker(mt);
+      return true;
     }
-    for (const Status& st : morsel_status) {
-      if (!st.ok()) {
-        return st;
-      }
-    }
-  } else {
-    for (size_t i = 0; i < rescan.size(); ++i) {
-      LOOM_RETURN_IF_ERROR(scan_chunk(i, trace));
-    }
-  }
-  for (const std::vector<double>& values : chunk_values) {
-    bin_values.insert(bin_values.end(), values.begin(), values.end());
-  }
+  };
+  Op op;
+  op.source_id = source_id;
+  op.t_range = t_range;
+  op.rescan = true;
+  op.idx = &idx;
+  op.kernels = kernels_;
+  op.target_bin = target_bin;
+  op.bin_values = &bin_values;
+  LOOM_RETURN_IF_ERROR(Execute(stage2, op, trace));
   // `below` values rank under the answer, and the bracket proves
   // below < local_rank, so the answer's rank among the rest is >= 1.
   const uint64_t rest_rank = local_rank - below;

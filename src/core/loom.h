@@ -20,8 +20,8 @@
 //     started QueryThreadPool and merge per-worker partials in candidate
 //     order, so results are byte-identical to serial execution. query_threads
 //     = 0 (the default) keeps the fully serial executor with its constant
-//     maximum memory footprint (§3); parallel scans buffer at most a bounded
-//     window of morsel results. Index functions must be thread-safe (pure
+//     maximum memory footprint (§3); parallel execution buffers at most a
+//     bounded window of morsel results. Index functions must be thread-safe (pure
 //     functions of the payload): with parallelism enabled they are evaluated
 //     concurrently from pool workers.
 //
@@ -63,6 +63,8 @@
 #include "src/tier/catalog.h"
 
 namespace loom {
+
+class CachedLogReader;
 
 struct LoomOptions {
   // Directory holding the three log files (record.log, chunk.idx, ts.idx).
@@ -338,7 +340,8 @@ class Loom {
   // chunk (or archived block) is read only when one of its bins overlapping
   // `v_range` has a [min, max] that overlaps `v_range` too, or when it holds
   // records that predate the index. Records are delivered in log
-  // (oldest-first) order.
+  // (oldest-first) order, except with both index layers off (the Fig. 16
+  // ablation): that mode is the paper's backward chain walk, newest-first.
   Status IndexedScan(uint32_t source_id, uint32_t index_id, TimeRange t_range, ValueRange v_range,
                      const RecordCallback& cb, QueryTrace* trace = nullptr) const;
 
@@ -457,15 +460,6 @@ class Loom {
     HistogramSpec spec = HistogramSpec::ExactMatch(0);
   };
 
-  // Point-in-time view used by one query (§4.4 capture order).
-  struct Snapshot {
-    uint64_t source_tail = kNullAddr;  // chain head for the queried source
-    uint64_t indexed_tail = 0;         // record log address below which chunks are summarized
-    uint64_t ts_tail = 0;
-    uint64_t chunk_tail = 0;
-    uint64_t record_tail = 0;
-  };
-
   // `options.metrics` is already resolved (never null) by Open(); when the
   // engine owns the registry, Open passes it in via `owned_metrics` so the
   // hybrid logs could register against it before construction.
@@ -534,177 +528,104 @@ class Loom {
   // shard that hit it.
   Status PipelineStatus() const;
 
-  // Query internals. Public query operators are thin wrappers that install a
-  // trace (local when the caller passed none), time the call, run the *Impl
-  // body, and fold the finished trace into the metrics registry. Internal
-  // composition (ablation fallbacks, percentile stage 2) calls the Impl
-  // directly so one query folds exactly once.
-  Status RawScanImpl(uint32_t source_id, TimeRange t_range, const RecordCallback& cb,
-                     QueryTrace* trace) const;
-  Status IndexedScanValuesImpl(uint32_t source_id, uint32_t index_id, TimeRange t_range,
-                               ValueRange v_range, const ValueCallback& cb,
-                               QueryTrace* trace) const;
-  Result<uint64_t> CountRecordsImpl(uint32_t source_id, TimeRange t_range,
-                                    QueryTrace* trace) const;
-  Result<double> IndexedAggregateImpl(uint32_t source_id, uint32_t index_id, TimeRange t_range,
-                                      AggregateMethod method, double percentile,
-                                      QueryTrace* trace) const;
-  Snapshot TakeSnapshot(const SourceState* src) const;
+  // --- Query planner and executor (DESIGN.md, "Query executor") ---------
+  //
+  // Every operator takes the same path (§4.3). The planner emits the query's
+  // candidates in delivery order: archived blocks with their zone maps,
+  // hot chunks by summary address, and the unindexed tail. The executor
+  // loads and filters each candidate, classifies it with ClassifyZone
+  // (prune, fold or scan), reads records only to scan, and hands each
+  // outcome in candidate order to the operator's policy, a QueryOp. Serial
+  // execution is that loop on the calling thread; parallel execution runs
+  // the same per-candidate step as morsels on the query pool.
+
+  // Point-in-time view used by one query (§4.4 capture order), plus the
+  // retention floor the query pinned for its lifetime: the archive tier
+  // serves the chunks below `floor` and the hot tier the rest, so a
+  // demotion pass landing mid-query can neither duplicate nor drop records.
+  struct Snapshot {
+    uint64_t source_tail = kNullAddr;  // chain head for the queried source
+    uint64_t indexed_tail = 0;         // record log address below which chunks are summarized
+    uint64_t ts_tail = 0;
+    uint64_t chunk_tail = 0;
+    uint64_t record_tail = 0;
+    uint64_t floor = 0;
+  };
+  // Defined in loom.cc: a planned unit of work, the plan, what the executor
+  // made of one candidate, an operator's policy, the emit-matches policy the
+  // two scans share, and the fold-bins state of IndexedAggregate /
+  // IndexedHistogram.
+  struct Candidate;
+  struct QueryPlan;
+  struct Outcome;
+  struct QueryOp;
+  struct EmitOp;
+  struct BinAccumulation;
+
+  // The one wrapper of the public operators: installs a trace (a local one
+  // when the caller passed none), pins the retention floor, times the call,
+  // runs body(floor, trace) and folds the finished trace into the metrics.
+  template <typename R, typename Body>
+  R RunOperator(const char* op, Histogram* latency, QueryTrace* trace, const Body& body) const;
+
+  Snapshot TakeSnapshot(const SourceState* src, uint64_t floor) const;
+  // The index's reader-side definition; the second form also checks that
+  // it covers `source_id`.
   Result<IndexSnapshot> GetIndexSnapshot(uint32_t index_id) const;
+  Result<IndexSnapshot> GetIndexSnapshot(uint32_t source_id, uint32_t index_id) const;
   const SourceState* FindSource(uint32_t source_id) const;
 
-  // A query's planned candidate chunks. In timestamp-index mode the plan
-  // holds only summary-frame addresses (collected with a cheap forward sweep
-  // of the timestamp index — no summary reads), so the expensive summary
-  // load + decode + filter runs per candidate, possibly on pool workers. In
-  // the chunk-index-only ablation mode the serial chunk-log sweep already
-  // decoded and filtered the summaries.
-  struct CandidatePlan {
-    std::vector<uint64_t> addrs;  // summary frame addresses, oldest-first
-    std::vector<std::shared_ptr<const ChunkSummary>> preloaded;  // ablation mode
-    bool use_preloaded = false;
-    size_t size() const { return use_preloaded ? preloaded.size() : addrs.size(); }
-  };
-  Status PlanCandidates(const Snapshot& snap, TimeRange t_range, CandidatePlan* plan,
+  // Snapshots op.source_id at `floor` and emits its candidates. The Fig. 16
+  // ablation modes are plan choices: without a timestamp index the hot chunks
+  // come from a sweep of the chunk log, without a chunk index the plan is one
+  // forward range, and with neither (or for RawScan) it walks the chain.
+  Status Plan(const QueryOp& op, uint64_t floor, QueryPlan* plan, QueryTrace* trace) const;
+  // RawScan's chain: one segment, or one per record marker when the walk
+  // can fan out.
+  Status PlanChain(const QueryOp& op, const Snapshot& snap, std::vector<Candidate>* out) const;
+  // Appends the archived blocks overlapping `t_range` whose chunks sit wholly
+  // below `floor`, in demotion (= hot-log address, = time) order; the hot
+  // tier serves the rest. Counts consulted archives into `trace`.
+  void PlanArchiveCandidates(uint64_t floor, TimeRange t_range, std::vector<Candidate>* out,
+                             QueryTrace* trace) const;
+  // Plans `op` and executes the plan.
+  Status Query(QueryOp& op, uint64_t floor, QueryTrace* trace) const;
+  // Runs the plan's candidates and hands each outcome to op.Consume in plan
+  // order, counting summarized candidates into the trace. Memory stays
+  // bounded: serially by one candidate, in parallel by a window of morsels.
+  Status Execute(const QueryPlan& plan, QueryOp& op, QueryTrace* trace) const;
+  // The per-candidate step, safe to run concurrently for distinct
+  // candidates: loads and filters a hot chunk's summary, classifies the
+  // candidate, and reads its records only when the zone says scan. Chain
+  // segments read through `chain_reader`, the running thread's own.
+  Status RunCandidate(const QueryPlan& plan, size_t c, QueryOp& op, Outcome* out,
+                      CachedLogReader* chain_reader, QueryTrace* trace) const;
+  // Walks one chain segment newest-first, batching headers through the
+  // vectorized time filter; the walk itself is data-dependent.
+  Status WalkChain(const Candidate& seg, const Snapshot& snap, QueryOp& op, Outcome* out,
+                   CachedLogReader* reader, QueryTrace* trace) const;
+  // The fold-bins pass shared by IndexedAggregate and IndexedHistogram.
+  Status AccumulateBins(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
+                        TimeRange t_range, uint64_t floor, BinAccumulation* acc,
                         QueryTrace* trace) const;
-
-  // Per-candidate outcome, produced by a worker (or inline when serial) and
-  // folded by the coordinator strictly in candidate order — that ordering is
-  // what keeps parallel results byte-identical to serial execution, double
-  // non-associativity included.
-  struct ChunkOutcome {
-    enum class Kind : uint8_t {
-      kFiltered,  // failed the snapshot/retention/time filters: not a candidate
-      kPruned,    // summary settled it without record reads
-      kFolded,    // summary bins folded into the aggregate (subset of pruned)
-      kScanned,   // record data was read
-    };
-    Kind kind = Kind::kFiltered;
-    std::shared_ptr<const ChunkSummary> summary;
-    // Aggregate/histogram path: scanned (value, arrival ts) pairs, log order.
-    std::vector<std::pair<double, TimestampNanos>> values;
-    // IndexedScanValues path: buffered matches, log order. The payload is
-    // copied out of the scan window so emission can happen later on the
-    // coordinator.
-    struct Match {
-      double value = 0.0;
-      TimestampNanos ts = 0;
-      uint64_t addr = 0;
-      std::vector<uint8_t> payload;
-    };
-    std::vector<Match> matches;
-  };
-
-  // Loads candidate `c` of the plan and applies the candidate filters
-  // (retention floor re-checked here, per worker / per morsel; snapshot
-  // boundary; time-range overlap). A filtered-out candidate yields a null
-  // summary. Counts cache hits/misses into `trace`.
-  Result<std::shared_ptr<const ChunkSummary>> LoadCandidate(const CandidatePlan& plan, size_t c,
-                                                            const Snapshot& snap,
-                                                            TimeRange t_range,
-                                                            QueryTrace* trace) const;
-
-  // Classifies + processes one candidate for the aggregate/histogram path.
-  // Safe to call concurrently for distinct candidates. A candidate's record
-  // chunk is read here, by the calling thread, and only when its summary
-  // says scan.
-  Status ProcessAggregateCandidate(uint32_t source_id, uint32_t index_id,
-                                   const IndexSnapshot& idx, TimeRange t_range,
-                                   const Snapshot& snap, const CandidatePlan& plan, size_t c,
-                                   ChunkOutcome* out, QueryTrace* trace) const;
-  // Same for the IndexedScanValues path (prune decision + buffered matches).
-  Status ProcessScanCandidate(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
-                              TimeRange t_range, ValueRange v_range, uint32_t first_bin,
-                              uint32_t last_bin, const Snapshot& snap, const CandidatePlan& plan,
-                              size_t c, ChunkOutcome* out, QueryTrace* trace) const;
-
+  // Holistic percentile over a non-empty accumulation: the bins as a CDF
+  // name the target bin, then stage 2 rescans only the folded chunks whose
+  // target-bin [min, max] cannot place the answer (DESIGN.md, "Bin-level
+  // zone maps").
+  Result<double> Percentile(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
+                            TimeRange t_range, double percentile, BinAccumulation& acc,
+                            QueryTrace* trace) const;
   // True when this query may fan out to the pool (pool configured and the
   // caller is not itself a pool worker — no nested parallelism).
   bool CanRunParallel() const;
 
-  // Parallel backward chain walk for RawScan: record-marker targets partition
-  // the chain into segments scanned by workers, with ordered (newest-first)
-  // emission on the caller. Sets *executed = false (caller falls back to the
-  // serial walk) when the range yields too few segments to be worth it.
-  Status RawScanParallel(uint32_t source_id, TimeRange t_range, const Snapshot& snap,
-                         uint64_t start, const RecordCallback& cb, QueryTrace* trace,
-                         bool* executed) const;
-
-  // Collects summaries of fully-indexed chunks overlapping `t_range`
-  // (oldest-first), honoring the snapshot boundary: PlanCandidates + serial
-  // in-order loads. Summaries are shared with the decoded-summary cache —
-  // never mutated.
-  Status CollectCandidateSummaries(const Snapshot& snap, TimeRange t_range,
-                                   std::vector<std::shared_ptr<const ChunkSummary>>& out,
-                                   QueryTrace* trace) const;
-
-  // --- Tiered storage internals (archive_dir set) --------------------------
-
-  // One archived block a query may have to consult: the zone map points into
-  // the reader's footer, and the shared reader keeps it alive for the whole
-  // query even if the catalog grows concurrently.
-  struct ArchiveCandidate {
-    std::shared_ptr<const ArchiveReader> reader;
-    size_t block = 0;
-    const ChunkSummary* summary = nullptr;  // zone map, owned by `reader`
-  };
-  // Collects archived blocks overlapping `t_range` whose chunks sit wholly
-  // below `floor` (the hot retention floor snapshotted at plan time), in
-  // demotion (= hot-log address, = time) order. Blocks at or above the floor
-  // are excluded — the hot tier still serves those chunks, so the two tiers
-  // never double-deliver. Counts consulted archives into `trace`.
-  std::vector<ArchiveCandidate> PlanArchiveCandidates(uint64_t floor, TimeRange t_range,
-                                                      QueryTrace* trace) const;
   // Decompresses one archived block and streams its records filtered by
   // (source_id, t_range), reproducing the original hot-log RecordViews from
   // the stored address column. Accounts examined records and compressed
   // bytes (bytes_read and tier_bytes_read) into `trace`.
-  Status ScanArchiveBlockFor(const ArchiveCandidate& cand, uint32_t source_id,
-                             TimeRange t_range,
+  Status ScanArchiveBlockFor(const Candidate& cand, uint32_t source_id, TimeRange t_range,
                              const std::function<bool(const RecordView&)>& fn,
                              QueryTrace* trace) const;
-  // Archive-tier continuation of RawScan, run after the hot backward walk:
-  // emits matching archived records newest block first, records within each
-  // block reversed, so the overall delivery stays newest-first. Blocks are
-  // pruned by zone-map presence and counted into both the main chunks_* and
-  // the tier_* trace families.
-  Status RawScanArchiveTier(uint32_t source_id, TimeRange t_range, const RecordCallback& cb,
-                            QueryTrace* trace) const;
-  // Opens the catalog (startup sweep included), pins the retention barrier
-  // at 0 so nothing is dropped before it is archived, registers the tier
-  // gauges, and starts the background demoter when demote_interval_ms > 0.
-  Status InitTiering();
-  void DemoterMain();
-  // One demotion pass body. Caller holds demote_mu_.
-  Status DemoteOnce();
-
-  // Shared accumulation phase of IndexedAggregate / IndexedHistogram: folds
-  // chunk summaries where possible and scans partial/unindexed/active data.
-  struct BinAccumulation {
-    Snapshot snap;
-    BinStats merged;
-    std::vector<uint64_t> bin_counts;
-    // Values from records that had to be scanned (bounded: a few chunks).
-    std::vector<double> loose_values;
-    // Collected once per query; the percentile path reuses this vector for
-    // its second (target-bin materialization) stage instead of re-reading.
-    std::vector<std::shared_ptr<const ChunkSummary>> candidates;
-    // Archived blocks this query consulted (readers keep zone maps alive).
-    std::vector<ArchiveCandidate> archive_candidates;
-    // Candidates folded purely from summary bins (percentile stage 2 rescans
-    // only those whose target-bin [min, max] cannot be placed against the
-    // answer without their records). `summary` points
-    // into `candidates` or an `archive_candidates` footer; `archive_ref`
-    // says which tier a stage-2 rescan must read (-1 = hot record log,
-    // otherwise an index into archive_candidates).
-    struct MergedChunk {
-      const ChunkSummary* summary = nullptr;
-      int archive_ref = -1;
-    };
-    std::vector<MergedChunk> fully_merged;
-  };
-  Status AccumulateIndexed(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
-                           TimeRange t_range, BinAccumulation* out, QueryTrace* trace) const;
   // Returns the summary frame at `addr`, from the decoded-summary cache when
   // possible, falling back to two log reads + decode (and then populating
   // the cache).
@@ -713,6 +634,16 @@ class Loom {
   // Lazily drops cached summaries for chunks the record log no longer
   // retains. Called from query threads when the floor advanced.
   void MaybeInvalidateCacheForRetention(uint64_t floor) const;
+
+  // --- Tiered storage internals (archive_dir set) --------------------------
+
+  // Opens the catalog (startup sweep included), pins the retention barrier
+  // at 0 so nothing is dropped before it is archived, registers the tier
+  // gauges, and starts the background demoter when demote_interval_ms > 0.
+  Status InitTiering();
+  void DemoterMain();
+  // One demotion pass body. Caller holds demote_mu_.
+  Status DemoteOnce();
 
   // Scans records in [from, to) of the record log, invoking `fn` for every
   // record (all sources). `fn` returns false to stop. Records examined and
@@ -724,20 +655,21 @@ class Loom {
                          const std::function<bool(const RecordView&)>& fn,
                          QueryTrace* trace) const;
   // Filtered variant: only records matching (source_id, t_range) reach `fn`;
-  // the predicate runs vectorized over each decoded batch. Trace accounting
-  // (records_examined / bytes_read) still covers every record visited,
-  // matching the unfiltered scan with an fn-side filter bit for bit.
-  // `preloaded`, when non-empty, holds the record bytes starting at `from`
-  // (a prefetched chunk); spans inside it skip the read cache entirely.
+  // the predicate runs vectorized over each decoded batch, and the scan ends
+  // after the batch that passes t_range.end (log order is arrival order).
+  // Trace accounting (records_examined / bytes_read) still covers every
+  // record visited.
   Status ScanRecordRangeFor(uint64_t from, uint64_t to, uint32_t source_id, TimeRange t_range,
-                            std::span<const uint8_t> preloaded,
                             const std::function<bool(const RecordView&)>& fn,
                             QueryTrace* trace) const;
-  // Shared body of the two variants above.
+  // Shared body of the two variants above. The executor calls it with its
+  // own callable, so a record reaches the operator in one indirect call.
+  // `preloaded`, when non-empty, holds the record bytes starting at `from`
+  // (a prefetched chunk); spans inside it skip the read cache entirely.
+  template <typename Fn>
   Status ScanRecordRangeInternal(uint64_t from, uint64_t to, bool filtered, uint32_t source_id,
                                  TimeRange t_range, std::span<const uint8_t> preloaded,
-                                 const std::function<bool(const RecordView&)>& fn,
-                                 QueryTrace* trace) const;
+                                 const Fn& fn, QueryTrace* trace) const;
 
   const LoomOptions options_;
   Clock* clock_;

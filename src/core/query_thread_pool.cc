@@ -8,7 +8,7 @@ namespace {
 thread_local bool t_on_worker_thread = false;
 }  // namespace
 
-// Shared state of one Run/RunOrdered invocation. Workers and the caller claim
+// Shared state of one RunOrdered invocation. Workers and the caller claim
 // morsels via `next`; completion is tracked per morsel (`done`) so the caller
 // can consume strictly in order while production runs ahead, bounded by
 // `window`. The caller marks the run `finished` before returning; a worker
@@ -140,19 +140,9 @@ bool QueryThreadPool::WorkBody(RunState& state) {
   return worked;
 }
 
-QueryThreadPool::RunStats QueryThreadPool::Run(size_t n, const std::function<void(size_t)>& fn) {
-  return RunImpl(n, 0, fn, nullptr);
-}
-
 QueryThreadPool::RunStats QueryThreadPool::RunOrdered(size_t n, size_t window,
                                                       const std::function<void(size_t)>& fn,
                                                       const std::function<bool(size_t)>& consume) {
-  return RunImpl(n, window, fn, &consume);
-}
-
-QueryThreadPool::RunStats QueryThreadPool::RunImpl(size_t n, size_t window,
-                                                   const std::function<void(size_t)>& fn,
-                                                   const std::function<bool(size_t)>* consume) {
   RunStats stats;
   stats.morsels = n;
   if (n == 0) {
@@ -200,7 +190,7 @@ QueryThreadPool::RunStats QueryThreadPool::RunImpl(size_t n, size_t window,
       std::unique_lock<std::mutex> lock(state->mu);
       state->cv.wait(lock, [&] { return state->done[i].load(std::memory_order_acquire) != 0; });
     }
-    if (consume != nullptr && !(*consume)(i)) {
+    if (!consume(i)) {
       state->cancelled.store(true, std::memory_order_relaxed);
       stats.cancelled = true;
     }

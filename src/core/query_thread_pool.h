@@ -8,12 +8,10 @@
 // caller simply runs every morsel itself, which is also the degraded path
 // while workers are busy with other queries.
 //
-// Two execution shapes:
-//   * Run:        unordered fan-out; returns when every morsel finished.
-//   * RunOrdered: workers produce morsel results out of order, bounded to a
-//                 soft window ahead of consumption; the caller consumes
-//                 results strictly in morsel order (scan operators use this
-//                 to deliver callbacks in the exact serial order).
+// Workers produce morsel results out of order, bounded to a soft window
+// ahead of consumption; the caller consumes results strictly in morsel order
+// (the query executor uses this to fold outcomes and deliver callbacks in the
+// exact serial order).
 //
 // Morsel functions must not throw, and must not issue parallel queries
 // themselves — operators check OnWorkerThread() and fall back to serial
@@ -61,16 +59,13 @@ class QueryThreadPool {
   // process. Query operators refuse nested parallelism based on this.
   static bool OnWorkerThread();
 
-  // Runs fn(i) for every morsel i in [0, n). The caller participates and the
-  // call returns once all n morsels finished. `fn` may run concurrently with
-  // itself for distinct i.
-  RunStats Run(size_t n, const std::function<void(size_t)>& fn);
-
-  // Like Run, but additionally invokes consume(0), consume(1), ... strictly
-  // in order on the calling thread, each after fn(i) finished. Production
-  // runs at most `window` morsels ahead of consumption (0 = unbounded),
-  // bounding buffered results. consume(i) returning false cancels all
-  // not-yet-started morsels and returns early (stats.cancelled = true).
+  // Runs fn(i) for every morsel i in [0, n) and invokes consume(0),
+  // consume(1), ... strictly in order on the calling thread, each after fn(i)
+  // finished. The caller participates; `fn` may run concurrently with itself
+  // for distinct i. Production runs at most `window` morsels ahead of
+  // consumption (0 = unbounded), bounding buffered results. consume(i)
+  // returning false cancels all not-yet-started morsels and returns early
+  // (stats.cancelled = true).
   RunStats RunOrdered(size_t n, size_t window, const std::function<void(size_t)>& fn,
                       const std::function<bool(size_t)>& consume);
 
@@ -82,8 +77,6 @@ class QueryThreadPool {
   // Claims and runs morsels of `state` until none remain (or cancelled).
   // Returns true if this thread ran at least one morsel.
   static bool WorkBody(RunState& state);
-  RunStats RunImpl(size_t n, size_t window, const std::function<void(size_t)>& fn,
-                   const std::function<bool(size_t)>* consume);
 
   const size_t num_threads_;
 

@@ -249,6 +249,11 @@ void HybridLog::FlusherMain() {
           SteadyNowNanos() - first_unsynced_nanos >= group_interval_nanos) {
         group_commit();
       }
+      // Idle tick: retention a reader's pin held back catches up here once
+      // the pin goes, off the reader's thread, even with ingest paused.
+      if (retention_pending_.load() && retention_pending_.exchange(false)) {
+        AdvanceRetention(flushed_bytes_.load(std::memory_order_acquire));
+      }
       // Idle: sleep briefly rather than spin so the flusher does not compete
       // with the ingest thread for CPU (keeping probe effect low).
       std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -352,22 +357,68 @@ void HybridLog::ApplyRetention() {
   AdvanceRetention(flushed_bytes_.load(std::memory_order_acquire));
 }
 
-void HybridLog::AdvanceRetention(uint64_t tail_now) {
-  if (tail_now <= options_.retain_bytes) {
-    return;
-  }
-  const uint64_t bs = options_.block_size;
-  uint64_t new_floor = (tail_now - options_.retain_bytes) / bs * bs;
-  const uint64_t barrier = retention_barrier_.load(std::memory_order_acquire);
-  if (barrier != kNullAddr) {
-    new_floor = std::min(new_floor, barrier / bs * bs);
+uint64_t HybridLog::PinFloor() {
+  if (options_.retain_bytes == 0) {
+    return retained_floor();
   }
   std::lock_guard<std::mutex> lock(retention_mu_);
-  const uint64_t old_floor = retained_floor_.load(std::memory_order_relaxed);
-  if (new_floor > old_floor) {
-    retained_floor_.store(new_floor, std::memory_order_release);
-    (void)file_.PunchHole(old_floor, new_floor - old_floor);
+  // Where retention is headed, not where an older pin may be holding it:
+  // otherwise overlapping readers would each re-pin the held floor and keep
+  // retention stalled for as long as they overlap.
+  const uint64_t floor = std::max(retained_floor_.load(std::memory_order_relaxed),
+                                 UnpinnedFloor(flushed_bytes_.load(std::memory_order_acquire)));
+  pinned_floors_.push_back(floor);
+  return floor;
+}
+
+void HybridLog::UnpinFloor(uint64_t floor) {
+  if (options_.retain_bytes == 0) {
+    return;
   }
+  std::lock_guard<std::mutex> lock(retention_mu_);
+  *std::find(pinned_floors_.begin(), pinned_floors_.end(), floor) = pinned_floors_.back();
+  pinned_floors_.pop_back();
+  if (retention_held_) {
+    retention_held_ = false;  // re-set by the flusher if another pin holds it
+    retention_pending_.store(true);
+  }
+}
+
+uint64_t HybridLog::UnpinnedFloor(uint64_t tail_now) const {
+  if (tail_now <= options_.retain_bytes) {
+    return 0;
+  }
+  const uint64_t bs = options_.block_size;
+  uint64_t floor = (tail_now - options_.retain_bytes) / bs * bs;
+  const uint64_t barrier = retention_barrier_.load(std::memory_order_acquire);
+  if (barrier != kNullAddr) {
+    floor = std::min(floor, barrier / bs * bs);
+  }
+  return floor;
+}
+
+void HybridLog::AdvanceRetention(uint64_t tail_now) {
+  uint64_t old_floor = 0;
+  uint64_t new_floor = 0;
+  {
+    std::lock_guard<std::mutex> lock(retention_mu_);
+    new_floor = UnpinnedFloor(tail_now);
+    for (const uint64_t pin : pinned_floors_) {
+      if (pin < new_floor) {
+        new_floor = pin;
+        retention_held_ = true;
+      }
+    }
+    old_floor = retained_floor_.load(std::memory_order_relaxed);
+    if (new_floor <= old_floor) {
+      return;
+    }
+    retained_floor_.store(new_floor, std::memory_order_release);
+  }
+  // Outside the lock, so a reader pinning never waits on the punch: nothing
+  // can pin or read below the new floor any more, and advances punch
+  // disjoint ranges.
+  (void)file_.PunchHole(old_floor, new_floor - old_floor);
 }
 
 Status HybridLog::Close() {
@@ -483,6 +534,7 @@ HybridLogStats HybridLog::stats() const {
   s.snapshot_fallbacks = snapshot_fallbacks_.load(std::memory_order_relaxed);
   s.disk_reads = disk_reads_.load(std::memory_order_relaxed);
   s.memory_reads = memory_reads_.load(std::memory_order_relaxed);
+  s.retained_floor = retained_floor();
   return s;
 }
 

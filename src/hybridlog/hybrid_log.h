@@ -130,6 +130,7 @@ struct HybridLogStats {
   uint64_t snapshot_fallbacks = 0;
   uint64_t disk_reads = 0;
   uint64_t memory_reads = 0;
+  uint64_t retained_floor = 0;  // see HybridLog::retained_floor()
 };
 
 class HybridLog {
@@ -214,6 +215,20 @@ class HybridLog {
   // the barrier so demoted chunks are reclaimed without waiting for ingest.
   void ApplyRetention();
 
+  // --- Reader floor pins (any thread) ------------------------------------
+  // Pins a floor and returns it: the one retention is headed for (the
+  // retained window's start, clamped to the barrier), never below the
+  // applied floor. Until the matching UnpinFloor, retention never advances
+  // past the lowest pinned floor (like the barrier), so a reader may split
+  // its work at its floor and read everything at or above it. Later pins sit
+  // at or above earlier ones, so while readers overlap the lowest pin keeps
+  // rising and the floor lags by at most the oldest running reader.
+  // Retention a pin held back is applied by the flusher (its next batch, or
+  // its idle tick once the pin goes), never on the reader's thread. Free when
+  // retain_bytes == 0: the floor never moves then.
+  uint64_t PinFloor();
+  void UnpinFloor(uint64_t floor);
+
   HybridLogStats stats() const;
 
   // Full blocks queued for (or being) flushed. Approximate; safe from any
@@ -238,8 +253,11 @@ class HybridLog {
   HybridLog(File file, const HybridLogOptions& options);
 
   void FlusherMain();
-  // Shared floor-advance body of the flusher retention step and
-  // ApplyRetention: clamps to the barrier, then (under retention_mu_)
+  // The floor retention picks for `tail_now` when no pin holds it: the
+  // retained window's start (block aligned), clamped to the barrier.
+  uint64_t UnpinnedFloor(uint64_t tail_now) const;
+  // Shared floor-advance body of the flusher retention steps and
+  // ApplyRetention: clamps UnpinnedFloor to the lowest pin, then
   // monotonically advances the floor and punches the dropped range.
   void AdvanceRetention(uint64_t tail_now);
   // Ensures the slot for `block_no` is free to be (re)used by the writer.
@@ -276,9 +294,16 @@ class HybridLog {
   std::atomic<uint64_t> retained_floor_{0};
   // Tiered retention: the floor never passes the barrier (kNullAddr = no
   // limit). retention_mu_ serializes floor advancement between the flusher
-  // and ApplyRetention callers (rarely contended).
+  // and ApplyRetention callers, and guards the pins: the floor never passes
+  // the lowest pinned one either. It is held for a few loads and stores only
+  // (the hole punch runs outside it), so pinning readers barely wait on it.
+  // retention_held_ records that a pin held the floor back; the UnpinFloor
+  // that clears it raises retention_pending_ for the flusher's idle tick.
   std::atomic<uint64_t> retention_barrier_{kNullAddr};
   std::mutex retention_mu_;
+  std::vector<uint64_t> pinned_floors_;  // one per running reader; no allocation once warm
+  bool retention_held_ = false;
+  std::atomic<bool> retention_pending_{false};
 
   // Flush pipeline: block numbers travel writer -> flusher; kStopSentinel
   // terminates the flusher.

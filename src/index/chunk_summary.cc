@@ -74,6 +74,35 @@ Result<ChunkSummary> ChunkSummary::Decode(std::span<const uint8_t> bytes) {
   return s;
 }
 
+Result<bool> ChunkFrameIterator::Next(ChunkSummary* out) {
+  while (addr_ + 4 <= limit_) {
+    auto len_bytes = fetch_(addr_, 4);
+    if (!len_bytes.ok()) {
+      return len_bytes.status();
+    }
+    const uint32_t len = LoadU32(len_bytes.value().data());
+    if (len == kChunkPadFrame) {
+      addr_ = addr_ - addr_ % block_size_ + block_size_;
+      continue;
+    }
+    if (addr_ + 4 + len > limit_) {
+      return false;
+    }
+    auto body = fetch_(addr_ + 4, len);
+    if (!body.ok()) {
+      return body.status();
+    }
+    auto summary = ChunkSummary::Decode(body.value());
+    if (!summary.ok()) {
+      return summary.status();
+    }
+    *out = std::move(summary.value());
+    addr_ += 4 + len;
+    return true;
+  }
+  return false;
+}
+
 size_t ChunkSummaryBuilder::RegisterSlot(uint32_t source_id, uint32_t index_id,
                                          uint32_t num_bins) {
   // Reuse a dead slot if available.

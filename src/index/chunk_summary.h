@@ -15,6 +15,7 @@
 #define SRC_INDEX_CHUNK_SUMMARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -100,6 +101,34 @@ struct ChunkSummary {
 
   // Encoded byte size for this summary.
   size_t EncodedSize() const;
+};
+
+// Reads the frames of a chunk index log in log order. A frame is
+// `u32 len | ChunkSummary` (len bytes); a length of kChunkPadFrame is block
+// padding, and the next frame starts at the next block boundary. `fetch`
+// returns the log bytes [addr, addr + len), so one walker serves a live log
+// (through a windowed reader) and an in-memory copy alike.
+inline constexpr uint32_t kChunkPadFrame = 0xFFFFFFFFu;
+
+class ChunkFrameIterator {
+ public:
+  using Fetch = std::function<Result<std::span<const uint8_t>>(uint64_t addr, size_t len)>;
+
+  ChunkFrameIterator(Fetch fetch, uint64_t addr, uint64_t limit, size_t block_size)
+      : fetch_(std::move(fetch)), addr_(addr), limit_(limit), block_size_(block_size) {}
+
+  // Decodes the next frame that ends at or below `limit` into *out. Returns
+  // false once no whole frame remains.
+  Result<bool> Next(ChunkSummary* out);
+
+  // Address just past the last frame Next returned.
+  uint64_t addr() const { return addr_; }
+
+ private:
+  Fetch fetch_;
+  uint64_t addr_;
+  uint64_t limit_;
+  size_t block_size_;
 };
 
 // Accumulates the active chunk's summary on the write path. One builder per

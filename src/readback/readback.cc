@@ -164,29 +164,24 @@ Status ReadbackSession::RawScan(uint32_t source_id, TimeRange t_range,
 Status ReadbackSession::SummariesOverlapping(TimeRange t_range,
                                              std::vector<ChunkSummary>& out) const {
   out.clear();
-  uint64_t addr = 0;
-  const uint64_t limit = chunk_log_.size();
-  const size_t bs = chunk_index_block_size_;
-  while (addr + 4 <= limit) {
-    const uint32_t len = LoadU32(chunk_log_.data() + addr);
-    if (len == 0xFFFFFFFFu) {
-      addr = addr - (addr % bs) + bs;  // block padding
-      continue;
+  ChunkFrameIterator frames(
+      [this](uint64_t addr, size_t len) -> Result<std::span<const uint8_t>> {
+        return std::span<const uint8_t>(chunk_log_.data() + addr, len);
+      },
+      0, chunk_log_.size(), chunk_index_block_size_);
+  ChunkSummary summary;
+  for (;;) {
+    auto more = frames.Next(&summary);
+    if (!more.ok()) {
+      return more.status();
     }
-    if (addr + 4 + len > limit) {
-      break;
+    if (!more.value()) {
+      return Status::Ok();
     }
-    auto summary =
-        ChunkSummary::Decode(std::span<const uint8_t>(chunk_log_.data() + addr + 4, len));
-    if (!summary.ok()) {
-      return summary.status();
+    if (summary.max_ts >= t_range.start && summary.min_ts <= t_range.end) {
+      out.push_back(std::move(summary));
     }
-    if (summary->max_ts >= t_range.start && summary->min_ts <= t_range.end) {
-      out.push_back(std::move(summary.value()));
-    }
-    addr += 4 + len;
   }
-  return Status::Ok();
 }
 
 Status ReadbackSession::IndexedScan(uint32_t source_id, uint32_t index_id, TimeRange t_range,

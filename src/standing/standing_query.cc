@@ -269,8 +269,8 @@ StandingQueryEngine::Window& StandingQueryEngine::OpenWindow(Query& q, uint64_t 
   return w;
 }
 
-// Mirrors the one-shot planner's per-chunk decision (ProcessAggregateCandidate
-// + merge_outcome in loom.cc): prune on the presence timestamp span, fold the
+// Mirrors the one-shot executor's per-chunk decision (ClassifyZone + the
+// fold-bins policy in loom.cc): prune on the presence timestamp span, fold the
 // summary entries in entry order when the chunk is fully covered by one window
 // with every record indexed, otherwise rescan the chunk once and route each
 // record to its window by timestamp. The rescan is shared through `cache` —
@@ -437,7 +437,7 @@ void StandingQueryEngine::EmitWindow(Query& q, uint64_t window_index, const Wind
     r.max = -std::numeric_limits<double>::infinity();
     r.bin_counts.assign(q.hspec.num_bins(), 0);
   }
-  // Same result semantics as IndexedAggregateImpl: count/sum always have a
+  // Same result semantics as Loom::IndexedAggregate: count/sum always have a
   // value; min/max/mean are NotFound (has_value = false) on empty windows.
   switch (q.spec.aggregate) {
     case StandingAggregate::kCount:

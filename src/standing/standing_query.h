@@ -18,9 +18,10 @@
 // emitted window result equals the one-shot `IndexedAggregate` /
 // `IndexedHistogram` over the same inclusive time range, as long as the
 // underlying data is still retained or archived. The fold path replays the
-// exact per-chunk decision and merge order of the one-shot planner
-// (`ProcessAggregateCandidate`), and the scan path classifies through the
-// same `KernelOps`, so even the order-sensitive double `sum` matches.
+// exact per-chunk decision and merge order of the one-shot executor
+// (`ClassifyZone` and the fold-bins policy), and the scan path classifies
+// through the same `KernelOps`, so even the order-sensitive double `sum`
+// matches.
 //
 // Watermark / late-data rules (§5.4 publish order): the watermark is the
 // seal timestamp of the newest applied seal event, which the engine only

@@ -487,6 +487,24 @@ TEST_P(LoomAblationTest, QueriesCorrectInAllIndexModes) {
   auto p99 = loom_->IndexedAggregate(1, idx.value(), range, AggregateMethod::kPercentile, 99);
   ASSERT_TRUE(p99.ok());
   EXPECT_EQ(p99.value(), 98.0);
+
+  // NaN values count in every mode and land in the overflow bin, as the
+  // chunk summaries record them.
+  ASSERT_TRUE(loom_->DefineSource(2).ok());
+  auto nan_idx = loom_->DefineIndex(2, ValueIndexFunc(), spec);
+  ASSERT_TRUE(nan_idx.ok());
+  std::vector<double> with_nan;
+  for (int i = 0; i < 600; ++i) {
+    with_nan.push_back(i % 10 == 0 ? std::nan("") : i % 100);
+  }
+  PushValues(2, with_nan);
+  auto nan_count = loom_->IndexedAggregate(2, nan_idx.value(), {0, ~0ULL}, AggregateMethod::kCount);
+  ASSERT_TRUE(nan_count.ok());
+  EXPECT_EQ(nan_count.value(), 600.0);
+  auto nan_hist = loom_->IndexedHistogram(2, nan_idx.value(), {0, ~0ULL});
+  ASSERT_TRUE(nan_hist.ok());
+  EXPECT_EQ(std::accumulate(nan_hist->begin(), nan_hist->end(), uint64_t{0}), 600u);
+  EXPECT_EQ(nan_hist->back(), 60u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, LoomAblationTest,

@@ -102,6 +102,10 @@ class ParallelQueryTest : public ::testing::Test {
       double v = rng.NextLogNormal(32.0, 1.1);
       EXPECT_TRUE(engine->Push(kSource, ValuePayload(v)).ok());
     }
+    // Drain the sealing pipeline: a chunk still sealing is scanned as tail,
+    // and folding a summary rounds a sum differently from adding its values
+    // one by one, so engines compared bit for bit must be equally sealed.
+    EXPECT_TRUE(engine->Sync(kSource).ok());
     return engine;
   }
 
@@ -278,6 +282,14 @@ TEST_F(ParallelQueryTest, TraceInvariantHoldsAndMorselsAreUsed) {
   // partitioned them into more than one morsel.
   EXPECT_GT(trace.parallel_morsels, 1u);
   EXPECT_GE(trace.parallel_workers, 1u);
+
+  // CountRecords fans out the same way.
+  QueryTrace count_trace;
+  auto count = parallel_->CountRecords(kSource, {0, last + 1}, &count_trace);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.value(), kNumRecords);
+  EXPECT_EQ(count_trace.chunks_pruned + count_trace.chunks_scanned, count_trace.chunks_considered);
+  EXPECT_GT(count_trace.parallel_morsels, 1u);
 
   // A narrow query under the morsel threshold stays serial.
   QueryTrace narrow;

@@ -70,6 +70,12 @@ TEST_F(NetTest, RoundTripOverLoopback) {
                   .ok());
   EXPECT_EQ(count, 5000);
   EXPECT_DOUBLE_EQ(sum, 5000.0 * 4999.0 / 2);
+  // The server counts a wave only after publishing it, so the daemon may
+  // have stored (and the scan read) the records before the count lands.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->stats().records < 5000 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   EXPECT_EQ(server_->stats().records, 5000u);
 }
 

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
+#include <memory>
+#include <thread>
 
 #include "src/common/file.h"
 #include "src/core/loom.h"
@@ -56,6 +60,48 @@ TEST(HybridLogRetentionTest, FloorAdvancesAndOldReadsFail) {
   // Tail is always retained.
   ASSERT_TRUE((*log)->Read((*log)->queryable_tail() - 256, out).ok());
   EXPECT_EQ(out, cell);
+}
+
+// Readers whose pins overlap without a gap must not stall retention: each
+// pins where retention is headed, so as the older reader unpins, the floor
+// advances to the newer reader's pin although some pin is held throughout.
+TEST(HybridLogRetentionTest, OverlappingPinsDoNotStallRetention) {
+  TempDir dir;
+  HybridLogOptions opts;
+  opts.block_size = 1024;
+  opts.retain_bytes = 4096;
+  auto log = HybridLog::Create(dir.FilePath("log"), opts);
+  ASSERT_TRUE(log.ok());
+  std::vector<uint8_t> cell(256, 0xAB);
+  // Appends 16 KiB (4x the retained window) and waits until the flusher has
+  // written every full block, so the pin below sees where retention is headed.
+  const auto ingest = [&] {
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_TRUE((*log)->Append(cell).ok());
+    }
+    (*log)->Publish();
+    const uint64_t handed = ((*log)->queryable_tail() - 1) / opts.block_size * opts.block_size;
+    for (int spin = 0; spin < 5000 && (*log)->flushed_tail() < handed; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GE((*log)->flushed_tail(), handed);
+  };
+  uint64_t held = (*log)->PinFloor();
+  for (int round = 0; round < 4; ++round) {
+    ingest();
+    const uint64_t floor = (*log)->retained_floor();
+    EXPECT_LE(floor, held) << "round " << round;  // the pin holds retention back
+    const uint64_t next = (*log)->PinFloor();      // the next reader starts...
+    EXPECT_GT(next, floor) << "round " << round;
+    (*log)->UnpinFloor(held);  // ...before the older one ends
+    // The flusher applies the held-back retention on its own, ingest paused.
+    for (int spin = 0; spin < 5000 && (*log)->retained_floor() < next; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ((*log)->retained_floor(), next) << "round " << round;
+    held = next;
+  }
+  (*log)->UnpinFloor(held);
 }
 
 TEST(HybridLogRetentionTest, DisabledByDefault) {
@@ -164,6 +210,73 @@ TEST_F(LoomRetentionTest, QueriesReturnRetainedSuffix) {
   auto counted = loom_->CountRecords(1, {0, ~0ULL});
   ASSERT_TRUE(counted.ok());
   EXPECT_EQ(counted.value(), seen.size());
+}
+
+// Two query threads whose queries always overlap: each holds its scan open
+// (blocked in its first callback, pin held) until the other's has started,
+// so some query pins the floor at every moment. Retention must still keep
+// pace with ingest.
+TEST_F(LoomRetentionTest, OverlappingQueriesDoNotStallRetention) {
+  // A RawScan on its own thread, held open (blocked in its first callback,
+  // its floor pinned) until the object is destroyed.
+  class OpenQuery {
+   public:
+    explicit OpenQuery(Loom* loom) {
+      std::shared_future<void> release = release_.get_future().share();
+      thread_ = std::thread([this, loom, release] {
+        bool first = true;
+        EXPECT_TRUE(loom->RawScan(1, {0, ~0ULL},
+                                  [&](const RecordView&) {
+                                    if (first) {
+                                      first = false;
+                                      started_.set_value();
+                                      release.wait();
+                                    }
+                                    return true;
+                                  })
+                        .ok());
+      });
+      started_.get_future().wait();
+    }
+    ~OpenQuery() {
+      release_.set_value();
+      thread_.join();
+    }
+    OpenQuery(const OpenQuery&) = delete;
+    OpenQuery& operator=(const OpenQuery&) = delete;
+
+   private:
+    std::promise<void> started_;
+    std::promise<void> release_;
+    std::thread thread_;
+  };
+  int next_value = 0;
+  // Pushes `n` records and waits for the flusher to write every full block.
+  const auto ingest = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      clock_.AdvanceNanos(100);
+      ASSERT_TRUE(loom_->Push(1, ValuePayload(next_value++)).ok());
+    }
+    const uint64_t full_blocks = loom_->stats().record_log.bytes_appended / 4096;
+    for (int spin = 0; spin < 5000 && loom_->stats().record_log.blocks_flushed < full_blocks;
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(loom_->stats().record_log.blocks_flushed, full_blocks);
+  };
+
+  ingest(2000);  // ~144 KiB, well past the 32 KiB window
+  auto held = std::make_unique<OpenQuery>(loom_.get());
+  for (int round = 0; round < 4; ++round) {
+    ingest(2000);
+    const uint64_t floor = loom_->stats().record_log.retained_floor;
+    auto next = std::make_unique<OpenQuery>(loom_.get());
+    held = std::move(next);  // the older query ends only after the next started
+    for (int spin = 0; spin < 5000 && loom_->stats().record_log.retained_floor <= floor; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(loom_->stats().record_log.retained_floor, floor) << "round " << round;
+  }
 }
 
 TEST_F(LoomRetentionTest, RecentWindowUnaffectedByRetention) {

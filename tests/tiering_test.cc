@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <thread>
 
 #include "src/common/codec.h"
@@ -582,6 +583,56 @@ TEST_F(TieringTest, BackgroundDemoterArchivesWhileQueriesRun) {
   EXPECT_EQ(count.value(), 12000u);
   auto raw = CollectRaw(1);
   EXPECT_EQ(raw.size(), 12000u);
+}
+
+// A demotion pass that lands mid-query must not move the tier boundary under
+// the query: the query pinned the retention floor, both tiers split where it
+// stood, and every record arrives exactly once. Each callback demotes one
+// more chunk, so the passes overtake the newest-first walk.
+TEST_F(TieringTest, DemotionDuringRawScanDeliversEveryRecordOnce) {
+  LoomOptions opts = BaseOptions();
+  opts.demote_batch_chunks = 1;
+  OpenEngine(opts);
+  Ingest(8000);
+  DrainFlusher();
+  std::set<uint64_t> unique;
+  uint64_t delivered = 0;
+  ASSERT_TRUE(loom_
+                  ->RawScan(1, {0, ~0ULL},
+                            [&](const RecordView& r) {
+                              ++delivered;
+                              unique.insert(r.addr);
+                              EXPECT_TRUE(loom_->DemoteNow().ok());
+                              return true;
+                            })
+                  .ok());
+  EXPECT_GE(loom_->ArchiveCount(), 1u);
+  EXPECT_EQ(delivered, 8000u);
+  EXPECT_EQ(unique.size(), 8000u);
+}
+
+// The same for an oldest-first operator: hot chunks the passes demote while
+// the query runs stay readable until it ends, so none is dropped.
+TEST_F(TieringTest, DemotionDuringIndexedScanDeliversEveryRecordOnce) {
+  LoomOptions opts = BaseOptions();
+  opts.demote_batch_chunks = 1;
+  OpenEngine(opts);
+  Ingest(8000);
+  DrainFlusher();
+  std::set<uint64_t> unique;
+  uint64_t delivered = 0;
+  ASSERT_TRUE(loom_
+                  ->IndexedScan(1, index_id_, {0, ~0ULL}, {0, 1e9},
+                                [&](const RecordView& r) {
+                                  ++delivered;
+                                  unique.insert(r.addr);
+                                  EXPECT_TRUE(loom_->DemoteNow().ok());
+                                  return true;
+                                })
+                  .ok());
+  EXPECT_GE(loom_->ArchiveCount(), 1u);
+  EXPECT_EQ(delivered, 8000u);
+  EXPECT_EQ(unique.size(), 8000u);
 }
 
 TEST_F(TieringTest, WithoutArchiveDirRetentionStaysLossy) {

@@ -2,13 +2,18 @@
 # ThreadSanitizer smoke test for the concurrent query paths.
 #
 # Configures the tsan preset (build-tsan/, LOOM_SANITIZE=thread), builds only
-# the two concurrency-sensitive test binaries, and runs them with
+# the concurrency-sensitive test binaries, and runs them with
 # halt_on_error so any data race fails fast. This covers:
 #
 #   loom_concurrency_test     queries (serial and morsel-parallel) racing
 #                             live ingest, block recycling, and retention
 #   loom_parallel_query_test  the pool-backed executor: RunOrdered emission,
-#                             worker trace absorption, per-morsel floor checks
+#                             worker trace absorption, pinned-floor splits
+#   loom_engine_test          the differential suite, whose _threads4 and
+#                             _threads4_archived cases run every operator in
+#                             parallel across both tiers
+#   retention_test            query threads pinning retention floors while
+#                             the flusher advances and applies held retention
 #   loom_ingest_pipeline_test the pipelined write path: the sealing workers'
 #                             SealEvent queues, drains, and concurrent readers
 #   loom_seal_shards_test     sharded sealing: four workers racing on the
@@ -33,13 +38,15 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="$repo/build-tsan"
 
 cmake --preset tsan -S "$repo" >/dev/null
-cmake --build "$build" --target loom_concurrency_test loom_parallel_query_test \
-  loom_ingest_pipeline_test loom_seal_shards_test tiering_test standing_query_test \
-  net_test daemon_test -j "$(nproc)"
+cmake --build "$build" --target loom_concurrency_test loom_parallel_query_test loom_engine_test \
+  retention_test loom_ingest_pipeline_test loom_seal_shards_test tiering_test \
+  standing_query_test net_test daemon_test -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 "$build/tests/loom_concurrency_test"
 "$build/tests/loom_parallel_query_test"
+"$build/tests/loom_engine_test"
+"$build/tests/retention_test"
 "$build/tests/loom_ingest_pipeline_test"
 "$build/tests/loom_seal_shards_test"
 "$build/tests/tiering_test"
