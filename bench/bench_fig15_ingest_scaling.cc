@@ -70,20 +70,10 @@ CellResult RunHybridLog(const std::string& file_path, size_t record_size, uint64
 // keeps of the raw hybrid-log ceiling once indexing rides along, and what
 // batching the source lookup / clock read / publish fence buys.
 CellResult RunLoomEngine(const std::string& dir, size_t record_size, uint64_t records,
-                         uint64_t seed, MetricsSnapshot* metrics_out,
-                         bool pipelined = false, size_t seal_shards = 1) {
+                         uint64_t seed, MetricsSnapshot* metrics_out) {
   LoomOptions opts;
   opts.dir = dir;
   opts.record_block_size = 16 << 20;
-  // Explicit either way: pipelined ingest is the engine default now, and the
-  // "batched" row exists precisely to show the synchronous inline path.
-  opts.pipelined_ingest = pipelined;
-  if (pipelined) {
-    // The full ingest pipeline: async chunk finalization on the sealing
-    // workers, batched summary staging, and a 4-block coalesced flush budget.
-    opts.flush_inflight_blocks = 4;
-    opts.seal_shards = seal_shards;
-  }
   auto engine = Loom::Open(opts);
   if (!engine.ok()) {
     fprintf(stderr, "loom open failed: %s\n", engine.status().ToString().c_str());
@@ -102,8 +92,6 @@ CellResult RunLoomEngine(const std::string& dir, size_t record_size, uint64_t re
     (void)(*engine)->PushBatch(1, std::span<const std::span<const uint8_t>>(batch.data(), n));
     remaining -= n;
   }
-  // Drain before stopping the clock: in pipelined mode the sealing thread
-  // may still owe finalize work, and banking it would flatter the result.
   (void)(*engine)->Sync(1);
   CellResult result = Finish(records, record_size, timer.Seconds());
   if (metrics_out != nullptr) {
@@ -172,8 +160,8 @@ int main(int argc, char** argv) {
   const uint64_t seed = ParseBenchSeed(argc, argv, 1);
   TempDir dir;
   TablePrinter table({"record size", "hybrid log (Loom)", "Loom engine (batched)",
-                      "Loom engine (pipelined)", "Loom engine (4 shards)", "FishStore log",
-                      "LSM (RocksDB-like)", "B+tree (LMDB-like)", "hybrid log MiB/s"});
+                      "FishStore log", "LSM (RocksDB-like)", "B+tree (LMDB-like)",
+                      "hybrid log MiB/s"});
   JsonWriter json;
   json.Field("seed", seed);
   MetricsSnapshot engine_metrics;
@@ -187,24 +175,17 @@ int main(int argc, char** argv) {
     auto engine =
         RunLoomEngine(dir.FilePath("e" + std::to_string(cell)), size, records, seed + 1,
                       &engine_metrics);
-    auto piped = RunLoomEngine(dir.FilePath("p" + std::to_string(cell)), size, records, seed + 1,
-                               nullptr, /*pipelined=*/true);
-    auto sharded = RunLoomEngine(dir.FilePath("s" + std::to_string(cell)), size, records,
-                                 seed + 1, nullptr, /*pipelined=*/true, /*seal_shards=*/4);
     auto fish = RunFishStore(dir.FilePath("f" + std::to_string(cell)), size, records, seed + 2);
     auto lsm = RunLsm(dir.FilePath("l" + std::to_string(cell)), size, records / 4, seed + 3);
     auto btree = RunBTree(dir.FilePath("b" + std::to_string(cell)), size, records / 2, seed + 4);
     table.AddRow({std::to_string(size) + " B", FormatRate(hybrid.records_per_second),
-                  FormatRate(engine.records_per_second), FormatRate(piped.records_per_second),
-                  FormatRate(sharded.records_per_second), FormatRate(fish.records_per_second),
+                  FormatRate(engine.records_per_second), FormatRate(fish.records_per_second),
                   FormatRate(lsm.records_per_second), FormatRate(btree.records_per_second),
                   FormatDouble(hybrid.mib_per_second, 0) + " MiB/s"});
     json.BeginObject("record_size_" + std::to_string(size));
     json.Field("records", records);
     json.Field("hybrid_log_records_per_second", hybrid.records_per_second);
     json.Field("loom_engine_records_per_second", engine.records_per_second);
-    json.Field("loom_engine_pipelined_records_per_second", piped.records_per_second);
-    json.Field("loom_engine_sharded_records_per_second", sharded.records_per_second);
     json.Field("fishstore_records_per_second", fish.records_per_second);
     json.Field("lsm_records_per_second", lsm.records_per_second);
     json.Field("btree_records_per_second", btree.records_per_second);

@@ -1,29 +1,22 @@
-// Micro: pipelined ingest vs the synchronous inline write path, plus the
-// seal-shard sweep and the group-commit durability tax.
+// Micro: the full write path vs the pre-staging baseline, plus the
+// group-commit durability tax.
 //
-// The baseline configuration reproduces the pre-pipeline engine: chunk
-// finalization (summary materialize + chunk-log append + ts appends) runs
-// inline on the ingest thread, index values are classified one record at a
-// time with the scalar BinOf path, the record-log flusher retires one block
-// per submission, and flush I/O uses the synchronous pwritev backend.
+// The baseline configuration reproduces the original engine's write path:
+// index values are classified one record at a time with the scalar BinOf
+// path, the record-log flusher retires one block per submission, and flush
+// I/O uses the synchronous pwritev backend. The full configuration turns on
+// batched SIMD summary classification, coalesced multi-block vectored
+// flushes and the auto-selected flush backend. Both seal each chunk on the
+// ingest thread. The workload is multi-source (8 interleaved sources, the
+// daemon's shape). The final rows repeat the full configuration under
+// group-commit and every-block durability to price the fdatasync policies.
+// Every configuration must produce bit-identical query results (checksummed
+// below); only throughput may move.
 //
-// The pipelined configurations turn on the full write path — async chunk
-// finalization on the sealing workers, batched SIMD summary classification,
-// and coalesced multi-block vectored flushes — and sweep the number of seal
-// shards (1, 2, 4). The workload is multi-source (8 interleaved sources, the
-// daemon's shape) so the shard sweep has marker traffic to route and enough
-// independent summary work to overlap. The final rows repeat the widest
-// configuration under group-commit and every-block durability to price the
-// fdatasync policies. Every configuration must produce bit-identical query
-// results (checksummed below); only throughput may move.
-//
-// Gates (enforced only when the host has >= 4 hardware threads — ingest,
-// seal workers, and the flusher need real cores for the overlap to exist):
-//   * best pipelined config >= 1.3x the sync-inline baseline;
-//   * 4 seal shards >= 1.8x the single-shard pipelined config;
+// Gate (enforced only when the host has >= 4 hardware threads — ingest and
+// the flusher issuing fdatasync need real cores to overlap):
 //   * sync_policy=group within 10% of the same config with sync_policy=none.
-// All throughput includes the Sync() drain of every source, so deferred
-// finalize work cannot hide.
+// All throughput includes the Sync() of every source.
 
 #include <cmath>
 #include <cstdio>
@@ -46,15 +39,11 @@ constexpr size_t kRecordSize = 64;      // 2 indexed doubles + opaque tail
 constexpr uint64_t kRecords = 600'000;  // ~37 MiB per configuration
 constexpr size_t kBatch = 128;          // daemon-sized PushBatch spans
 constexpr uint32_t kSources = 8;        // interleaved telemetry sources
-constexpr double kGatePipelined = 1.3;  // best pipelined vs sync-inline
-constexpr double kGateShards = 1.8;     // 4 shards vs 1 shard
 constexpr double kGateGroup = 0.9;      // group commit vs no-sync floor
 
 // One ingest configuration of the sweep.
 struct Config {
   const char* name;
-  bool pipelined;
-  size_t seal_shards;
   size_t stage_records;
   size_t inflight_blocks;
   IoBackend io;
@@ -74,7 +63,7 @@ struct Fingerprint {
       return false;
     }
     for (size_t i = 0; i < aggregates.size(); ++i) {
-      // Bit comparison, not epsilon: sharded sealing claims bit-identity.
+      // Bit comparison, not epsilon: the write-path knobs claim bit-identity.
       if (std::memcmp(&aggregates[i], &other.aggregates[i], sizeof(double)) != 0) {
         return false;
       }
@@ -115,8 +104,6 @@ RunResult RunConfig(const std::string& dir, const Config& cfg, uint64_t seed) {
   opts.chunk_size = 32 << 10;  // many seals -> finalize traffic dominates
   opts.record_block_size = 1 << 20;
   opts.enable_latency_metrics = false;
-  opts.pipelined_ingest = cfg.pipelined;
-  opts.seal_shards = cfg.seal_shards;
   opts.summary_stage_records = cfg.stage_records;
   opts.flush_inflight_blocks = cfg.inflight_blocks;
   opts.io_backend = cfg.io;
@@ -167,8 +154,7 @@ RunResult RunConfig(const std::string& dir, const Config& cfg, uint64_t seed) {
     (void)loom.PushBatch(source, std::span<const std::span<const uint8_t>>(batch.data(), n));
     pushed += n;
   }
-  // Sustained throughput includes the drain of every source: pipelined mode
-  // may not bank deferred finalize work as "free".
+  // Sustained throughput includes the Sync of every source.
   for (uint32_t s = 1; s <= kSources; ++s) {
     (void)loom.Sync(s);
   }
@@ -211,27 +197,23 @@ RunResult RunConfig(const std::string& dir, const Config& cfg, uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace loom;
   PrintBanner("Ingest pipeline micro",
-              "Sync-inline write path vs pipelined ingest across seal-shard counts and "
-              "durability policies, on an 8-source interleaved workload",
-              "pipelined >= 1.3x baseline; 4 shards >= 1.8x 1 shard; group commit within "
-              "10% of no-sync; bit-identical query results throughout");
+              "Baseline write path vs the full write path and its durability policies, on an "
+              "8-source interleaved workload",
+              "group commit within 10% of no-sync; bit-identical query results throughout");
 
   const uint64_t seed = ParseBenchSeed(argc, argv, 1);
   const unsigned hw = std::thread::hardware_concurrency();
-  // Baseline first: inline finalize, scalar per-record BinOf, one block per
-  // flush submission, synchronous pwritev, no fdatasync until Close.
+  // Baseline first: scalar per-record BinOf, one block per flush
+  // submission, synchronous pwritev, no fdatasync until Close.
   const Config configs[] = {
-      {"sync-inline", false, 1, 0, 1, IoBackend::kSync, SyncPolicy::kNone},
-      {"pipelined-s1", true, 1, 256, 4, IoBackend::kAuto, SyncPolicy::kNone},
-      {"pipelined-s2", true, 2, 256, 4, IoBackend::kAuto, SyncPolicy::kNone},
-      {"pipelined-s4", true, 4, 256, 4, IoBackend::kAuto, SyncPolicy::kNone},
-      {"pipelined-s4-group", true, 4, 256, 4, IoBackend::kAuto, SyncPolicy::kGroup},
-      {"pipelined-s4-everyblk", true, 4, 256, 4, IoBackend::kAuto, SyncPolicy::kEveryBlock},
+      {"baseline", 0, 1, IoBackend::kSync, SyncPolicy::kNone},
+      {"full", 256, 4, IoBackend::kAuto, SyncPolicy::kNone},
+      {"full-group", 256, 4, IoBackend::kAuto, SyncPolicy::kGroup},
+      {"full-everyblk", 256, 4, IoBackend::kAuto, SyncPolicy::kEveryBlock},
   };
 
   TempDir dir;
-  TablePrinter table({"config", "shards", "sync", "records/s", "MiB/s", "vs baseline",
-                      "identical"});
+  TablePrinter table({"config", "sync", "records/s", "MiB/s", "vs baseline", "identical"});
   JsonWriter json;
   json.Field("seed", seed);
   json.Field("hardware_threads", static_cast<uint64_t>(hw));
@@ -240,10 +222,8 @@ int main(int argc, char** argv) {
   json.Field("sources", static_cast<uint64_t>(kSources));
 
   RunResult baseline;
-  double s1_rate = 0, s4_rate = 0, s4_group_rate = 0;
-  double best_speedup = 0;
-  const char* best_name = "";
-  MetricsSnapshot best_metrics;
+  double full_rate = 0, group_rate = 0;
+  MetricsSnapshot full_metrics;
   bool all_identical = true;
   bool all_trace_ok = true;
   bool all_ran = true;
@@ -258,25 +238,16 @@ int main(int argc, char** argv) {
     const bool identical = is_baseline || (r.ok && r.fp == baseline.fp);
     all_identical = all_identical && identical;
     all_trace_ok = all_trace_ok && r.fp.trace_ok;
-    if (std::strcmp(cfg.name, "pipelined-s1") == 0) {
-      s1_rate = r.records_per_second;
-    } else if (std::strcmp(cfg.name, "pipelined-s4") == 0) {
-      s4_rate = r.records_per_second;
-    } else if (std::strcmp(cfg.name, "pipelined-s4-group") == 0) {
-      s4_group_rate = r.records_per_second;
+    if (std::strcmp(cfg.name, "full") == 0) {
+      full_rate = r.records_per_second;
+      full_metrics = r.metrics;
+    } else if (std::strcmp(cfg.name, "full-group") == 0) {
+      group_rate = r.records_per_second;
     }
-    // Durability rows pay fdatasync on purpose; they compete on the group
-    // gate, not for the headline speedup.
-    if (!is_baseline && cfg.sync == SyncPolicy::kNone && speedup > best_speedup) {
-      best_speedup = speedup;
-      best_name = cfg.name;
-      best_metrics = r.metrics;
-    }
-    table.AddRow({cfg.name, std::to_string(cfg.seal_shards), SyncPolicyName(cfg.sync),
-                  FormatRate(r.records_per_second), FormatDouble(r.mib_per_second, 1),
-                  FormatDouble(speedup, 2) + "x", is_baseline ? "-" : (identical ? "yes" : "NO")});
+    table.AddRow({cfg.name, SyncPolicyName(cfg.sync), FormatRate(r.records_per_second),
+                  FormatDouble(r.mib_per_second, 1), FormatDouble(speedup, 2) + "x",
+                  is_baseline ? "-" : (identical ? "yes" : "NO")});
     json.BeginObject(cfg.name);
-    json.Field("seal_shards", static_cast<uint64_t>(cfg.seal_shards));
     json.Field("sync_policy", std::string(SyncPolicyName(cfg.sync)));
     json.Field("records_per_second", r.records_per_second);
     json.Field("mib_per_second", r.mib_per_second);
@@ -291,39 +262,29 @@ int main(int argc, char** argv) {
   table.Print();
 
   const bool gate_applicable = hw >= 4;
-  const bool gate_pipelined = best_speedup >= kGatePipelined;
-  const bool gate_shards = s1_rate > 0 && s4_rate >= kGateShards * s1_rate;
-  const bool gate_group = s4_rate > 0 && s4_group_rate >= kGateGroup * s4_rate;
-  printf("\nBest pipelined config: %s at %.2fx baseline (gate %.1fx %s)\n", best_name,
-         best_speedup, kGatePipelined,
-         gate_applicable ? (gate_pipelined ? "met" : "MISSED") : "not enforced");
-  printf("Shard scaling: s4 at %.2fx s1 (gate %.1fx %s)\n",
-         s1_rate > 0 ? s4_rate / s1_rate : 0, kGateShards,
-         gate_applicable ? (gate_shards ? "met" : "MISSED") : "not enforced");
-  printf("Group commit: %.1f%% of s4 no-sync (gate %.0f%% %s; %u hardware threads)\n",
-         s4_rate > 0 ? 100 * s4_group_rate / s4_rate : 0, 100 * kGateGroup,
+  const bool gate_group = full_rate > 0 && group_rate >= kGateGroup * full_rate;
+  printf("\nFull write path: %.2fx baseline\n",
+         baseline.records_per_second > 0 ? full_rate / baseline.records_per_second : 0);
+  printf("Group commit: %.1f%% of full no-sync (gate %.0f%% %s; %u hardware threads)\n",
+         full_rate > 0 ? 100 * group_rate / full_rate : 0, 100 * kGateGroup,
          gate_applicable ? (gate_group ? "met" : "MISSED") : "not enforced", hw);
   printf("Query results %s across all configurations; trace invariant %s.\n",
          all_identical ? "bit-identical" : "DIVERGED",
          all_trace_ok ? "held" : "VIOLATED");
 
-  json.Field("best_config", std::string(best_name));
-  json.Field("best_speedup", best_speedup);
-  json.Field("shard_speedup_s4_vs_s1", s1_rate > 0 ? s4_rate / s1_rate : 0);
-  json.Field("group_commit_fraction_of_none", s4_rate > 0 ? s4_group_rate / s4_rate : 0);
+  json.Field("full_speedup_vs_baseline",
+             baseline.records_per_second > 0 ? full_rate / baseline.records_per_second : 0);
+  json.Field("group_commit_fraction_of_none", full_rate > 0 ? group_rate / full_rate : 0);
   json.Field("gate_applicable", gate_applicable);
-  json.Field("gate_pipelined_met", gate_pipelined);
-  json.Field("gate_shards_met", gate_shards);
   json.Field("gate_group_met", gate_group);
   json.Field("all_results_identical", all_identical);
   json.Field("all_trace_invariants_ok", all_trace_ok);
-  // Self-telemetry of the best pipelined engine: seal counts, shard queue
-  // depths, finalize latency, stall time, and the coalesced-write counters.
-  json.MetricsSection("metrics", best_metrics);
+  // Self-telemetry of the full engine: finalize latency, flush queue depth,
+  // writer stalls, and the coalesced-write counters.
+  json.MetricsSection("metrics", full_metrics);
   (void)json.WriteFile("BENCH_ingest_pipeline.json");
 
-  const bool gates_met = gate_pipelined && gate_shards && gate_group;
-  const bool ok = all_ran && all_identical && all_trace_ok && (gates_met || !gate_applicable);
+  const bool ok = all_ran && all_identical && all_trace_ok && (gate_group || !gate_applicable);
   printf("%s\n", ok ? "OK" : "BELOW TARGET");
   return ok ? 0 : 1;
 }

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -209,15 +207,6 @@ Status LoomOptions::Validate() {
   if (query_threads > hw * 4) {
     query_threads = hw * 4;  // oversubscribing further only adds contention
   }
-  if (finalize_inflight_chunks == 0) {
-    finalize_inflight_chunks = 1;
-  }
-  if (seal_shards == 0) {
-    seal_shards = 1;
-  }
-  if (seal_shards > 32) {
-    seal_shards = 32;  // more workers than this only adds ticket contention
-  }
   if (flush_inflight_blocks == 0) {
     flush_inflight_blocks = 1;
   }
@@ -232,16 +221,6 @@ Status LoomOptions::Validate() {
 Result<std::unique_ptr<Loom>> Loom::Open(const LoomOptions& options) {
   LoomOptions opts = options;
   LOOM_RETURN_IF_ERROR(opts.Validate());
-  // LOOM_INGEST (inline|pipelined) overrides the pipelined_ingest option,
-  // mirroring LOOM_SIMD / LOOM_IO: a test matrix can force either ingest
-  // path without code changes. Unset/garbage keeps the configured value.
-  if (const char* env = std::getenv("LOOM_INGEST"); env != nullptr) {
-    if (std::strcmp(env, "inline") == 0) {
-      opts.pipelined_ingest = false;
-    } else if (std::strcmp(env, "pipelined") == 0) {
-      opts.pipelined_ingest = true;
-    }
-  }
   std::error_code ec;
   std::filesystem::create_directories(opts.dir, ec);
   if (ec) {
@@ -358,27 +337,9 @@ Loom::Loom(const LoomOptions& options, std::unique_ptr<MetricsRegistry> owned_me
     standing_ = std::make_unique<StandingQueryEngine>(std::move(standing_opts));
   }
   RegisterMetrics();
-  if (options_.pipelined_ingest) {
-    // Started after RegisterMetrics: the sealing workers observe the
-    // finalize-latency histogram from their first applied event. All queues
-    // exist before any worker runs so the metrics hook can sum depths.
-    pipeline_active_ = true;
-    seal_shards_.reserve(options_.seal_shards);
-    for (size_t i = 0; i < options_.seal_shards; ++i) {
-      auto shard = std::make_unique<SealShard>();
-      shard->queue = std::make_unique<SpscQueue<SealEvent>>(1024);
-      seal_shards_.push_back(std::move(shard));
-    }
-    for (size_t i = 0; i < seal_shards_.size(); ++i) {
-      seal_shards_[i]->worker = std::thread([this, i] { SealShardMain(i); });
-    }
-  }
 }
 
 Loom::~Loom() {
-  // The sealing thread writes the chunk/ts logs and observes registry
-  // histograms: stop it before anything it touches goes away.
-  StopIngestPipeline();
   // The demoter reads the logs and the catalog: join it before either dies.
   if (demoter_.joinable()) {
     {
@@ -419,7 +380,7 @@ void Loom::RegisterMetrics() {
   m_.push_seconds = metrics_->AddHistogram("loom_core_push_seconds");
   m_.push_batch_seconds = metrics_->AddHistogram("loom_core_push_batch_seconds");
   m_.sync_seconds = metrics_->AddHistogram("loom_core_sync_seconds");
-  m_.chunk_finalize_seconds = metrics_->AddHistogram("loom_index_chunk_finalize_seconds");
+  m_.finalize_seconds = metrics_->AddHistogram("loom_ingest_finalize_seconds");
   m_.query_chunks_considered = metrics_->AddCounter("loom_query_chunks_considered_total");
   m_.query_chunks_pruned = metrics_->AddCounter("loom_query_chunks_pruned_total");
   m_.query_chunks_scanned = metrics_->AddCounter("loom_query_chunks_scanned_total");
@@ -508,22 +469,11 @@ void Loom::RegisterMetrics() {
     m_.tier_demote_seconds = metrics_->AddHistogram("loom_tier_demote_seconds");
   }
   {
-    // Ingest-pipeline family. The cumulative counters live in the engine /
-    // record log as writer-owned or pair-of-atomics state; a hook folds them
-    // into gauges at each Snapshot(), mirroring the summary-cache pattern.
-    m_.ingest_chunks_sealed = metrics_->AddCounter("loom_ingest_chunks_sealed_total");
-    m_.ingest_finalize_seconds = metrics_->AddHistogram("loom_ingest_finalize_seconds");
-    m_.ingest_finalize_stall = metrics_->AddGauge("loom_ingest_finalize_stall_seconds_total");
+    // Ingest family. The record log keeps its flusher state itself; a hook
+    // folds it into gauges at each Snapshot(), mirroring the summary-cache
+    // pattern.
     Gauge* writer_stall = metrics_->AddGauge("loom_ingest_writer_stall_seconds_total");
     Gauge* flush_depth = metrics_->AddGauge("loom_ingest_flush_queue_depth");
-    Gauge* finalize_depth = metrics_->AddGauge("loom_ingest_finalize_queue_depth");
-    Gauge* shard_depth_max = metrics_->AddGauge("loom_ingest_seal_shard_queue_depth_max");
-    Gauge* finalize_lag = metrics_->AddGauge("loom_ingest_finalize_lag_chunks");
-    // Sealing-worker count (0 = inline ingest), so dashboards can tell the
-    // seal topology a node runs without reading its config.
-    Gauge* seal_shards_gauge = metrics_->AddGauge("loom_ingest_seal_shards");
-    seal_shards_gauge->Set(
-        options_.pipelined_ingest ? static_cast<double>(options_.seal_shards) : 0.0);
     // Resolved flush backend as a mode gauge (0 sync, 1 io_uring), like
     // loom_query_kernel_mode; the fixed-buffer gauge says whether the
     // io_uring writer additionally registered the slot ring (WRITE_FIXED).
@@ -533,23 +483,10 @@ void Loom::RegisterMetrics() {
     io_mode->Set(std::strncmp(io_name, "io_uring", 8) == 0 ? 1.0 : 0.0);
     write_fixed->Set(std::strcmp(io_name, "io_uring_fixed") == 0 ? 1.0 : 0.0);
     HybridLog* rec = record_log_.get();
-    ingest_hook_id_ = metrics_->AddCollectionHook(
-        [this, rec, writer_stall, flush_depth, finalize_depth, shard_depth_max, finalize_lag] {
-          writer_stall->Set(static_cast<double>(rec->writer_stall_nanos()) * 1e-9);
-          flush_depth->Set(static_cast<double>(rec->FlushQueueDepthApprox()));
-          size_t depth_sum = 0;
-          size_t depth_max = 0;
-          for (const auto& shard : seal_shards_) {
-            const size_t d = shard->queue->SizeApprox();
-            depth_sum += d;
-            depth_max = std::max(depth_max, d);
-          }
-          finalize_depth->Set(static_cast<double>(depth_sum));
-          shard_depth_max->Set(static_cast<double>(depth_max));
-          const uint64_t sealed = chunks_sealed_.load(std::memory_order_relaxed);
-          const uint64_t applied = chunks_finalize_applied_.load(std::memory_order_relaxed);
-          finalize_lag->Set(sealed >= applied ? static_cast<double>(sealed - applied) : 0.0);
-        });
+    ingest_hook_id_ = metrics_->AddCollectionHook([rec, writer_stall, flush_depth] {
+      writer_stall->Set(static_cast<double>(rec->writer_stall_nanos()) * 1e-9);
+      flush_depth->Set(static_cast<double>(rec->FlushQueueDepthApprox()));
+    });
   }
 }
 
@@ -690,8 +627,8 @@ Status Loom::Push(uint32_t source_id, std::span<const uint8_t> payload,
   if (it == sources_.end() || !it->second->open) {
     return Status::NotFound("source not defined");
   }
-  if (pipeline_failed_.load(std::memory_order_relaxed)) {
-    return PipelineStatus();  // the sealing thread hit a sticky error
+  if (!seal_status_.ok()) {
+    return seal_status_;
   }
   SourceState& src = *it->second;
   const TimestampNanos now = clock_->NowNanos();
@@ -717,8 +654,8 @@ Status Loom::PushBatch(uint32_t source_id,
   if (payloads.empty()) {
     return Status::Ok();
   }
-  if (pipeline_failed_.load(std::memory_order_relaxed)) {
-    return PipelineStatus();  // the sealing thread hit a sticky error
+  if (!seal_status_.ok()) {
+    return seal_status_;
   }
   SourceState& src = *it->second;
   const TimestampNanos now = clock_->NowNanos();
@@ -756,7 +693,12 @@ Status Loom::AppendRecord(SourceState& src, std::span<const uint8_t> payload,
       }
       std::memset(reserved.value().second, 0xFF, pad);
     }
-    LOOM_RETURN_IF_ERROR(FinalizeChunk(now));
+    if (Status st = FinalizeChunk(now); !st.ok()) {
+      // Sticky: Push and PushBatch checked seal_status_ on entry, so this is
+      // the first failure.
+      seal_status_ = Status(st.code(), "chunk seal: " + std::string(st.message()));
+      return seal_status_;
+    }
     active_chunk_start_ = chunk_end;
   }
 
@@ -843,26 +785,12 @@ void Loom::FlushSummaryStages() {
 }
 
 Status Loom::FinalizeChunk(TimestampNanos now) {
-  // Per chunk, not per record: a full timer here is cheap and finalize
-  // latency (encode + two index appends) is a leading probe-effect signal.
-  ScopedLatencyTimer timer(options_.enable_latency_metrics ? m_.chunk_finalize_seconds : nullptr);
+  // Per chunk, not per record: a full timer here is cheap and seal latency
+  // (materialize + encode + two index appends) is a leading probe-effect
+  // signal.
+  ScopedLatencyTimer timer(options_.enable_latency_metrics ? m_.finalize_seconds : nullptr);
   FlushSummaryStages();
   m_.chunks_finalized->Increment();
-  if (pipeline_active_ && options_.enable_chunk_index) {
-    // Publish the record log first: once a sealing worker applies this
-    // event it advances published_indexed_tail_ past the chunk, and §5.4
-    // requires every record byte below that watermark (the pad tail
-    // included) to be reader-visible already.
-    record_log_->Publish();
-    m_.ingest_chunks_sealed->Increment();
-    SealEvent ev;
-    ev.kind = SealEvent::Kind::kChunk;
-    // Detach (cheap state move) here; the expensive materialize + encode
-    // runs on the worker, off the record hot path.
-    ev.pending = builder_.Detach(active_chunk_start_, static_cast<uint32_t>(options_.chunk_size));
-    ev.ts = now;
-    return EnqueueSealEvent(std::move(ev), /*is_chunk=*/true);
-  }
   ChunkSummary summary =
       builder_.Finalize(active_chunk_start_, static_cast<uint32_t>(options_.chunk_size));
   if (!options_.enable_chunk_index) {
@@ -903,18 +831,6 @@ Status Loom::MaybeWriteMarker(SourceState& src, TimestampNanos ts, uint64_t reco
     return Status::Ok();
   }
   src.records_since_marker = 0;
-  if (pipeline_active_) {
-    // The sealing thread owns the ts log (and the per-source marker chains)
-    // in pipelined mode. Publish the record log before routing the event:
-    // readers reached via a published marker must find the record.
-    record_log_->Publish();
-    SealEvent ev;
-    ev.kind = SealEvent::Kind::kMarker;
-    ev.source_id = src.id;
-    ev.record_addr = record_addr;
-    ev.ts = ts;
-    return EnqueueSealEvent(std::move(ev), /*is_chunk=*/false);
-  }
   auto marker = ts_writer_.AppendRecordMarker(src.id, ts, record_addr, src.last_marker_addr);
   if (!marker.ok()) {
     return marker.status();
@@ -925,22 +841,6 @@ Status Loom::MaybeWriteMarker(SourceState& src, TimestampNanos ts, uint64_t reco
 }
 
 void Loom::PublishAll(SourceState& src) {
-  if (pipeline_active_) {
-    // Pipelined ingest: the sealing thread publishes the chunk/ts logs and
-    // advances published_indexed_tail_ after each applied seal, in the same
-    // §5.4 order. Here only the record log and the per-source chain head are
-    // published; the indexed watermark lags until finalize lands, which
-    // readers already tolerate (a sealing chunk is unindexed tail, scanned
-    // raw against the record watermark).
-    record_log_->Publish();
-    if (!options_.enable_chunk_index) {
-      // Ablation: no summaries ever exist, so no seal events flow through the
-      // pipeline; advance the watermark inline exactly as the inline path.
-      published_indexed_tail_.store(active_chunk_start_, std::memory_order_release);
-    }
-    src.published_last_record.store(src.last_record_addr, std::memory_order_release);
-    return;
-  }
   // §5.4 ordering: record log, then chunk index, then timestamp index, then
   // the derived watermarks. Readers capture in the reverse order.
   record_log_->Publish();
@@ -957,205 +857,8 @@ Status Loom::Sync(uint32_t source_id) {
   if (it == sources_.end()) {
     return Status::NotFound("source not defined");
   }
-  DrainIngestPipeline();
   PublishAll(*it->second);
-  if (pipeline_failed_.load(std::memory_order_relaxed)) {
-    return PipelineStatus();
-  }
-  return Status::Ok();
-}
-
-// --- Ingest pipeline ---------------------------------------------------------
-
-Status Loom::EnqueueSealEvent(SealEvent&& ev, bool is_chunk) {
-  if (pipeline_failed_.load(std::memory_order_relaxed)) {
-    return PipelineStatus();
-  }
-  // Routing: chunk seals round-robin over the shards (by upcoming sequence
-  // number) so materialize + encode load-balances; markers by source hash so
-  // each source's marker chain lives on exactly one worker.
-  const size_t num_shards = seal_shards_.size();
-  const size_t shard_idx =
-      is_chunk ? static_cast<size_t>(seal_seq_next_ % num_shards)
-               : static_cast<size_t>((ev.source_id * 2654435761u) % num_shards);
-  SealShard& shard = *seal_shards_[shard_idx];
-  // Backpressure: cap sealed-but-unapplied chunks at the configured budget
-  // and never spin-move into a full queue. Producer-side SizeApprox is
-  // exact, and only the consumer shrinks it, so a free slot stays free.
-  const uint64_t budget = options_.finalize_inflight_chunks;
-  const auto must_wait = [&] {
-    if (shard.queue->SizeApprox() >= shard.queue->capacity()) {
-      return true;
-    }
-    return is_chunk && chunks_sealed_.load(std::memory_order_relaxed) -
-                               chunks_finalize_applied_.load(std::memory_order_acquire) >=
-                           budget;
-  };
-  if (must_wait()) {
-    const uint64_t t0 = MetricsNowNanos();
-    while (must_wait() && !pipeline_failed_.load(std::memory_order_relaxed)) {
-      std::this_thread::yield();
-    }
-    m_.ingest_finalize_stall->Add(static_cast<double>(MetricsNowNanos() - t0) * 1e-9);
-    if (pipeline_failed_.load(std::memory_order_relaxed)) {
-      return PipelineStatus();
-    }
-  }
-  // The sequence number is stamped only once the event is certain to be
-  // pushed: a consumed-but-never-enqueued sequence would stall the apply
-  // ticket (and with it every shard) forever.
-  ev.seq = seal_seq_next_++;
-  // Counters bump before the push so applied counts never pass enqueued.
-  if (is_chunk) {
-    chunks_sealed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  events_enqueued_.fetch_add(1, std::memory_order_relaxed);
-  const bool pushed = shard.queue->TryPush(std::move(ev));
-  (void)pushed;
-  assert(pushed);
-  return Status::Ok();
-}
-
-void Loom::WaitSealTurn(uint64_t seq) {
-  while (seal_seq_applied_.load(std::memory_order_acquire) != seq) {
-    std::this_thread::yield();
-  }
-}
-
-void Loom::SealShardMain(size_t shard_idx) {
-  SealShard& shard = *seal_shards_[shard_idx];
-  std::vector<uint8_t> encode_buf;
-  // Marker chain heads for the sources hashed to this shard. Source-hash
-  // routing means no other worker ever touches these chains.
-  std::unordered_map<uint32_t, uint64_t> marker_chains;
-  for (;;) {
-    std::optional<SealEvent> ev = shard.queue->TryPop();
-    if (!ev.has_value()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      continue;
-    }
-    if (ev->kind == SealEvent::Kind::kStop) {
-      return;
-    }
-    Status st = Status::Ok();
-    if (ev->kind == SealEvent::Kind::kChunk) {
-      ScopedLatencyTimer timer(options_.enable_latency_metrics ? m_.ingest_finalize_seconds
-                                                               : nullptr);
-      // Parallel stage: materialize the summary and encode the chunk-log
-      // frame before taking the apply ticket — this is the expensive part of
-      // finalization, and it runs concurrently across shards.
-      ChunkSummary summary = ChunkSummaryBuilder::Materialize(std::move(ev->pending));
-      encode_buf.clear();
-      encode_buf.reserve(4 + summary.EncodedSize());
-      PutU32(encode_buf, static_cast<uint32_t>(summary.EncodedSize()));
-      summary.EncodeTo(encode_buf);
-      WaitSealTurn(ev->seq);
-      if (!pipeline_failed_.load(std::memory_order_relaxed)) {
-        st = ApplyChunkSeal(summary, ev->ts, encode_buf);
-      }
-    } else {
-      WaitSealTurn(ev->seq);
-      if (!pipeline_failed_.load(std::memory_order_relaxed)) {
-        st = ApplyMarker(*ev, marker_chains);
-      }
-    }
-    if (!st.ok()) {
-      Status annotated(st.code(), "seal shard " + std::to_string(shard_idx) + ": " +
-                                      std::string(st.message()));
-      std::lock_guard<std::mutex> lock(pipeline_mu_);
-      if (pipeline_status_.ok()) {
-        pipeline_status_ = std::move(annotated);
-      }
-      pipeline_failed_.store(true, std::memory_order_release);
-    }
-    // The ticket advances even for failed or skipped events — the release
-    // store both unblocks the next sequence holder and hands it the
-    // single-writer chunk/ts log state this apply mutated.
-    seal_seq_applied_.store(ev->seq + 1, std::memory_order_release);
-    // Applied even on error (the event is consumed either way) so drains and
-    // the lag gauge terminate.
-    if (ev->kind == SealEvent::Kind::kChunk) {
-      chunks_finalize_applied_.fetch_add(1, std::memory_order_release);
-    }
-    events_applied_.fetch_add(1, std::memory_order_release);
-  }
-}
-
-Status Loom::ApplyChunkSeal(const ChunkSummary& summary, TimestampNanos ts,
-                            const std::vector<uint8_t>& buf) {
-  const uint64_t chunk_end = summary.chunk_addr + summary.chunk_len;
-  auto addr = chunk_log_->Append(std::span<const uint8_t>(buf.data(), buf.size()));
-  if (!addr.ok()) {
-    return addr.status();
-  }
-  // §5.4 apply order: the chunk frame becomes readable, then its ts-index
-  // event, then the indexed watermark passes the chunk. The record bytes
-  // below chunk_end were published before the seal was enqueued.
-  chunk_log_->Publish();
-  if (options_.enable_timestamp_index) {
-    auto event = ts_writer_.AppendChunkEvent(ts, addr.value());
-    if (!event.ok()) {
-      return event.status();
-    }
-    m_.ts_entries->Increment();
-    ts_log_->Publish();
-  }
-  published_indexed_tail_.store(chunk_end, std::memory_order_release);
-  if (standing_ != nullptr) {
-    // The apply ticket serializes seal events in global seal order, and the
-    // record bytes below chunk_end were published before the event was
-    // enqueued — exactly the ordering OnChunkSealed requires.
-    standing_->OnChunkSealed(summary, ts);
-  }
-  return Status::Ok();
-}
-
-Status Loom::ApplyMarker(const SealEvent& ev, std::unordered_map<uint32_t, uint64_t>& chains) {
-  auto it = chains.try_emplace(ev.source_id, kNullAddr).first;
-  auto marker = ts_writer_.AppendRecordMarker(ev.source_id, ev.ts, ev.record_addr, it->second);
-  if (!marker.ok()) {
-    return marker.status();
-  }
-  it->second = marker.value();
-  m_.ts_entries->Increment();
-  ts_log_->Publish();
-  return Status::Ok();
-}
-
-void Loom::DrainIngestPipeline() {
-  if (!pipeline_active_) {
-    return;
-  }
-  while (events_applied_.load(std::memory_order_acquire) <
-         events_enqueued_.load(std::memory_order_relaxed)) {
-    std::this_thread::yield();
-  }
-}
-
-void Loom::StopIngestPipeline() {
-  if (!pipeline_active_) {
-    return;
-  }
-  DrainIngestPipeline();
-  for (auto& shard : seal_shards_) {
-    for (;;) {
-      SealEvent stop;
-      stop.kind = SealEvent::Kind::kStop;
-      if (shard->queue->TryPush(std::move(stop))) {
-        break;
-      }
-      std::this_thread::yield();
-    }
-  }
-  for (auto& shard : seal_shards_) {
-    shard->worker.join();
-  }
-  pipeline_active_ = false;
-}
-
-Status Loom::PipelineStatus() const {
-  std::lock_guard<std::mutex> lock(pipeline_mu_);
-  return pipeline_status_;
+  return seal_status_;
 }
 
 // --- Snapshots and lookups ----------------------------------------------------

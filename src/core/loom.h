@@ -146,30 +146,7 @@ struct LoomOptions {
   // 0 disables the ring (queries read through their scan-local caches only).
   size_t prefetch_depth = 4;
 
-  // --- Ingest pipeline (the write-path mirror of the query knobs above) ---
-
-  // Pipelined ingest: chunk finalization (summary materialization + encode +
-  // chunk-log append + ts-index appends) moves off the record hot path onto
-  // sealing workers with bounded queues. The §5.4 publish-ordering contract
-  // is preserved — published_indexed_tail_ never advances past an
-  // unfinalized chunk, so readers simply see sealing chunks as unindexed
-  // tail (scanned raw) until finalize lands; drained results are
-  // bit-identical to the inline path. On by default; the LOOM_INGEST
-  // environment variable (inline|pipelined) overrides this at Open, so test
-  // matrices and replay tools that rely on finalization being synchronous
-  // between individual pushes can force the inline path without code
-  // changes. Sync() drains the pipeline.
-  bool pipelined_ingest = true;
-
-  // Number of sealing workers (pipelined mode). Each sealed chunk's summary
-  // materialization and frame encode — the expensive part of finalization —
-  // runs on one of `seal_shards` workers in parallel; the serial tail
-  // (chunk-log append, ts-index append, watermark publish) is applied in
-  // global seal order via a ticket, so on-disk bytes and query results are
-  // bit-identical for any shard count. Chunk seals are distributed
-  // round-robin; ts record markers are routed by source hash so each
-  // source's marker chain stays on one worker. Validate() clamps to [1, 32].
-  size_t seal_shards = 1;
+  // --- Write path ----------------------------------------------------------
 
   // Durability policy of the record log's flusher (see
   // src/hybridlog/hybrid_log.h): kNone syncs only at close, kGroup batches
@@ -183,11 +160,6 @@ struct LoomOptions {
   // since the oldest unsynced byte, whichever comes first.
   uint64_t group_commit_bytes = 1 << 20;
   uint64_t group_commit_interval_ms = 50;
-
-  // Bound on sealed-but-unfinalized chunks: ingest stalls (counted in
-  // loom_ingest_finalize_stall_seconds_total) rather than letting the
-  // indexed watermark fall arbitrarily behind. Minimum 1.
-  size_t finalize_inflight_chunks = 4;
 
   // Record-log flusher budget: up to this many queued full blocks are
   // coalesced into one vectored write per flush submission. 1 keeps the
@@ -308,7 +280,8 @@ class Loom {
   // the internal monotonic clock on arrival (§5.2). When `arrival_ts` is
   // non-null it receives the timestamp actually stamped on the record, so
   // callers binning events into windows (TraceSink) use the record's true
-  // provenance instead of re-reading the clock after the append.
+  // provenance instead of re-reading the clock after the append. Once a
+  // chunk seal has failed, Push, PushBatch and Sync return that error.
   Status Push(uint32_t source_id, std::span<const uint8_t> payload,
               TimestampNanos* arrival_ts = nullptr);
 
@@ -469,6 +442,10 @@ class Loom {
 
   // Write-path internals (ingest thread).
   Status AppendRecord(SourceState& src, std::span<const uint8_t> payload, TimestampNanos now);
+  // Seals the active chunk on the ingest thread: materializes and encodes its
+  // summary, appends the frame to the chunk log and the chunk event to the
+  // ts log, and feeds standing queries. PublishAll then makes it visible in
+  // the §5.4 order.
   Status FinalizeChunk(TimestampNanos now);
   Status MaybeWriteMarker(SourceState& src, TimestampNanos ts, uint64_t record_addr);
   void PublishAll(SourceState& src);
@@ -477,56 +454,6 @@ class Loom {
   void FlushIndexStage(IndexState& idx);
   // Flushes every index with staged data (called before each chunk seal).
   void FlushSummaryStages();
-
-  // --- Ingest pipeline (pipelined_ingest; see DESIGN.md) -------------------
-  //
-  // In pipelined mode the sealing workers are the *only* writers of the
-  // chunk and ts logs (both are single-writer). The ingest thread assigns
-  // every seal event a global sequence number and routes it to one of
-  // `seal_shards` SPSC queues: chunk seals round-robin by sequence, ts
-  // record markers by source hash (each source's marker chain stays on one
-  // worker). Workers run the expensive per-event work — summary
-  // materialization and frame encode — in parallel, then apply the serial
-  // tail (append + publish chunk log, then ts log, then
-  // published_indexed_tail_ — the §5.4 order) strictly in sequence order
-  // via a ticket: seal_seq_applied_ is the low-water-mark across shards,
-  // and its release/acquire hand-off transfers the single-writer log state
-  // between workers. Per-shard queues are FIFO in sequence, so the globally
-  // smallest unapplied sequence is always at some shard's head: the ticket
-  // never deadlocks, and tickets advance even for skipped (post-error)
-  // events.
-  struct SealEvent {
-    enum class Kind : uint8_t { kChunk, kMarker, kStop };
-    Kind kind = Kind::kChunk;
-    uint64_t seq = 0;          // global apply order (all kinds; not kStop)
-    // kChunk: detached builder state; the worker materializes + encodes it.
-    ChunkSummaryBuilder::Pending pending;
-    uint32_t source_id = 0;    // kMarker
-    uint64_t record_addr = 0;  // kMarker
-    TimestampNanos ts = 0;     // event timestamp (monotone in queue order)
-  };
-  struct SealShard {
-    std::unique_ptr<SpscQueue<SealEvent>> queue;
-    std::thread worker;
-  };
-  void SealShardMain(size_t shard_idx);
-  // Spins until `seq` holds the apply ticket. The acquire pairs with the
-  // previous applier's release store, handing over the chunk/ts log state.
-  void WaitSealTurn(uint64_t seq);
-  Status ApplyChunkSeal(const ChunkSummary& summary, TimestampNanos ts,
-                        const std::vector<uint8_t>& buf);
-  Status ApplyMarker(const SealEvent& ev, std::unordered_map<uint32_t, uint64_t>& chains);
-  // Blocks (counted as finalize stall) while the seal budget or the target
-  // shard's queue is full, then stamps the next sequence number and
-  // enqueues. Returns the sticky pipeline error, if any.
-  Status EnqueueSealEvent(SealEvent&& ev, bool is_chunk);
-  // Ingest thread: waits until every queued event has been applied.
-  void DrainIngestPipeline();
-  // Destructor: drains, stops, and joins the sealing workers.
-  void StopIngestPipeline();
-  // First error any sealing worker hit (Ok when healthy), annotated with the
-  // shard that hit it.
-  Status PipelineStatus() const;
 
   // --- Query planner and executor (DESIGN.md, "Query executor") ---------
   //
@@ -729,8 +656,7 @@ class Loom {
 
   // Standing-query engine (null when enable_chunk_index is off — standing
   // evaluation folds ChunkSummaries, so without summaries there is nothing
-  // to evaluate). Fed from the seal path: FinalizeChunk inline, or
-  // ApplyChunkSeal on the sealing thread when pipelined. Declared after the
+  // to evaluate). Fed from the seal path, FinalizeChunk. Declared after the
   // logs: its rescan callback reads the record log.
   std::unique_ptr<StandingQueryEngine> standing_;
 
@@ -747,24 +673,10 @@ class Loom {
   std::vector<IndexState*> staged_indexes_;
   std::vector<uint32_t> stage_bins_;
 
-  // Ingest pipeline state (pipelined_ingest). The shards exist only when
-  // active. Counters pair up ingest-side (enqueued/sealed, relaxed) with
-  // worker-side (applied, release) so DrainIngestPipeline and the
-  // finalize-lag gauge need no lock. seal_seq_next_ is ingest-thread-only;
-  // seal_seq_applied_ is the apply ticket (see the SealEvent comment).
-  bool pipeline_active_ = false;
-  std::vector<std::unique_ptr<SealShard>> seal_shards_;
-  uint64_t seal_seq_next_ = 0;
-  std::atomic<uint64_t> seal_seq_applied_{0};
-  std::atomic<uint64_t> events_enqueued_{0};
-  std::atomic<uint64_t> events_applied_{0};
-  std::atomic<uint64_t> chunks_sealed_{0};
-  std::atomic<uint64_t> chunks_finalize_applied_{0};
-  // Sticky first worker error: the flag is checked (relaxed) on every
-  // enqueue and by Sync(); the Status itself is behind pipeline_mu_.
-  std::atomic<bool> pipeline_failed_{false};
-  mutable std::mutex pipeline_mu_;
-  Status pipeline_status_;
+  // First chunk seal that failed (ingest thread only). A failed seal leaves
+  // the chunk's summary lost, so Push, PushBatch and Sync return this error
+  // from then on rather than seal later chunks over the gap.
+  Status seal_status_;
 
   // Individual metric pointers, registered once in the constructor; they
   // stay valid for the registry's lifetime.
@@ -779,7 +691,7 @@ class Loom {
     Histogram* push_seconds = nullptr;        // sampled 1-in-64
     Histogram* push_batch_seconds = nullptr;  // per batch
     Histogram* sync_seconds = nullptr;
-    Histogram* chunk_finalize_seconds = nullptr;
+    Histogram* finalize_seconds = nullptr;  // per chunk seal
     // Query-side, folded from finished QueryTraces.
     Counter* query_chunks_considered = nullptr;
     Counter* query_chunks_pruned = nullptr;
@@ -796,10 +708,6 @@ class Loom {
     Counter* parallel_morsels = nullptr;
     Counter* parallel_worker_runs = nullptr;
     Histogram* parallel_merge_seconds = nullptr;
-    // Ingest pipeline.
-    Counter* ingest_chunks_sealed = nullptr;      // seals routed to the pipeline
-    Histogram* ingest_finalize_seconds = nullptr; // per applied chunk seal
-    Gauge* ingest_finalize_stall = nullptr;       // cumulative ingest-side stall secs
     // Tiered storage. Demotion counters tick per demoted chunk; the block
     // counters fold from finished QueryTraces (tier_* fields).
     Counter* tier_demoted_chunks = nullptr;

@@ -91,9 +91,7 @@ Status ApplyDaemonConfigOption(DaemonOptions* options, std::string_view raw_key,
       {"summary_cache_shards", nullptr, &loom.summary_cache_shards, nullptr},
       {"query_threads", nullptr, &loom.query_threads, nullptr},
       {"prefetch_depth", nullptr, &loom.prefetch_depth, nullptr},
-      {"finalize_inflight_chunks", nullptr, &loom.finalize_inflight_chunks, nullptr},
       {"flush_inflight_blocks", nullptr, &loom.flush_inflight_blocks, nullptr},
-      {"seal_shards", nullptr, &loom.seal_shards, nullptr},
       {"group_commit_bytes", &loom.group_commit_bytes, nullptr, nullptr},
       {"group_commit_interval_ms", &loom.group_commit_interval_ms, nullptr, nullptr},
       {"summary_stage_records", nullptr, &loom.summary_stage_records, nullptr},
@@ -124,7 +122,6 @@ Status ApplyDaemonConfigOption(DaemonOptions* options, std::string_view raw_key,
     const char* name;
     bool* field;
   } bool_fields[] = {
-      {"pipelined_ingest", &loom.pipelined_ingest},
       {"enable_chunk_index", &loom.enable_chunk_index},
       {"enable_timestamp_index", &loom.enable_timestamp_index},
       {"enable_latency_metrics", &loom.enable_latency_metrics},

@@ -279,7 +279,7 @@ class HybridLog {
 
   // Writer-local state. tail_ is written by the single appender only, but
   // stats()/tail() may sample it from any thread (the engine's metrics hooks
-  // and pipelined-ingest tests do), so it is a relaxed atomic rather than a
+  // and concurrent-ingest tests do), so it is a relaxed atomic rather than a
   // plain counter.
   std::atomic<uint64_t> tail_{0};  // next append address
   uint64_t active_block_ = 0;      // block number being written

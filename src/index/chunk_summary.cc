@@ -178,44 +178,15 @@ void ChunkSummaryBuilder::UpdatePresence(size_t presence_slot, TimestampNanos ts
   }
 }
 
-ChunkSummaryBuilder::Pending ChunkSummaryBuilder::Detach(uint64_t chunk_addr,
-                                                         uint32_t chunk_len) {
-  Pending pending;
-  pending.chunk_addr = chunk_addr;
-  pending.chunk_len = chunk_len;
-  pending.total_records = total_records_;
-  pending.chunk_min_ts = chunk_min_ts_;
-  pending.chunk_max_ts = chunk_max_ts_;
-  // Deterministic entry order keeps encodings stable for tests.
+ChunkSummary ChunkSummaryBuilder::Finalize(uint64_t chunk_addr, uint32_t chunk_len) {
+  ChunkSummary summary;
+  summary.chunk_addr = chunk_addr;
+  summary.chunk_len = chunk_len;
+  summary.min_ts = total_records_ == 0 ? 0 : chunk_min_ts_;
+  summary.max_ts = chunk_max_ts_;
   std::sort(dirty_slots_.begin(), dirty_slots_.end());
-  pending.slots.reserve(dirty_slots_.size());
   for (size_t slot_idx : dirty_slots_) {
     Slot& slot = slots_[slot_idx];
-    Pending::Slot out;
-    out.source_id = slot.source_id;
-    out.index_id = slot.index_id;
-    out.evaluated = slot.evaluated;
-    const size_t num_bins = slot.bins.size();
-    out.bins = std::move(slot.bins);
-    pending.slots.push_back(std::move(out));
-    slot.bins.assign(num_bins, BinStats{});
-    slot.evaluated = 0;
-    slot.dirty = false;
-  }
-  dirty_slots_.clear();
-  total_records_ = 0;
-  chunk_min_ts_ = std::numeric_limits<TimestampNanos>::max();
-  chunk_max_ts_ = 0;
-  return pending;
-}
-
-ChunkSummary ChunkSummaryBuilder::Materialize(Pending&& pending) {
-  ChunkSummary summary;
-  summary.chunk_addr = pending.chunk_addr;
-  summary.chunk_len = pending.chunk_len;
-  summary.min_ts = pending.total_records == 0 ? 0 : pending.chunk_min_ts;
-  summary.max_ts = pending.chunk_max_ts;
-  for (const Pending::Slot& slot : pending.slots) {
     if (slot.evaluated > 0) {
       ChunkSummary::Entry e;
       e.source_id = slot.source_id;
@@ -225,22 +196,26 @@ ChunkSummary ChunkSummaryBuilder::Materialize(Pending&& pending) {
       summary.entries.push_back(e);
     }
     for (uint32_t bin = 0; bin < slot.bins.size(); ++bin) {
-      if (slot.bins[bin].count == 0) {
-        continue;
+      BinStats& stats = slot.bins[bin];
+      if (stats.count == 0) {
+        continue;  // never updated this chunk, so already zero
       }
       ChunkSummary::Entry e;
       e.source_id = slot.source_id;
       e.index_id = slot.index_id;
       e.bin = bin;
-      e.stats = slot.bins[bin];
+      e.stats = stats;
       summary.entries.push_back(e);
+      stats = BinStats{};
     }
+    slot.evaluated = 0;
+    slot.dirty = false;
   }
+  dirty_slots_.clear();
+  total_records_ = 0;
+  chunk_min_ts_ = std::numeric_limits<TimestampNanos>::max();
+  chunk_max_ts_ = 0;
   return summary;
-}
-
-ChunkSummary ChunkSummaryBuilder::Finalize(uint64_t chunk_addr, uint32_t chunk_len) {
-  return Materialize(Detach(chunk_addr, chunk_len));
 }
 
 }  // namespace loom

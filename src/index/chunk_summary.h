@@ -170,37 +170,10 @@ class ChunkSummaryBuilder {
   bool empty() const { return total_records_ == 0; }
   uint64_t total_records() const { return total_records_; }
 
-  // Detached accumulation state for one sealed chunk: the dirty slots' bin
-  // arrays moved out of the builder (cheap — no walk) plus the chunk header
-  // facts. Produced by Detach() on the ingest thread; Materialize() turns it
-  // into the ChunkSummary anywhere (the sharded seal path runs the expensive
-  // nonzero-bin walk and entry construction on a sealing worker).
-  struct Pending {
-    struct Slot {
-      uint32_t source_id = 0;
-      uint32_t index_id = 0;
-      uint64_t evaluated = 0;
-      std::vector<BinStats> bins;
-    };
-    uint64_t chunk_addr = 0;
-    uint32_t chunk_len = 0;
-    uint64_t total_records = 0;
-    TimestampNanos chunk_min_ts = 0;
-    TimestampNanos chunk_max_ts = 0;
-    std::vector<Slot> slots;  // ascending builder-slot order
-  };
-
-  // Moves the active chunk's accumulation out and resets the builder for the
-  // next chunk. The slots keep their registration; only per-chunk data moves.
-  Pending Detach(uint64_t chunk_addr, uint32_t chunk_len);
-
-  // The walk that turns detached state into the canonical summary. Finalize()
-  // is Materialize(Detach(...)), so the two paths are identical by
-  // construction — bit-identical entries in the same deterministic order.
-  static ChunkSummary Materialize(Pending&& pending);
-
   // Produces the summary for [chunk_addr, chunk_addr + chunk_len) and resets
-  // all accumulation state for the next chunk.
+  // all accumulation state for the next chunk. Walks the dirty slots in
+  // ascending slot order (so encodings are deterministic) and zero-fills
+  // their bins in place; the slots keep their registration and storage.
   ChunkSummary Finalize(uint64_t chunk_addr, uint32_t chunk_len);
 
  private:

@@ -24,8 +24,8 @@
 // matches.
 //
 // Watermark / late-data rules (§5.4 publish order): the watermark is the
-// seal timestamp of the newest applied seal event, which the engine only
-// advances after `published_indexed_tail` — so a window closes (and emits)
+// timestamp of the newest chunk seal, and the engine seals a chunk only
+// after its record bytes are published — so a window closes (and emits)
 // only once every record that could land in it is published and
 // summarized. Arrival timestamps are monotone in log order, so a closed
 // window can never gain a contribution from a later chunk; contributions
@@ -208,9 +208,9 @@ class StandingQueryEngine {
 
   // Seal-path hook: folds `summary` into every registered query's open
   // windows, advances the watermark to `seal_ts`, and emits every window
-  // that closed. Must be called in seal order from the thread that owns
-  // sealing (ingest thread inline, sealing thread pipelined); the record
-  // bytes of the sealed chunk must already be published for readers.
+  // that closed. Must be called in seal order from the thread that seals
+  // (the engine's ingest thread); the record bytes of the sealed chunk must
+  // already be published for readers.
   void OnChunkSealed(const ChunkSummary& summary, TimestampNanos seal_ts);
 
   // Fast emptiness probe for the seal path (skips the publish fence when

@@ -1,6 +1,7 @@
 // Engine-level concurrency and consistency tests: queries racing with live
 // ingest (§4.4), snapshot semantics (§4.5), and the coordination-avoiding
-// read path under block recycling.
+// read path under block recycling. Part of the TSan smoke
+// (tools/run_tsan_smoke.sh).
 
 #include <gtest/gtest.h>
 
@@ -428,6 +429,76 @@ TEST(LoomConcurrencyTest, PushBatchDuringQueriesKeepsSnapshots) {
   auto final_count = l->IndexedAggregate(1, idx.value(), {0, ~0ULL}, AggregateMethod::kCount);
   ASSERT_TRUE(final_count.ok());
   EXPECT_EQ(final_count.value(), static_cast<double>(kBatches * kBatchSize));
+}
+
+// Four interleaved sources ingesting while queries run: snapshot isolation
+// holds per source (counts are monotone, trace accounting balances) while
+// chunk seals and the ts markers of several sources share the ingest thread.
+TEST(LoomConcurrencyTest, InterleavedSourcesIngestDuringQueries) {
+  constexpr uint32_t kSources = 4;  // source ids 1..kSources
+  constexpr uint64_t kRecords = 12000;
+  TempDir dir;
+  ManualClock clock{1};
+  LoomOptions opts;
+  opts.dir = dir.FilePath("loom");
+  opts.chunk_size = 1024;
+  opts.record_block_size = 4096;
+  opts.ts_marker_period = 8;
+  opts.clock = &clock;
+  auto loom = Loom::Open(opts);
+  ASSERT_TRUE(loom.ok());
+  Loom* l = loom->get();
+  auto spec = HistogramSpec::Uniform(0, 1000, 32).value();
+  std::vector<uint32_t> ids(kSources + 1, 0);
+  for (uint32_t s = 1; s <= kSources; ++s) {
+    ASSERT_TRUE(l->DefineSource(s).ok());
+    auto idx = l->DefineIndex(s, SeqFunc(), spec);
+    ASSERT_TRUE(idx.ok());
+    ids[s] = idx.value();
+  }
+  std::atomic<bool> done{false};
+  std::thread ingest([&] {
+    for (uint64_t i = 0; i < kRecords; ++i) {
+      clock.AdvanceNanos(100'000);
+      ASSERT_TRUE(l->Push(static_cast<uint32_t>(i % kSources) + 1, SeqPayload(i)).ok());
+    }
+    done.store(true);
+  });
+  std::vector<uint64_t> last(kSources + 1, 0);
+  uint64_t rounds = 0;
+  while (!done.load()) {
+    for (uint32_t s = 1; s <= kSources; ++s) {
+      const TimeRange all{0, clock.NowNanos()};
+      auto count = l->CountRecords(s, all);
+      ASSERT_TRUE(count.ok());
+      EXPECT_GE(count.value(), last[s]);
+      last[s] = count.value();
+      QueryTrace trace;
+      auto sum = l->IndexedAggregate(s, ids[s], all, AggregateMethod::kSum, 0.0, &trace);
+      ASSERT_TRUE(sum.ok());
+      EXPECT_EQ(trace.chunks_pruned + trace.chunks_scanned, trace.chunks_considered);
+    }
+    ++rounds;
+  }
+  ingest.join();
+  EXPECT_GT(rounds, 0u);
+  // Every chunk sealed so far is indexed: a full-range aggregate considers
+  // exactly the finalized chunks, each of which holds every source.
+  const uint64_t finalized = l->stats().chunks_finalized;
+  EXPECT_GT(finalized, 10u);
+  for (uint32_t s = 1; s <= kSources; ++s) {
+    ASSERT_TRUE(l->Sync(s).ok());
+    const TimeRange all{0, clock.NowNanos()};
+    auto count = l->CountRecords(s, all);
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(count.value(), kRecords / kSources);
+    QueryTrace trace;
+    auto agg = l->IndexedAggregate(s, ids[s], all, AggregateMethod::kCount, 0.0, &trace);
+    ASSERT_TRUE(agg.ok());
+    EXPECT_EQ(agg.value(), static_cast<double>(kRecords / kSources));
+    EXPECT_EQ(trace.chunks_considered, finalized);
+    EXPECT_EQ(trace.chunks_pruned + trace.chunks_scanned, trace.chunks_considered);
+  }
 }
 
 }  // namespace

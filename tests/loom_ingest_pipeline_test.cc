@@ -1,6 +1,6 @@
-// Pipelined ingest (async chunk finalization + staged summary construction):
-// bit-identical results vs the inline path, drain semantics, clean shutdown
-// with in-flight work, and reader visibility under concurrent ingest.
+// The ingest write path: staged summary construction bit-identical to the
+// scalar path, chunk seals on the ingest thread (a failed seal is sticky),
+// reader visibility under concurrent ingest, and the ingest metrics family.
 //
 // The whole suite is registered twice in CMake: once normally and once with
 // LOOM_IO=sync forced, pinning the synchronous flush backend.
@@ -106,35 +106,6 @@ uint32_t DefineValueIndex(Loom* loom) {
   return idx.value();
 }
 
-// The tentpole equivalence: pipelined ingest must produce the same query
-// results AND the same on-disk log bytes as the inline path (the §5.4 apply
-// order only defers work, it never changes it).
-TEST(IngestPipelineTest, PipelinedMatchesInlineBitIdentical) {
-  constexpr int kRecords = 2000;
-  TempDir dir;
-  QueryFingerprint fps[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    ManualClock clock{1};
-    LoomOptions opts = SmallOptions(dir.FilePath(mode == 0 ? "inline" : "pipelined"), &clock);
-    opts.pipelined_ingest = mode == 1;
-    opts.flush_inflight_blocks = mode == 1 ? 4 : 1;
-    auto loom = Loom::Open(opts);
-    ASSERT_TRUE(loom.ok());
-    const uint32_t idx = DefineValueIndex(loom->get());
-    IngestWorkload(loom->get(), &clock, kRecords);
-    fps[mode] = Fingerprint(loom->get(), idx, clock.NowNanos());
-  }
-  EXPECT_EQ(fps[0].count, static_cast<uint64_t>(kRecords));
-  EXPECT_TRUE(fps[0] == fps[1]);
-  // Engines are closed: every log must be byte-identical across the modes.
-  for (const char* f : {"/record.log", "/chunk.idx", "/ts.idx"}) {
-    const auto a = ReadFileBytes(dir.FilePath("inline") + f);
-    const auto b = ReadFileBytes(dir.FilePath("pipelined") + f);
-    EXPECT_FALSE(a.empty()) << f;
-    EXPECT_EQ(a, b) << f;
-  }
-}
-
 // Staged (batch-classified) summary construction vs the scalar per-record
 // path: same chunk index bytes. A tiny stage forces many mid-chunk flushes.
 TEST(IngestPipelineTest, StagedSummariesMatchScalar) {
@@ -158,67 +129,13 @@ TEST(IngestPipelineTest, StagedSummariesMatchScalar) {
   EXPECT_EQ(a, b);
 }
 
-// Sync() drains the sealing queue: right after it returns, every sealed
-// chunk is indexed and queries prune instead of falling back to raw scans.
-TEST(IngestPipelineTest, SyncDrainsFinalizeQueue) {
-  TempDir dir;
-  ManualClock clock{1};
-  LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
-  opts.pipelined_ingest = true;
-  opts.finalize_inflight_chunks = 2;
-  auto loom = Loom::Open(opts);
-  ASSERT_TRUE(loom.ok());
-  const uint32_t idx = DefineValueIndex(loom->get());
-  IngestWorkload(loom->get(), &clock, 1000);
-  const uint64_t finalized = (*loom)->stats().chunks_finalized;
-  EXPECT_GT(finalized, 10u);
-  QueryTrace trace;
-  auto agg = (*loom)->IndexedAggregate(1, idx, TimeRange{0, clock.NowNanos()},
-                                       AggregateMethod::kCount, 0.0, &trace);
-  ASSERT_TRUE(agg.ok());
-  EXPECT_EQ(agg.value(), 1000.0);
-  // Drained pipeline == fully indexed prefix: every sealed chunk is a
-  // candidate, none are lost to a lagging watermark.
-  EXPECT_EQ(trace.chunks_considered, finalized);
-  EXPECT_EQ(trace.chunks_pruned + trace.chunks_scanned, trace.chunks_considered);
-}
-
-// Destroying the engine with sealed-but-unapplied chunks must drain (not
-// drop) them: the chunk index on disk covers every sealed chunk.
-TEST(IngestPipelineTest, DestructorDrainsPendingFinalize) {
-  TempDir dir;
-  ManualClock clock{1};
-  uint64_t finalized = 0;
-  {
-    LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
-    opts.pipelined_ingest = true;
-    opts.finalize_inflight_chunks = 1;  // maximize in-flight pressure
-    auto loom = Loom::Open(opts);
-    ASSERT_TRUE(loom.ok());
-    DefineValueIndex(loom->get());
-    for (int i = 0; i < 1200; ++i) {
-      clock.AdvanceNanos(1'000'000);
-      ASSERT_TRUE((*loom)->Push(1, ValuePayload(WorkloadValue(i))).ok());
-    }
-    finalized = (*loom)->stats().chunks_finalized;
-    // No Sync: the destructor must stop the pipeline cleanly itself.
-  }
-  EXPECT_GT(finalized, 0u);
-  const auto chunk_idx = ReadFileBytes(dir.FilePath("loom") + "/chunk.idx");
-  EXPECT_FALSE(chunk_idx.empty());
-  // Each summary frame is at least its 32-byte header + 4-byte length.
-  EXPECT_GE(chunk_idx.size(), finalized * 36);
-}
-
-// Readers racing pipelined ingest (plus retention reclaiming old chunks)
-// never observe data past the published watermarks: every query either
-// succeeds with consistent trace accounting or hits nothing worse than the
+// Readers racing ingest (plus retention reclaiming old chunks) never
+// observe data past the published watermarks: every query either succeeds with consistent trace accounting or hits nothing worse than the
 // retained suffix.
 TEST(IngestPipelineTest, ConcurrentQueriesSeeConsistentWatermarks) {
   TempDir dir;
   ManualClock clock{1};
   LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
-  opts.pipelined_ingest = true;
   opts.record_retain_bytes = 64 << 10;
   auto loom = Loom::Open(opts);
   ASSERT_TRUE(loom.ok());
@@ -267,7 +184,6 @@ TEST(IngestPipelineTest, ConcurrentIngestExactCountAfterDrain) {
   TempDir dir;
   ManualClock clock{1};
   LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
-  opts.pipelined_ingest = true;
   auto loom = Loom::Open(opts);
   ASSERT_TRUE(loom.ok());
   DefineValueIndex(loom->get());
@@ -318,13 +234,12 @@ TEST(IngestPipelineTest, CloseIndexMidChunkFlushesStage) {
   EXPECT_EQ(count.value(), 505.0);
 }
 
-// Pipelined mode composes with the chunk-index ablation: no seal events ever
-// flow, the watermark advances inline, and queries fall back to scans.
+// Ingest composes with the chunk-index ablation: chunks seal without
+// summaries, the watermark still advances, and queries fall back to scans.
 TEST(IngestPipelineTest, PipelinedWithChunkIndexDisabled) {
   TempDir dir;
   ManualClock clock{1};
   LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
-  opts.pipelined_ingest = true;
   opts.enable_chunk_index = false;
   auto loom = Loom::Open(opts);
   ASSERT_TRUE(loom.ok());
@@ -336,27 +251,67 @@ TEST(IngestPipelineTest, PipelinedWithChunkIndexDisabled) {
   EXPECT_EQ(count.value(), 600.0);
 }
 
-// The ingest metrics family is registered and carries data after a pipelined
-// run (sealed counter, queue depth gauges, io-backend mode).
+// The ingest metrics family is registered and carries data after a run
+// (finalize latency, flush queue depth, io-backend mode).
 TEST(IngestPipelineTest, IngestMetricsRegisteredAndPopulated) {
   TempDir dir;
   ManualClock clock{1};
   LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
-  opts.pipelined_ingest = true;
   auto loom = Loom::Open(opts);
   ASSERT_TRUE(loom.ok());
   DefineValueIndex(loom->get());
   IngestWorkload(loom->get(), &clock, 800);
   const std::string text = (*loom)->metrics()->RenderPrometheus();
-  EXPECT_NE(text.find("loom_ingest_chunks_sealed_total"), std::string::npos);
+  EXPECT_NE(text.find("loom_ingest_finalize_seconds"), std::string::npos);
   EXPECT_NE(text.find("loom_ingest_flush_queue_depth"), std::string::npos);
-  EXPECT_NE(text.find("loom_ingest_finalize_queue_depth"), std::string::npos);
-  EXPECT_NE(text.find("loom_ingest_finalize_lag_chunks"), std::string::npos);
   EXPECT_NE(text.find("loom_ingest_writer_stall_seconds_total"), std::string::npos);
   EXPECT_NE(text.find("loom_ingest_io_backend_mode"), std::string::npos);
   EXPECT_NE(text.find("loom_ingest_coalesced_writes_total"), std::string::npos);
   const uint64_t sealed = (*loom)->stats().chunks_finalized;
   EXPECT_GT(sealed, 0u);
+  // Every chunk seal is timed once.
+  const MetricsSnapshot snap = (*loom)->metrics()->Snapshot();
+  EXPECT_EQ(snap.histograms.at("loom_ingest_finalize_seconds").count, sealed);
+}
+
+// A chunk seal that fails (here every summary frame overflows the chunk
+// log's 128-byte blocks) is sticky: Push, PushBatch and Sync keep returning
+// the first error, no later seal writes an empty frame over the lost
+// chunk's records, and every acknowledged record stays countable.
+TEST(IngestPipelineTest, FailedSealIsSticky) {
+  TempDir dir;
+  ManualClock clock{1};
+  LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
+  opts.chunk_index_block_size = 128;
+  auto loom = Loom::Open(opts);
+  ASSERT_TRUE(loom.ok());
+  DefineValueIndex(loom->get());
+  uint64_t acked = 0;
+  Status first = Status::Ok();
+  for (int i = 0; i < 400 && first.ok(); ++i) {
+    clock.AdvanceNanos(1'000'000);
+    first = (*loom)->Push(1, ValuePayload(WorkloadValue(i)));
+    if (first.ok()) {
+      ++acked;
+      first = (*loom)->Sync(1);
+    }
+  }
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.code(), StatusCode::kInvalidArgument) << first.ToString();
+  for (int i = 0; i < 100; ++i) {
+    clock.AdvanceNanos(1'000'000);
+    const Status again = (*loom)->Push(1, ValuePayload(WorkloadValue(i)));
+    EXPECT_FALSE(again.ok());
+    EXPECT_EQ(again.message(), first.message());
+  }
+  const std::vector<uint8_t> payload = ValuePayload(1.0);
+  const std::span<const uint8_t> batch[] = {payload, payload};
+  EXPECT_EQ((*loom)->PushBatch(1, batch).message(), first.message());
+  EXPECT_EQ((*loom)->Sync(1).message(), first.message());
+  EXPECT_EQ((*loom)->stats().chunk_index_log.bytes_appended, 0u);
+  auto count = (*loom)->CountRecords(1, TimeRange{0, clock.NowNanos()});
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count.value(), acked);
 }
 
 }  // namespace

@@ -48,10 +48,9 @@ uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 class StandingQueryTest : public ::testing::Test {
  protected:
-  void Open(bool pipelined, bool tiered = false) {
+  void Open(bool tiered = false) {
     LoomOptions opts;
-    opts.dir = dir_.FilePath(std::string("loom") + (pipelined ? "_p" : "_i") +
-                             (tiered ? "_t" : ""));
+    opts.dir = dir_.FilePath(tiered ? "loom_t" : "loom");
     opts.chunk_size = 1024;  // ~13 records of 48 B payload per chunk
     opts.record_block_size = 8192;
     opts.chunk_index_block_size = 4096;
@@ -59,7 +58,6 @@ class StandingQueryTest : public ::testing::Test {
     opts.ts_marker_period = 8;
     opts.enable_chunk_index = true;
     opts.enable_timestamp_index = true;
-    opts.pipelined_ingest = pipelined;
     if (tiered) {
       opts.archive_dir = dir_.FilePath("cold");
       opts.record_retain_bytes = 32 << 10;
@@ -177,8 +175,8 @@ class StandingQueryTest : public ::testing::Test {
 
   // Registers one query per aggregate, ingests a mixed workload, and
   // bit-compares every emitted window against the one-shot planner.
-  void RunGoldenEquivalence(bool pipelined, uint64_t window_nanos, int records) {
-    Open(pipelined);
+  void RunGoldenEquivalence(uint64_t window_nanos, int records) {
+    Open();
     for (StandingAggregate agg :
          {StandingAggregate::kCount, StandingAggregate::kSum, StandingAggregate::kMin,
           StandingAggregate::kMax, StandingAggregate::kMean}) {
@@ -219,24 +217,16 @@ class StandingQueryTest : public ::testing::Test {
 
 TEST_F(StandingQueryTest, GoldenEquivalenceInlineFoldHeavy) {
   // Window spans several chunks: most contributions arrive via summary fold.
-  RunGoldenEquivalence(/*pipelined=*/false, /*window_nanos=*/32'000, /*records=*/600);
+  RunGoldenEquivalence(/*window_nanos=*/32'000, /*records=*/600);
 }
 
 TEST_F(StandingQueryTest, GoldenEquivalenceInlineScanHeavy) {
   // Sub-chunk windows: every chunk straddles boundaries, forcing rescans.
-  RunGoldenEquivalence(/*pipelined=*/false, /*window_nanos=*/3'000, /*records=*/600);
-}
-
-TEST_F(StandingQueryTest, GoldenEquivalencePipelinedFoldHeavy) {
-  RunGoldenEquivalence(/*pipelined=*/true, /*window_nanos=*/32'000, /*records=*/600);
-}
-
-TEST_F(StandingQueryTest, GoldenEquivalencePipelinedScanHeavy) {
-  RunGoldenEquivalence(/*pipelined=*/true, /*window_nanos=*/3'000, /*records=*/600);
+  RunGoldenEquivalence(/*window_nanos=*/3'000, /*records=*/600);
 }
 
 TEST_F(StandingQueryTest, GoldenEquivalenceSurvivesDemotion) {
-  Open(/*pipelined=*/false, /*tiered=*/true);
+  Open(/*tiered=*/true);
   Register(StandingAggregate::kSum, 8'000);
   Register(StandingAggregate::kMean, 8'000);
   auto sub = loom_->SubscribeStanding(0, 1 << 16);
@@ -267,13 +257,13 @@ TEST_F(StandingQueryTest, GoldenEquivalenceSurvivesDemotion) {
 // --- Watermark and registration floor -------------------------------------
 
 TEST_F(StandingQueryTest, WatermarkAdvancesWithoutQueries) {
-  Open(/*pipelined=*/false);
+  Open();
   PushMixed(100);  // several chunk seals, zero queries registered
   EXPECT_GT(loom_->standing()->watermark(), 0u);
 }
 
 TEST_F(StandingQueryTest, RegistrationFloorSkipsInProgressWindows) {
-  Open(/*pipelined=*/false);
+  Open();
   PushMixed(200);
   const TimestampNanos registration_watermark = loom_->standing()->watermark();
   ASSERT_GT(registration_watermark, 0u);
@@ -304,7 +294,7 @@ TEST_F(StandingQueryTest, RegistrationFloorSkipsInProgressWindows) {
 }
 
 TEST_F(StandingQueryTest, WindowsCloseOnlyAtSeal) {
-  Open(/*pipelined=*/false);
+  Open();
   Register(StandingAggregate::kCount, 2'000);
   auto sub = loom_->SubscribeStanding(0, 256);
   // Two records: far too few to fill a chunk, so nothing seals and nothing
@@ -318,7 +308,7 @@ TEST_F(StandingQueryTest, WindowsCloseOnlyAtSeal) {
 // --- Alerts ---------------------------------------------------------------
 
 TEST_F(StandingQueryTest, AlertFiresAfterConsecutiveBreachesAndResolves) {
-  Open(/*pipelined=*/false);
+  Open();
   StandingAlertRule rule;
   rule.kind = StandingAlertRule::Kind::kAbove;
   rule.threshold = 50.0;
@@ -367,7 +357,7 @@ TEST_F(StandingQueryTest, AlertFiresAfterConsecutiveBreachesAndResolves) {
 }
 
 TEST_F(StandingQueryTest, OutlierBinAlert) {
-  Open(/*pipelined=*/false);
+  Open();
   StandingAlertRule rule;
   rule.kind = StandingAlertRule::Kind::kOutlierBins;
   rule.threshold = 1.0;  // any under/overflow record in a window fires
@@ -400,7 +390,7 @@ TEST_F(StandingQueryTest, OutlierBinAlert) {
 // --- Empty windows --------------------------------------------------------
 
 TEST_F(StandingQueryTest, EmptyWindowsSkippedByDefault) {
-  Open(/*pipelined=*/false);
+  Open();
   Register(StandingAggregate::kCount, 2'000);
   auto sub = loom_->SubscribeStanding(0, 1 << 14);
   PushMixed(50);
@@ -417,7 +407,7 @@ TEST_F(StandingQueryTest, EmptyWindowsSkippedByDefault) {
 }
 
 TEST_F(StandingQueryTest, EmptyWindowsEmittedOnRequestAndMatchOneShot) {
-  Open(/*pipelined=*/false);
+  Open();
   StandingQuerySpec spec;
   spec.name = "emit_empty";
   spec.source_id = kSource;
@@ -452,7 +442,7 @@ TEST_F(StandingQueryTest, EmptyWindowsEmittedOnRequestAndMatchOneShot) {
 // --- Subscriptions and lifecycle ------------------------------------------
 
 TEST_F(StandingQueryTest, SubscriptionOverflowDropsAndCounts) {
-  Open(/*pipelined=*/false);
+  Open();
   Register(StandingAggregate::kCount, 1'000);
   auto sub = loom_->SubscribeStanding(0, 2);  // tiny queue, never polled
   PushMixed(600);
@@ -463,7 +453,7 @@ TEST_F(StandingQueryTest, SubscriptionOverflowDropsAndCounts) {
 }
 
 TEST_F(StandingQueryTest, SubscriptionFiltersByQueryId) {
-  Open(/*pipelined=*/false);
+  Open();
   const uint64_t q1 = Register(StandingAggregate::kCount, 8'000);
   const uint64_t q2 = Register(StandingAggregate::kSum, 8'000);
   auto only_q2 = loom_->SubscribeStanding(q2, 1 << 14);
@@ -478,7 +468,7 @@ TEST_F(StandingQueryTest, SubscriptionFiltersByQueryId) {
 }
 
 TEST_F(StandingQueryTest, UnregisterStopsEvaluation) {
-  Open(/*pipelined=*/false);
+  Open();
   const uint64_t qid = Register(StandingAggregate::kCount, 4'000);
   auto sub = loom_->SubscribeStanding(0, 1 << 14);
   PushMixed(200);
@@ -495,7 +485,7 @@ TEST_F(StandingQueryTest, UnregisterStopsEvaluation) {
 }
 
 TEST_F(StandingQueryTest, RegisterValidatesSpec) {
-  Open(/*pipelined=*/false);
+  Open();
   StandingQuerySpec spec;
   spec.source_id = kSource;
   spec.index_id = index_id_;
@@ -508,7 +498,7 @@ TEST_F(StandingQueryTest, RegisterValidatesSpec) {
 }
 
 TEST_F(StandingQueryTest, ClosedSubscriptionIsPruned) {
-  Open(/*pipelined=*/false);
+  Open();
   Register(StandingAggregate::kCount, 4'000);
   auto sub = loom_->SubscribeStanding(0, 16);
   EXPECT_EQ(loom_->standing()->stats().subscribers, 1u);

@@ -5,9 +5,9 @@
 # the write-path test binaries, and runs them with halt_on_error so any heap
 # error fails fast. This covers:
 #
-#   loom_ingest_pipeline_test  the sealing thread's SealEvent queue, staged
-#                              summary buffers, and the finalize drain paths
-#                              (destructor with work still queued included)
+#   loom_ingest_pipeline_test  staged summary buffers, the chunk seal (its
+#                              in-place builder reset included), and the
+#                              sticky failed-seal path
 #   hybridlog_test             block recycling, the coalesced multi-block
 #                              vectored flush, and close-time sync readback
 #   tiering_test               demotion payload staging (spans rebuilt over a

@@ -6,7 +6,9 @@
 # halt_on_error so any data race fails fast. This covers:
 #
 #   loom_concurrency_test     queries (serial and morsel-parallel) racing
-#                             live ingest, block recycling, and retention
+#                             live ingest, block recycling, and retention;
+#                             four interleaved sources sealing chunks and
+#                             writing ts markers while queries run
 #   loom_parallel_query_test  the pool-backed executor: RunOrdered emission,
 #                             worker trace absorption, pinned-floor splits
 #   loom_engine_test          the differential suite, whose _threads4 and
@@ -14,10 +16,8 @@
 #                             parallel across both tiers
 #   retention_test            query threads pinning retention floors while
 #                             the flusher advances and applies held retention
-#   loom_ingest_pipeline_test the pipelined write path: the sealing workers'
-#                             SealEvent queues, drains, and concurrent readers
-#   loom_seal_shards_test     sharded sealing: four workers racing on the
-#                             apply ticket under live ingest and queries
+#   loom_ingest_pipeline_test the write path: readers racing chunk seals on
+#                             the ingest thread, with and without retention
 #   tiering_test              the background demoter advancing the retention
 #                             barrier and catalog under live cross-tier queries
 #   standing_query_test       seal-path evaluation publishing window/alert
@@ -39,7 +39,7 @@ build="$repo/build-tsan"
 
 cmake --preset tsan -S "$repo" >/dev/null
 cmake --build "$build" --target loom_concurrency_test loom_parallel_query_test loom_engine_test \
-  retention_test loom_ingest_pipeline_test loom_seal_shards_test tiering_test \
+  retention_test loom_ingest_pipeline_test tiering_test \
   standing_query_test net_test daemon_test -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
@@ -48,7 +48,6 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 "$build/tests/loom_engine_test"
 "$build/tests/retention_test"
 "$build/tests/loom_ingest_pipeline_test"
-"$build/tests/loom_seal_shards_test"
 "$build/tests/tiering_test"
 "$build/tests/standing_query_test"
 "$build/tests/net_test"
