@@ -25,8 +25,7 @@ constexpr size_t kScanWindow = 64 << 10;
 constexpr uint64_t kChunkEventScanCap = 8192;
 
 // Plans with fewer candidates than this stay serial — pool coordination
-// costs more than it buys on tiny plans. RawScan's chain fans out only into
-// at least this many segments.
+// costs more than it buys on tiny plans.
 constexpr size_t kMinParallelCandidates = 4;
 
 // Backward chain walks batch this many headers before running the vectorized
@@ -1082,7 +1081,10 @@ Result<std::shared_ptr<const ChunkSummary>> Loom::ReadSummary(uint64_t addr, uin
   }
   std::vector<uint8_t> buf(len);
   LOOM_RETURN_IF_ERROR(chunk_log_->Read(addr + 4, std::span<uint8_t>(buf.data(), len)));
-  auto decoded = ChunkSummary::Decode(std::span<const uint8_t>(buf.data(), buf.size()));
+  // Cached summaries leave out the listed section: only percentile stage 2
+  // reads it, from the frame (Percentile).
+  auto decoded = ChunkSummary::Decode(std::span<const uint8_t>(buf.data(), buf.size()),
+                                      /*keep_listed=*/false);
   if (!decoded.ok()) {
     return decoded.status();
   }
@@ -1309,8 +1311,8 @@ struct Loom::Candidate {
                // already holds it in `summary` (chunk-log sweep, stage 2)
     kRange,    // records [addr, end) with no summary, always scanned: the
                // unindexed tail, or the forward scan without a chunk index
-    kChain,    // the source's back-pointer chain from `addr` down to `end`
-               // (exclusive; kNullAddr walks to the chain's oldest record)
+    kChain,    // the source's back-pointer chain from `addr` down to its
+               // oldest record, or to the first one older than the range
   };
   Kind kind = Kind::kChunk;
   uint64_t addr = 0;
@@ -1323,8 +1325,8 @@ struct Loom::Candidate {
 struct Loom::QueryPlan {
   Snapshot snap;
   std::vector<Candidate> candidates;
-  // An unpartitioned chain walk runs on the calling thread, streaming: a
-  // worker would have to buffer the whole chain.
+  // A chain walk runs on the calling thread, streaming: a worker would have
+  // to buffer the whole chain.
   bool serial = false;
   // Percentile stage 2 reads its hot chunks ahead: slot i is candidate i.
   ChunkPrefetcher::Job* ring = nullptr;
@@ -1352,8 +1354,7 @@ struct Loom::Outcome {
   bool considered = false;
   Zone zone = Zone::kScan;
   std::shared_ptr<const ChunkSummary> summary;
-  uint64_t presence = 0;   // the source's records in the chunk, when folded
-  bool chain_end = false;  // the walk reached the start of the range
+  uint64_t presence = 0;  // the source's records in the chunk, when folded
   std::vector<Match> matches;
   std::vector<double> values;          // index values of read records, log order
   std::vector<TimestampNanos> stamps;  // their arrival times, when the fold needs them
@@ -1458,7 +1459,7 @@ Status Loom::Plan(const QueryOp& op, uint64_t floor, QueryPlan* plan, QueryTrace
 
   if (op.walks_chain || (!options_.enable_chunk_index && !ts_index)) {
     LOOM_RETURN_IF_ERROR(PlanChain(op, snap, &out));
-    plan->serial = out.size() == 1;
+    plan->serial = true;
     // Newest-first: the blocks follow the walk, newest block first.
     out.insert(out.end(), archived.rbegin(), archived.rend());
     return Status::Ok();
@@ -1587,8 +1588,7 @@ Status Loom::Plan(const QueryOp& op, uint64_t floor, QueryPlan* plan, QueryTrace
 Status Loom::PlanChain(const QueryOp& op, const Snapshot& snap,
                        std::vector<Candidate>* out) const {
   uint64_t start = snap.source_tail;
-  const bool ts_index = options_.enable_timestamp_index && snap.ts_tail > 0;
-  if (ts_index) {
+  if (options_.enable_timestamp_index && snap.ts_tail > 0) {
     TimestampIndexReader tsr(ts_log_.get(), snap.ts_tail);
     auto marker = tsr.FirstRecordMarkerAfter(op.source_id, op.t_range.end);
     if (!marker.ok()) {
@@ -1600,46 +1600,8 @@ Status Loom::PlanChain(const QueryOp& op, const Snapshot& snap,
       start = marker.value()->target_addr;
     }
   }
-  if (start == kNullAddr) {
-    return Status::Ok();
-  }
-  if (!ts_index || !CanRunParallel()) {
-    out->push_back({Candidate::Kind::kChain, start, kNullAddr});
-    return Status::Ok();
-  }
-  // Partition the chain at record-marker targets: markers land every
-  // ts_marker_period records per source, so each [bounds[j], bounds[j+1])
-  // address segment is an independently walkable slice of the chain whose
-  // records are all newer than the next segment's.
-  std::vector<uint64_t> bounds{start};
-  TimestampIndexReader tsr(ts_log_.get(), snap.ts_tail);
-  auto marker = tsr.LastRecordMarkerAtOrBefore(op.source_id, op.t_range.end);
-  if (!marker.ok()) {
-    return marker.status();
-  }
-  CachedLogReader ts_reader(ts_log_.get(), snap.ts_tail, kScanWindow);
-  std::optional<TimestampIndexEntry> m = marker.value();
-  // Past a marker older than the range or below the floor, the walk stops
-  // inside the current last segment.
-  while (m.has_value() && m->ts >= op.t_range.start && m->target_addr >= snap.floor) {
-    if (m->target_addr < bounds.back()) {
-      bounds.push_back(m->target_addr);
-    }
-    if (m->prev_addr == kNullAddr) {
-      break;
-    }
-    auto bytes = ts_reader.Fetch(m->prev_addr, TimestampIndexEntry::kEncodedSize);
-    if (!bytes.ok()) {
-      return bytes.status();
-    }
-    m = TimestampIndexEntry::Decode(bytes.value().data());
-  }
-  if (bounds.size() < kMinParallelCandidates) {
-    bounds.resize(1);  // too few segments to be worth fanning out
-  }
-  for (size_t j = 0; j < bounds.size(); ++j) {
-    out->push_back({Candidate::Kind::kChain, bounds[j],
-                    j + 1 < bounds.size() ? bounds[j + 1] : kNullAddr});
+  if (start != kNullAddr) {
+    out->push_back({Candidate::Kind::kChain, start});
   }
   return Status::Ok();
 }
@@ -1693,41 +1655,23 @@ Status Loom::ScanArchiveBlockFor(const Candidate& cand, uint32_t source_id, Time
 Status Loom::Execute(const QueryPlan& plan, QueryOp& op, QueryTrace* trace) const {
   const size_t n = plan.candidates.size();
   // Counts a summarized candidate into the trace, then hands it to the
-  // operator. Chain segments after the one whose walk reached the start of
-  // the range hold nothing the serial walk would deliver.
-  bool chain_done = false;
+  // operator.
   const auto consume = [&](size_t c, Outcome& o) {
     const Candidate& cand = plan.candidates[c];
     if (o.considered) {
       CountZone(trace, o.zone, cand.kind == Candidate::Kind::kArchive);
     }
-    if (cand.kind == Candidate::Kind::kChain) {
-      if (chain_done) {
-        return true;
-      }
-      chain_done = o.chain_end;
-    }
     return op.Consume(cand, o);
-  };
-
-  // Chain segments one thread walks in a row are adjacent in the log, so they
-  // share one record reader and its windows. Two windows: the payload fetches
-  // of the emission phase and the header walk of the next batch alternate
-  // between nearby-but-distinct spans.
-  const auto chain_reader = [&] {
-    return CachedLogReader(record_log_.get(), plan.snap.record_tail, kScanWindow,
-                           /*max_windows=*/2);
   };
 
   if (plan.serial || !CanRunParallel() || n < kMinParallelCandidates) {
     // Serial: each outcome is consumed before the next candidate runs, so
     // records stream to the operator and memory stays bounded by one
     // candidate. A failed candidate still delivers what it read first.
-    CachedLogReader reader = chain_reader();
     for (size_t c = 0; c < n; ++c) {
       Outcome o;
       o.stream = true;
-      const Status st = RunCandidate(plan, c, op, &o, &reader, trace);
+      const Status st = RunCandidate(plan, c, op, &o, trace);
       if (!consume(c, o)) {
         break;
       }
@@ -1766,13 +1710,12 @@ Status Loom::Execute(const QueryPlan& plan, QueryOp& op, QueryTrace* trace) cons
       morsels.size(), window,
       [&](size_t mi) {
         MorselRun& run = runs[mi];
-        CachedLogReader reader = chain_reader();
         for (size_t c = morsels[mi].first; c < morsels[mi].second; ++c) {
           if (abort.load(std::memory_order_relaxed)) {
             return;  // a sibling failed; the query returns its error
           }
           run.ran = c + 1;
-          run.status = RunCandidate(plan, c, op, &outcomes[c], &reader, &morsel_traces[mi]);
+          run.status = RunCandidate(plan, c, op, &outcomes[c], &morsel_traces[mi]);
           if (!run.status.ok()) {
             abort.store(true, std::memory_order_relaxed);
             return;
@@ -1809,11 +1752,11 @@ Status Loom::Execute(const QueryPlan& plan, QueryOp& op, QueryTrace* trace) cons
 }
 
 Status Loom::RunCandidate(const QueryPlan& plan, size_t c, QueryOp& op, Outcome* o,
-                          CachedLogReader* chain_reader, QueryTrace* trace) const {
+                          QueryTrace* trace) const {
   const Candidate& cand = plan.candidates[c];
   const Snapshot& snap = plan.snap;
   if (cand.kind == Candidate::Kind::kChain) {
-    return WalkChain(cand, snap, op, o, chain_reader, trace);
+    return WalkChain(cand, snap, op, o, trace);
   }
   uint64_t from = cand.addr;
   uint64_t to = std::min(cand.end, snap.record_tail);
@@ -1873,9 +1816,12 @@ Status Loom::RunCandidate(const QueryPlan& plan, size_t c, QueryOp& op, Outcome*
                                  on_record, trace);
 }
 
-Status Loom::WalkChain(const Candidate& seg, const Snapshot& snap, QueryOp& op, Outcome* o,
-                       CachedLogReader* reader, QueryTrace* trace) const {
+Status Loom::WalkChain(const Candidate& chain, const Snapshot& snap, QueryOp& op, Outcome* o,
+                       QueryTrace* trace) const {
   const uint64_t scan_t0 = trace->detailed ? MetricsNowNanos() : 0;
+  // Two windows: the payload fetches of the emission phase and the header
+  // walk of the next batch alternate between nearby-but-distinct spans.
+  CachedLogReader reader(record_log_.get(), snap.record_tail, kScanWindow, /*max_windows=*/2);
   // The walk batches headers, runs the vectorized time filter over the batch,
   // then emits matches in chain (newest-first) order with per-record
   // accounting: every header fetched is examined, payload bytes count only
@@ -1884,18 +1830,19 @@ Status Loom::WalkChain(const Candidate& seg, const Snapshot& snap, QueryOp& op, 
   // or above it readable for the whole walk.
   DecodedBatch batch;
   std::vector<uint64_t> mask;
-  uint64_t addr = seg.addr;
+  uint64_t addr = chain.addr;
   bool done = false;
+  bool chain_end = false;  // the walk reached the start of the range
   Status st;
-  while (!done && !o->chain_end && addr != kNullAddr && addr != seg.end) {
+  while (!done && !chain_end && addr != kNullAddr) {
     batch.Clear();
     Status deferred;  // header read error: surfaces after the collected prefix
-    while (batch.size() < kChainWalkBatch && addr != kNullAddr && addr != seg.end) {
+    while (batch.size() < kChainWalkBatch && addr != kNullAddr) {
       if (addr < snap.floor) {
-        o->chain_end = true;  // the chain continues into dropped territory
+        chain_end = true;  // the chain continues into dropped territory
         break;
       }
-      auto head_bytes = reader->Fetch(addr, kRecordHeaderSize);
+      auto head_bytes = reader.Fetch(addr, kRecordHeaderSize);
       if (!head_bytes.ok()) {
         deferred = head_bytes.status();
         break;
@@ -1907,7 +1854,7 @@ Status Loom::WalkChain(const Candidate& seg, const Snapshot& snap, QueryOp& op, 
       batch.timestamps.push_back(header.ts);
       addr = header.prev_addr;
       if (header.ts < op.t_range.start) {
-        o->chain_end = true;
+        chain_end = true;
         break;
       }
     }
@@ -1923,14 +1870,14 @@ Status Loom::WalkChain(const Candidate& seg, const Snapshot& snap, QueryOp& op, 
       if (((mask[i >> 6] >> (i & 63)) & 1) == 0) {
         continue;
       }
-      auto payload = reader->Fetch(batch.addrs[i] + kRecordHeaderSize, batch.payload_lens[i]);
+      auto payload = reader.Fetch(batch.addrs[i] + kRecordHeaderSize, batch.payload_lens[i]);
       if (!payload.ok()) {
         st = payload.status();
         done = true;
         break;
       }
       trace->bytes_read += batch.payload_lens[i];
-      done = !op.OnRecord(seg,
+      done = !op.OnRecord(chain,
                           RecordView{batch.source_ids[i], batch.timestamps[i], batch.addrs[i],
                                      payload.value()},
                           o);
@@ -2246,27 +2193,28 @@ Result<double> Loom::Percentile(uint32_t source_id, uint32_t index_id, const Ind
   // bounds `count` values to [min, max]. Picking each interval's min (max)
   // gives the bracket L <= answer <= U, so an interval wholly below L only
   // counts toward the rank, one wholly above U drops out, and only the rest
-  // are rescanned (DESIGN.md, "Bin-level zone maps"). NaN lands in the
-  // overflow bin without moving min/max, so that bin rescans every interval.
+  // are read: from the entry's listed values when it holds 3 to
+  // kMaxListedValues, else by rescanning the chunk (DESIGN.md, "Bin-level
+  // zone maps"). NaN lands in the overflow bin without moving min/max, so
+  // that bin rescans every interval.
   struct Interval {
-    const BinStats* stats;
+    const ChunkSummary::Entry* entry;
     const BinAccumulation::Folded* chunk;
   };
   std::vector<Interval> intervals;
   const bool bounded = target_bin + 1 < bin_counts.size();
   for (const BinAccumulation::Folded& fc : acc.folded) {
-    for (const ChunkSummary::Entry& e : fc.summary->entries) {
-      if (e.source_id == source_id && e.index_id == index_id && e.bin == target_bin) {
-        if (bounded && e.stats.count == 1) {
-          bin_values.push_back(e.stats.min);
-        } else if (bounded && e.stats.count == 2 && e.stats.min < e.stats.max) {
-          bin_values.push_back(e.stats.min);
-          bin_values.push_back(e.stats.max);
-        } else {
-          intervals.push_back({&e.stats, &fc});
-        }
-        break;
-      }
+    const ChunkSummary::Entry* e = fc.summary->FindEntry(source_id, index_id, target_bin);
+    if (e == nullptr) {
+      continue;
+    }
+    if (bounded && e->stats.count == 1) {
+      bin_values.push_back(e->stats.min);
+    } else if (bounded && e->stats.count == 2 && e->stats.min < e->stats.max) {
+      bin_values.push_back(e->stats.min);
+      bin_values.push_back(e->stats.max);
+    } else {
+      intervals.push_back({e, &fc});
     }
   }
   // The local_rank-th smallest of the exact values plus each interval's min
@@ -2278,7 +2226,8 @@ Result<double> Loom::Percentile(uint32_t source_id, uint32_t index_id, const Ind
       weighted.emplace_back(v, 1);
     }
     for (const Interval& iv : intervals) {
-      weighted.emplace_back(use_max ? iv.stats->max : iv.stats->min, iv.stats->count);
+      const BinStats& st = iv.entry->stats;
+      weighted.emplace_back(use_max ? st.max : st.min, st.count);
     }
     std::sort(weighted.begin(), weighted.end());
     uint64_t seen = 0;
@@ -2298,14 +2247,49 @@ Result<double> Loom::Percentile(uint32_t source_id, uint32_t index_id, const Ind
     rescan.push_back(*fc.cand);
     rescan.back().summary = fc.summary;
   };
+  // A hot summary from the cache has no listed section; its frame, read from
+  // the chunk log in address order, has.
+  std::optional<CachedLogReader> frames;
+  const auto append_listed = [&](const Interval& iv) -> Result<bool> {
+    const ChunkSummary& summary = *iv.chunk->summary;
+    const size_t exact = bin_values.size();
+    summary.FindEntry(source_id, index_id, target_bin, &bin_values);
+    if (bin_values.size() > exact || !summary.listed.empty() ||
+        !ChunkSummary::ListsValues(*iv.entry) || iv.chunk->cand->summary != nullptr) {
+      return bin_values.size() > exact;
+    }
+    if (!frames.has_value()) {
+      frames.emplace(chunk_log_.get(), acc.plan.snap.chunk_tail, kScanWindow);
+    }
+    const uint64_t addr = iv.chunk->cand->addr;
+    auto len = frames->Fetch(addr, 4);
+    if (!len.ok()) {
+      return len.status();
+    }
+    auto frame = frames->Fetch(addr + 4, LoadU32(len.value().data()));
+    if (!frame.ok()) {
+      return frame.status();
+    }
+    return summary.AppendListed(frame.value(), *iv.entry, &bin_values);
+  };
   if (bounded && !intervals.empty()) {
     const double lower = rank_bound(false);  // L
     const double upper = rank_bound(true);   // U
     for (const Interval& iv : intervals) {
-      if (iv.stats->max < lower) {
-        below += iv.stats->count;
-      } else if (iv.stats->min <= upper) {
-        add_rescan(*iv.chunk);
+      const BinStats& st = iv.entry->stats;
+      if (st.max < lower) {
+        below += st.count;
+      } else if (st.min <= upper) {
+        auto listed = append_listed(iv);
+        if (!listed.ok()) {
+          return listed.status();
+        }
+        if (listed.value()) {  // all but min and max appended
+          bin_values.push_back(st.min);
+          bin_values.push_back(st.max);
+        } else {
+          add_rescan(*iv.chunk);
+        }
       }
     }
   } else {

@@ -64,8 +64,6 @@
 
 namespace loom {
 
-class CachedLogReader;
-
 struct LoomOptions {
   // Directory holding the three log files (record.log, chunk.idx, ts.idx).
   std::string dir;
@@ -322,8 +320,10 @@ class Loom {
   // aggregates are served from chunk summaries where chunks are fully inside
   // the range; holistic percentile uses the summary bins as a CDF to find the
   // target bin (§4.3), then uses each summarized chunk's target-bin
-  // [min, max] to bracket the answer and rescans only the chunks whose
-  // values the bracket cannot place (see DESIGN.md, "Bin-level zone maps").
+  // [min, max] to bracket the answer and reads only the entries the bracket
+  // cannot place: from the values the summary lists for entries of 3 to 16
+  // values, else by rescanning the chunk (see DESIGN.md, "Bin-level zone
+  // maps").
   Result<double> IndexedAggregate(uint32_t source_id, uint32_t index_id, TimeRange t_range,
                                   AggregateMethod method, double percentile = 0.0,
                                   QueryTrace* trace = nullptr) const;
@@ -507,8 +507,8 @@ class Loom {
   // come from a sweep of the chunk log, without a chunk index the plan is one
   // forward range, and with neither (or for RawScan) it walks the chain.
   Status Plan(const QueryOp& op, uint64_t floor, QueryPlan* plan, QueryTrace* trace) const;
-  // RawScan's chain: one segment, or one per record marker when the walk
-  // can fan out.
+  // The source's chain as one candidate, starting at the first record
+  // marker past the range when the timestamp index has one.
   Status PlanChain(const QueryOp& op, const Snapshot& snap, std::vector<Candidate>* out) const;
   // Appends the archived blocks overlapping `t_range` whose chunks sit wholly
   // below `floor`, in demotion (= hot-log address, = time) order; the hot
@@ -523,14 +523,13 @@ class Loom {
   Status Execute(const QueryPlan& plan, QueryOp& op, QueryTrace* trace) const;
   // The per-candidate step, safe to run concurrently for distinct
   // candidates: loads and filters a hot chunk's summary, classifies the
-  // candidate, and reads its records only when the zone says scan. Chain
-  // segments read through `chain_reader`, the running thread's own.
+  // candidate, and reads its records only when the zone says scan.
   Status RunCandidate(const QueryPlan& plan, size_t c, QueryOp& op, Outcome* out,
-                      CachedLogReader* chain_reader, QueryTrace* trace) const;
-  // Walks one chain segment newest-first, batching headers through the
-  // vectorized time filter; the walk itself is data-dependent.
-  Status WalkChain(const Candidate& seg, const Snapshot& snap, QueryOp& op, Outcome* out,
-                   CachedLogReader* reader, QueryTrace* trace) const;
+                      QueryTrace* trace) const;
+  // Walks the chain newest-first, batching headers through the vectorized
+  // time filter; the walk itself is data-dependent.
+  Status WalkChain(const Candidate& chain, const Snapshot& snap, QueryOp& op, Outcome* out,
+                   QueryTrace* trace) const;
   // The fold-bins pass shared by IndexedAggregate and IndexedHistogram.
   Status AccumulateBins(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
                         TimeRange t_range, uint64_t floor, BinAccumulation* acc,

@@ -3,8 +3,9 @@
 // While a chunk of the record log accumulates records, Loom incrementally
 // updates a summary: for every (source, index, histogram bin) with at least
 // one record in the chunk, the summary stores count/sum/min/max and the
-// timestamp range. When the chunk fills, the finalized summary is appended to
-// the chunk index log and only then becomes visible to queries.
+// timestamp range, and lists the values between min and max when the bin
+// holds 3 to 16 of them. When the chunk fills, the finalized summary is
+// appended to the chunk index log and only then becomes visible to queries.
 //
 // A summary also carries one "presence" entry per source that contributed
 // records to the chunk (index id kPresenceIndexId), so queries can detect
@@ -34,6 +35,14 @@ inline constexpr uint32_t kPresenceIndexId = 0xFFFFFFFFu;
 // whether a chunk holds records that predate the index definition (§5.3) and
 // therefore must be scanned.
 inline constexpr uint32_t kEvaluatedBin = 0xFFFFFFFEu;
+
+// A bin entry holding kMinListedValues..kMaxListedValues values, min < max,
+// also lists its values but one min and one max, so percentile stage 2
+// settles it without reading the chunk. One value, or two distinct ones, are
+// already pinned by min and max; the cap bounds the bytes a dense bin costs
+// (DESIGN.md, "Bin-level zone maps").
+inline constexpr uint64_t kMinListedValues = 3;
+inline constexpr uint64_t kMaxListedValues = 16;
 
 // Aggregate statistics over the records of one bin within one chunk.
 struct BinStats {
@@ -93,11 +102,48 @@ struct ChunkSummary {
   TimestampNanos min_ts = 0;  // over all records in the chunk
   TimestampNanos max_ts = 0;
   std::vector<Entry> entries;
+  // The listed values, packed as the frame stores them: for every entry that
+  // ListsValues, in `entries` order, a width w <= 8, then its count - 2
+  // values other than the first (in log order) bit-equal to stats.min and
+  // the first bit-equal to stats.max, in log order, each as its low w bytes
+  // (the high 8 - w bytes are stats.min's). With min and max they are the
+  // entry's values exactly, NaN and signed zeros included. Only percentile
+  // stage 2 reads them, so they stay packed until FindEntry unpacks one
+  // entry's. Empty in frames written before the section existed (no entry
+  // lists values then), and in summaries decoded without it.
+  std::vector<uint8_t> listed;
 
-  // Serializes into `out` (appending). Layout is explicit little-endian.
+  // Whether `e` is a bin entry whose values `listed` holds (when non-empty).
+  // min < max makes min and max two of its values (NaN moves neither).
+  static bool ListsValues(const Entry& e) {
+    return e.index_id != kPresenceIndexId && e.bin != kEvaluatedBin &&
+           e.stats.count >= kMinListedValues && e.stats.count <= kMaxListedValues &&
+           e.stats.min < e.stats.max;
+  }
+
+  // The entry of (source_id, index_id, bin), or nullptr. When `values` is
+  // given and the entry lists values, appends them (all but min and max).
+  const Entry* FindEntry(uint32_t source_id, uint32_t index_id, uint32_t bin,
+                         std::vector<double>* values = nullptr) const;
+
+  // Appends the values `e` (one of `entries`) lists, read from `frame`, this
+  // summary's encoded frame body, for a summary decoded without its listed
+  // section. False when the frame has none or it does not fit the entries.
+  bool AppendListed(std::span<const uint8_t> frame, const Entry& e,
+                    std::vector<double>* values) const;
+
+  // Serializes into `out` (appending). Layout is explicit little-endian:
+  // a header, the entries, then, when `listed` is non-empty, the number of
+  // listed values and `listed`.
   void EncodeTo(std::vector<uint8_t>& out) const;
 
-  static Result<ChunkSummary> Decode(std::span<const uint8_t> bytes);
+  // Fails with DataLoss on a truncated frame, or a listed section whose
+  // value count disagrees with the listing entries' counts or whose widths
+  // exceed 8. With `keep_listed` false the section is checked but not kept:
+  // the summary cache holds summaries without it, so queries that only fold
+  // or prune do not pay for its bytes, and percentile stage 2 reads it from
+  // the frame (AppendListed).
+  static Result<ChunkSummary> Decode(std::span<const uint8_t> bytes, bool keep_listed = true);
 
   // Encoded byte size for this summary.
   size_t EncodedSize() const;
@@ -174,9 +220,24 @@ class ChunkSummaryBuilder {
   // all accumulation state for the next chunk. Walks the dirty slots in
   // ascending slot order (so encodings are deterministic) and zero-fills
   // their bins in place; the slots keep their registration and storage.
+  // Each slot's listing bins collect their values in one pass over the
+  // slot's values, in log order, and are packed into `listed`.
   ChunkSummary Finalize(uint64_t chunk_addr, uint32_t chunk_len);
 
  private:
+  struct BinnedValue {
+    double value;
+    uint32_t bin;
+  };
+  static constexpr uint32_t kNotListed = 0xFFFFFFFFu;
+  // Where a listing bin's next value goes in `unpacked_`, and whether its
+  // min and max have been passed over yet.
+  struct ListCursor {
+    uint32_t next = kNotListed;
+    bool min_skipped = false;
+    bool max_skipped = false;
+  };
+
   struct Slot {
     uint32_t source_id = 0;
     uint32_t index_id = 0;
@@ -184,10 +245,16 @@ class ChunkSummaryBuilder {
     bool dirty = false;  // any data in the current chunk
     uint64_t evaluated = 0;
     std::vector<BinStats> bins;
+    // The active chunk's indexed values, appended in log order.
+    std::vector<BinnedValue> values;
+    // Finalize scratch, per bin; `next` is kNotListed between seals.
+    std::vector<ListCursor> cursors;
   };
 
   std::vector<Slot> slots_;
   std::vector<size_t> dirty_slots_;
+  // Finalize scratch: one slot's listed values before packing.
+  std::vector<double> unpacked_;
   uint64_t total_records_ = 0;
   TimestampNanos chunk_min_ts_ = std::numeric_limits<TimestampNanos>::max();
   TimestampNanos chunk_max_ts_ = 0;

@@ -25,11 +25,11 @@ SummaryCache::SummaryCache(const SummaryCacheOptions& options) {
 }
 
 size_t SummaryCache::EntryFootprint(const ChunkSummary& summary) {
-  // Decoded object + its entry vector + LRU list node + hash map node. The
-  // bookkeeping constant is an estimate; the budget is a soft envelope, not
-  // an allocator accounting.
+  // Decoded object + its entry and packed listed-value vectors + LRU list node +
+  // hash map node. The bookkeeping constant is an estimate; the budget is a
+  // soft envelope, not an allocator accounting.
   return sizeof(ChunkSummary) + summary.entries.size() * sizeof(ChunkSummary::Entry) +
-         sizeof(Entry) + 64;
+         summary.listed.size() + sizeof(Entry) + 64;
 }
 
 std::shared_ptr<const ChunkSummary> SummaryCache::Lookup(uint64_t addr, uint32_t* frame_len_out) {

@@ -119,28 +119,6 @@ Result<std::optional<TimestampIndexEntry>> TimestampIndexReader::LastChunkEvent(
   return std::optional<TimestampIndexEntry>(std::nullopt);
 }
 
-Result<std::optional<TimestampIndexEntry>> TimestampIndexReader::LastRecordMarkerAtOrBefore(
-    uint32_t source_id, TimestampNanos ts) const {
-  auto pos = LastEntryAtOrBefore(ts);
-  if (!pos.ok()) {
-    return pos.status();
-  }
-  if (!pos.value().has_value()) {
-    return std::optional<TimestampIndexEntry>(std::nullopt);
-  }
-  for (uint64_t i = *pos.value() + 1; i > 0; --i) {
-    auto e = ReadIndex(i - 1);
-    if (!e.ok()) {
-      return e.status();
-    }
-    if (e.value().kind == TimestampIndexEntry::Kind::kRecord &&
-        e.value().source_id == source_id) {
-      return std::optional<TimestampIndexEntry>(e.value());
-    }
-  }
-  return std::optional<TimestampIndexEntry>(std::nullopt);
-}
-
 Result<std::optional<TimestampIndexEntry>> TimestampIndexReader::FirstRecordMarkerAfter(
     uint32_t source_id, TimestampNanos ts) const {
   auto pos = FirstEntryAfter(ts);

@@ -87,12 +87,6 @@ class TimestampIndexReader {
   // no chunk event exists.
   Result<std::optional<TimestampIndexEntry>> LastChunkEvent() const;
 
-  // Latest record marker for `source_id` with ts <= `ts`. Scans backward from
-  // the binary-search position; bounded by the entry density. Returns the
-  // entry (whose prev chain walks earlier markers of the same source).
-  Result<std::optional<TimestampIndexEntry>> LastRecordMarkerAtOrBefore(
-      uint32_t source_id, TimestampNanos ts) const;
-
   // Earliest record marker for `source_id` with ts > `ts` (used to bound
   // backward record-chain walks). Scans forward from the binary-search
   // position.

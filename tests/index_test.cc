@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "src/common/file.h"
 #include "src/common/rng.h"
@@ -133,37 +137,108 @@ TEST(BinStatsTest, MergeCombines) {
   EXPECT_EQ(a.max_ts, 20u);
 }
 
-TEST(ChunkSummaryTest, EncodeDecodeRoundTrip) {
-  ChunkSummary s;
-  s.chunk_addr = 0x1000;
-  s.chunk_len = 0x2000;
-  s.min_ts = 123;
-  s.max_ts = 456;
-  ChunkSummary::Entry e;
-  e.source_id = 7;
-  e.index_id = 3;
-  e.bin = 2;
-  e.stats.Update(5.5, 130);
-  e.stats.Update(-1.5, 140);
-  s.entries.push_back(e);
+// The listed section starts where a summary without it ends.
+size_t ListedSectionOffset(const ChunkSummary& s) {
+  ChunkSummary bare = s;
+  bare.listed.clear();
+  return bare.EncodedSize();
+}
 
+// A sealed summary of index 3 on source 7 holding values[b] in bin b.
+ChunkSummary SummaryOf(const std::vector<std::vector<double>>& values) {
+  ChunkSummaryBuilder builder;
+  const size_t presence = builder.RegisterSlot(7, kPresenceIndexId, 1);
+  const size_t slot = builder.RegisterSlot(7, 3, static_cast<uint32_t>(values.size()));
+  TimestampNanos ts = 100;
+  for (uint32_t b = 0; b < values.size(); ++b) {
+    for (double v : values[b]) {
+      builder.UpdatePresence(presence, ts);
+      builder.NoteEvaluated(slot);
+      builder.Update(slot, b, v, ts++);
+    }
+  }
+  return builder.Finalize(0x1000, 0x2000);
+}
+
+// The values the (source, index, bin) entry of `s` lists.
+std::vector<double> Listed(const ChunkSummary& s, uint32_t source, uint32_t index, uint32_t bin) {
+  std::vector<double> values;
+  EXPECT_NE(s.FindEntry(source, index, bin, &values), nullptr) << bin;
+  return values;
+}
+
+TEST(ChunkSummaryTest, EncodeDecodeRoundTrip) {
+  // Bin 1 lists its values but min and max: 8.0 and 7.5.
+  const ChunkSummary s = SummaryOf({{5.5, -1.5}, {9.0, 7.0, 8.0, 7.5}});
   std::vector<uint8_t> buf;
   s.EncodeTo(buf);
   EXPECT_EQ(buf.size(), s.EncodedSize());
   auto decoded = ChunkSummary::Decode(buf);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->chunk_addr, s.chunk_addr);
-  EXPECT_EQ(decoded->chunk_len, s.chunk_len);
-  EXPECT_EQ(decoded->min_ts, s.min_ts);
-  EXPECT_EQ(decoded->max_ts, s.max_ts);
-  ASSERT_EQ(decoded->entries.size(), 1u);
-  EXPECT_EQ(decoded->entries[0].source_id, 7u);
-  EXPECT_EQ(decoded->entries[0].index_id, 3u);
-  EXPECT_EQ(decoded->entries[0].bin, 2u);
-  EXPECT_EQ(decoded->entries[0].stats.count, 2u);
-  EXPECT_EQ(decoded->entries[0].stats.min, -1.5);
-  EXPECT_EQ(decoded->entries[0].stats.max, 5.5);
+  EXPECT_EQ(decoded->chunk_addr, 0x1000u);
+  EXPECT_EQ(decoded->chunk_len, 0x2000u);
+  EXPECT_EQ(decoded->min_ts, 100u);
+  EXPECT_EQ(decoded->max_ts, 105u);
+  ASSERT_EQ(decoded->entries.size(), s.entries.size());
+  for (size_t i = 0; i < s.entries.size(); ++i) {
+    const ChunkSummary::Entry& a = s.entries[i];
+    const ChunkSummary::Entry& b = decoded->entries[i];
+    EXPECT_EQ(b.source_id, a.source_id);
+    EXPECT_EQ(b.index_id, a.index_id);
+    EXPECT_EQ(b.bin, a.bin);
+    EXPECT_EQ(b.stats.count, a.stats.count);
+    EXPECT_EQ(b.stats.sum, a.stats.sum);
+    EXPECT_EQ(b.stats.min, a.stats.min);
+    EXPECT_EQ(b.stats.max, a.stats.max);
+    EXPECT_EQ(b.stats.min_ts, a.stats.min_ts);
+    EXPECT_EQ(b.stats.max_ts, a.stats.max_ts);
+  }
+  const ChunkSummary::Entry* two = decoded->FindEntry(7, 3, 0);
+  ASSERT_NE(two, nullptr);
+  EXPECT_EQ(two->stats.count, 2u);
+  EXPECT_EQ(two->stats.min, -1.5);
+  EXPECT_EQ(two->stats.max, 5.5);
+  EXPECT_EQ(decoded->listed, s.listed);
+  EXPECT_TRUE(Listed(*decoded, 7, 3, 0).empty());
+  EXPECT_EQ(Listed(*decoded, 7, 3, 1), (std::vector<double>{8.0, 7.5}));
+  EXPECT_EQ(decoded->FindEntry(7, 3, 2), nullptr);
+  // Two listed values of one power-of-two bin share their top byte with min.
+  EXPECT_EQ(buf.size(), ListedSectionOffset(s) + 4 + 1 + 2 * 7);
+
+  // Decoded without the section, the summary reads the values from the frame.
+  auto bare = ChunkSummary::Decode(buf, /*keep_listed=*/false);
+  ASSERT_TRUE(bare.ok());
+  EXPECT_TRUE(bare->listed.empty());
+  EXPECT_TRUE(Listed(*bare, 7, 3, 1).empty());
+  std::vector<double> values;
+  ASSERT_TRUE(bare->AppendListed(buf, *bare->FindEntry(7, 3, 1), &values));
+  EXPECT_EQ(values, (std::vector<double>{8.0, 7.5}));
+  EXPECT_FALSE(bare->AppendListed(buf, *bare->FindEntry(7, 3, 0), &values));
+  EXPECT_FALSE(bare->AppendListed(std::span<const uint8_t>(buf.data(), ListedSectionOffset(s)),
+                                  *bare->FindEntry(7, 3, 1), &values));
+  EXPECT_EQ(values.size(), 2u);
 }
+
+// Packing keeps listed values bit-exact: NaN and signed zeros, values that
+// differ from min in every byte, and values that equal min (no bytes at all).
+TEST(ChunkSummaryTest, ListedValuesRoundTripBitExact) {
+  const ChunkSummary s =
+      SummaryOf({{-2.0, std::nan(""), -1.5, -1.0, 0.0, -0.0}, {3.0, 3.0, 5.0, 3.0}});
+  std::vector<uint8_t> buf;
+  s.EncodeTo(buf);
+  EXPECT_EQ(buf.size(), s.EncodedSize());
+  auto decoded = ChunkSummary::Decode(buf);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const std::vector<double> want = {std::nan(""), -1.5, -1.0, -0.0};
+  const std::vector<double> got = Listed(*decoded, 7, 3, 0);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)), 0);
+  EXPECT_EQ(Listed(*decoded, 7, 3, 1), (std::vector<double>{3.0, 3.0}));
+}
+
+// A summary with one two-value entry and one listing entry of three values
+// (min and max in the entry, the third listed).
+ChunkSummary ListingSummary() { return SummaryOf({{1.0, 2.0}, {3.0, 4.0, 5.0}}); }
 
 TEST(ChunkSummaryTest, DecodeRejectsTruncation) {
   ChunkSummary s;
@@ -174,6 +249,73 @@ TEST(ChunkSummaryTest, DecodeRejectsTruncation) {
     auto r = ChunkSummary::Decode(std::span<const uint8_t>(buf.data(), cut));
     EXPECT_FALSE(r.ok());
   }
+}
+
+// A frame written before the listed section existed ends after its entries:
+// it decodes, and no entry lists its values.
+TEST(ChunkSummaryTest, DecodesFrameWithoutListedSection) {
+  ChunkSummary s = ListingSummary();
+  s.listed.clear();
+  std::vector<uint8_t> buf;
+  s.EncodeTo(buf);
+  auto decoded = ChunkSummary::Decode(buf);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->entries.size(), s.entries.size());
+  EXPECT_TRUE(decoded->listed.empty());
+  EXPECT_TRUE(Listed(*decoded, 7, 3, 1).empty());
+}
+
+TEST(ChunkSummaryTest, DecodeRejectsTruncatedListedSection) {
+  const ChunkSummary s = ListingSummary();
+  std::vector<uint8_t> buf;
+  s.EncodeTo(buf);
+  ASSERT_GT(buf.size(), ListedSectionOffset(s));
+  for (size_t cut = ListedSectionOffset(s) + 1; cut < buf.size(); ++cut) {
+    auto r = ChunkSummary::Decode(std::span<const uint8_t>(buf.data(), cut));
+    ASSERT_FALSE(r.ok()) << cut;
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << cut;
+  }
+}
+
+TEST(ChunkSummaryTest, DecodeRejectsListedSectionDisagreeingWithCounts) {
+  const ChunkSummary s = ListingSummary();
+  std::vector<uint8_t> good;
+  s.EncodeTo(good);
+  ASSERT_TRUE(ChunkSummary::Decode(good).ok());
+  const auto put = [](std::vector<uint8_t>& buf, size_t at, uint64_t v, size_t bytes) {
+    for (size_t b = 0; b < bytes; ++b) {
+      buf[at + b] = static_cast<uint8_t>(v >> (8 * b));
+    }
+  };
+  // The section's value count, one fewer and one more than the entries list.
+  const size_t section = ListedSectionOffset(s);
+  for (uint32_t count : {0u, 2u}) {
+    std::vector<uint8_t> buf = good;
+    put(buf, section, count, 4);
+    auto r = ChunkSummary::Decode(buf);
+    ASSERT_FALSE(r.ok()) << count;
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << count;
+  }
+  // The listing entry's count moved within the listing range, and past it.
+  const size_t header = ChunkSummary{}.EncodedSize();
+  const size_t entry = (section - header) / s.entries.size();
+  const auto listing = std::find_if(s.entries.begin(), s.entries.end(), ChunkSummary::ListsValues);
+  ASSERT_NE(listing, s.entries.end());
+  const size_t count_at =
+      header + static_cast<size_t>(listing - s.entries.begin()) * entry + 12;  // key, then count
+  for (uint64_t count : {uint64_t{4}, kMaxListedValues + 1}) {
+    std::vector<uint8_t> buf = good;
+    put(buf, count_at, count, 8);
+    auto r = ChunkSummary::Decode(buf);
+    ASSERT_FALSE(r.ok()) << count;
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << count;
+  }
+  // A value width past eight bytes.
+  std::vector<uint8_t> buf = good;
+  put(buf, section + 4, 9, 1);
+  auto r = ChunkSummary::Decode(buf);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(ChunkSummaryBuilderTest, AccumulatesAndFinalizes) {
@@ -212,6 +354,58 @@ TEST(ChunkSummaryBuilderTest, AccumulatesAndFinalizes) {
   EXPECT_TRUE(builder.empty());
   ChunkSummary s2 = builder.Finalize(8192, 1024);
   EXPECT_TRUE(s2.entries.empty());
+}
+
+// Entries holding 3 to 16 values, min < max, list all but one min and one
+// max, in log order, entry by entry. Fewer values, more, all-equal values,
+// and the presence and evaluated entries list nothing.
+TEST(ChunkSummaryBuilderTest, ListsValuesOfEntriesHoldingThreeToSixteen) {
+  ChunkSummaryBuilder builder;
+  size_t presence = builder.RegisterSlot(1, kPresenceIndexId, 1);
+  size_t idx = builder.RegisterSlot(1, 5, 6);
+  // Bin 0 holds signed zeros; bin 1 a repeated min; bin 4 three equal values.
+  const uint32_t bins[] = {2, 1, 0, 1, 2, 0, 1, 2, 1, 0, 1, 4, 4, 4, 5};
+  const double values[] = {9.0, 4.0, 0.0, 3.0, 8.0,  -0.0, 6.0, 7.0,
+                           5.0, 0.5, 3.0, 2.0, 2.0, 2.0, 11.0};
+  const size_t n = std::size(values);
+  std::vector<TimestampNanos> ts(n);
+  for (size_t i = 0; i < n; ++i) {
+    ts[i] = i + 1;
+    builder.UpdatePresence(presence, ts[i]);
+    builder.NoteEvaluated(idx);
+  }
+  builder.UpdateBatch(idx, bins, values, ts.data(), 5);
+  for (size_t i = 5; i < n; ++i) {
+    builder.Update(idx, bins[i], values[i], ts[i]);
+  }
+  for (int i = 0; i < 17; ++i) {
+    builder.Update(idx, 3, 100.0 + i, 20);
+  }
+  ChunkSummary s = builder.Finalize(0, 1024);
+  const std::vector<double> zero = Listed(s, 1, 5, 0);
+  ASSERT_EQ(zero.size(), 1u);
+  EXPECT_TRUE(std::signbit(zero[0]));
+  EXPECT_EQ(zero[0], 0.0);
+  EXPECT_EQ(Listed(s, 1, 5, 1), (std::vector<double>{4.0, 5.0, 3.0}));
+  EXPECT_EQ(Listed(s, 1, 5, 2), (std::vector<double>{8.0}));
+  for (uint32_t bin : {3u, 4u, 5u, kEvaluatedBin}) {
+    EXPECT_TRUE(Listed(s, 1, 5, bin).empty()) << bin;
+  }
+  EXPECT_TRUE(Listed(s, 1, kPresenceIndexId, 0).empty());
+
+  // The encoding round-trips, and the next chunk starts with nothing listed.
+  std::vector<uint8_t> buf;
+  s.EncodeTo(buf);
+  auto decoded = ChunkSummary::Decode(buf);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->listed, s.listed);
+  EXPECT_EQ(Listed(*decoded, 1, 5, 1), (std::vector<double>{4.0, 5.0, 3.0}));
+  builder.UpdatePresence(presence, 30);
+  builder.Update(idx, 2, 1.5, 30);
+  builder.Update(idx, 2, 3.5, 30);
+  builder.Update(idx, 2, 2.5, 30);
+  const ChunkSummary next = builder.Finalize(1024, 1024);
+  EXPECT_EQ(Listed(next, 1, 5, 2), (std::vector<double>{2.5}));
 }
 
 TEST(ChunkSummaryBuilderTest, SlotReuseAfterUnregister) {
@@ -315,7 +509,7 @@ TEST_F(TimestampIndexFixture, RecordMarkerChainsPerSource) {
   log_->Publish();
   TimestampIndexReader reader(log_.get(), log_->queryable_tail());
 
-  auto m = reader.LastRecordMarkerAtOrBefore(2, 55);
+  auto m = reader.FirstRecordMarkerAfter(2, 45);
   ASSERT_TRUE(m.ok());
   ASSERT_TRUE(m.value().has_value());
   EXPECT_EQ(m.value()->source_id, 2u);
@@ -365,7 +559,7 @@ TEST_F(TimestampIndexFixture, EmptyIndexQueries) {
   EXPECT_FALSE(reader.LastEntryAtOrBefore(100).value().has_value());
   EXPECT_FALSE(reader.FirstEntryAfter(0).value().has_value());
   EXPECT_FALSE(reader.LastChunkEvent().value().has_value());
-  EXPECT_FALSE(reader.LastRecordMarkerAtOrBefore(1, 100).value().has_value());
+  EXPECT_FALSE(reader.FirstRecordMarkerAfter(1, 0).value().has_value());
 }
 
 // Property: binary search result matches a linear scan for random timestamps.

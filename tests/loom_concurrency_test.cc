@@ -347,8 +347,8 @@ TEST(LoomConcurrencyTest, ParallelQueriesDuringIngestAndRetention) {
         fprintf(stderr, "SCAN ERR: %s\n", st.ToString().c_str());
         errors.fetch_add(1);
       }
-      // Raw scan with the marker-segmented parallel walk: the sequence must
-      // stay dense (each record's predecessor is seq - 1) per snapshot.
+      // Raw scan: the sequence must stay dense (each record's predecessor is
+      // seq - 1) per snapshot.
       uint64_t prev = ~0ULL;
       st = l->RawScan(1, {0, ~0ULL}, [&](const RecordView& r) {
         const uint64_t seq = PayloadSeq(r.payload);

@@ -517,16 +517,18 @@ struct RefRecord {
   double value;
 };
 
-// One differential configuration: the workload seed, the query pool size, and
-// whether the probes run after demoting most chunks into the archive tier.
+// One differential configuration: the workload seed, the query pool size,
+// whether the probes run after demoting most chunks into the archive tier,
+// and the chunk size.
 struct DiffCase {
   uint64_t seed;
   size_t query_threads;
   bool archived;
+  size_t chunk_size = 1024;
 };
 
-// Names the case after its seed alone for the serial hot-only engine, so that
-// configuration keeps its historical test names.
+// Names the case after its seed alone for the serial hot-only engine with
+// 1 KiB chunks, so that configuration keeps its historical test names.
 void PrintTo(const DiffCase& c, std::ostream* os) {
   *os << c.seed;
   if (c.query_threads > 0) {
@@ -535,8 +537,14 @@ void PrintTo(const DiffCase& c, std::ostream* os) {
   if (c.archived) {
     *os << "_archived";
   }
+  if (c.chunk_size != 1024) {
+    *os << "_chunk" << c.chunk_size;
+  }
 }
 
+// 1 KiB chunks hold ~14 records, so every bin entry holds at most 16 values
+// and lists them; 8 KiB chunks give the dense bin (source 3) ~40 values per
+// entry, which only the [min, max] bracket and a rescan settle.
 std::vector<DiffCase> DiffCases() {
   std::vector<DiffCase> cases;
   for (size_t threads : {size_t{0}, size_t{4}}) {
@@ -544,6 +552,7 @@ std::vector<DiffCase> DiffCases() {
       for (uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u}) {
         cases.push_back({seed, threads, archived});
       }
+      cases.push_back({77u, threads, archived, 8192});
     }
   }
   return cases;
@@ -563,8 +572,8 @@ TEST_P(LoomDifferentialTest, MatchesReferenceModel) {
   ManualClock clock(1);
   LoomOptions opts;
   opts.dir = dir.FilePath("loom");
-  opts.chunk_size = 1024;  // ~14 records, a few per source and bin
-  opts.record_block_size = 4096;
+  opts.chunk_size = c.chunk_size;
+  opts.record_block_size = std::max<size_t>(4096, c.chunk_size);
   opts.chunk_index_block_size = 4096;
   opts.ts_index_block_size = 2048;
   opts.ts_marker_period = 5;
@@ -637,7 +646,8 @@ TEST_P(LoomDifferentialTest, MatchesReferenceModel) {
     }
     // Demotion follows flushed bytes: let the flusher catch up, then demote
     // until a pass archives nothing new.
-    const uint64_t full_blocks = (*loom)->stats().record_log.bytes_appended / 4096;
+    const uint64_t full_blocks =
+        (*loom)->stats().record_log.bytes_appended / opts.record_block_size;
     for (int spin = 0; spin < 5000 && (*loom)->stats().record_log.blocks_flushed < full_blocks;
          ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -107,7 +107,9 @@ uint32_t DefineValueIndex(Loom* loom) {
 }
 
 // Staged (batch-classified) summary construction vs the scalar per-record
-// path: same chunk index bytes. A tiny stage forces many mid-chunk flushes.
+// path: same chunk index bytes. A tiny stage forces many mid-chunk flushes. A
+// second, four-bin index puts 3-4 values in each of its bin entries, so the
+// bytes compared include listed values.
 TEST(IngestPipelineTest, StagedSummariesMatchScalar) {
   constexpr int kRecords = 1500;
   TempDir dir;
@@ -119,6 +121,8 @@ TEST(IngestPipelineTest, StagedSummariesMatchScalar) {
     auto loom = Loom::Open(opts);
     ASSERT_TRUE(loom.ok());
     const uint32_t idx = DefineValueIndex(loom->get());
+    ASSERT_TRUE(
+        (*loom)->DefineIndex(1, ValueIndex, HistogramSpec::Uniform(0, 1000, 4).value()).ok());
     IngestWorkload(loom->get(), &clock, kRecords);
     fps[mode] = Fingerprint(loom->get(), idx, clock.NowNanos());
   }
@@ -127,6 +131,17 @@ TEST(IngestPipelineTest, StagedSummariesMatchScalar) {
   const auto b = ReadFileBytes(dir.FilePath("staged") + "/chunk.idx");
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+  ChunkFrameIterator frames(
+      [&a](uint64_t addr, size_t len) -> Result<std::span<const uint8_t>> {
+        return std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(a.data()) + addr, len);
+      },
+      0, a.size(), LoomOptions{}.chunk_index_block_size);
+  ChunkSummary s;
+  size_t listed = 0;
+  for (auto more = frames.Next(&s); more.ok() && more.value(); more = frames.Next(&s)) {
+    listed += s.listed.size();
+  }
+  EXPECT_GT(listed, 0u);
 }
 
 // Readers racing ingest (plus retention reclaiming old chunks) never

@@ -71,10 +71,10 @@ class ParallelQueryTest : public ::testing::Test {
   std::unique_ptr<Loom> BuildEngine(const std::string& dir, size_t query_threads,
                                     ManualClock* clock, uint32_t* index_id,
                                     SimdMode simd_mode = SimdMode::kAuto,
-                                    size_t prefetch_depth = 4) {
+                                    size_t prefetch_depth = 4, size_t chunk_size = 1024) {
     LoomOptions opts;
     opts.dir = dir;
-    opts.chunk_size = 1024;  // ~13 records per chunk -> hundreds of candidates
+    opts.chunk_size = chunk_size;  // 1024: ~13 records per chunk -> hundreds of candidates
     opts.record_block_size = 8192;
     opts.chunk_index_block_size = 4096;
     opts.ts_index_block_size = 4096;
@@ -438,20 +438,26 @@ TEST_F(ParallelQueryTest, ForcedScalarNoPrefetchBitIdentical) {
 // rescan list is exact. A p50 over the whole range folds every candidate from
 // its summary, then rescans every chunk holding the target bin; each read the
 // ring made must be accounted as a hit or wasted, and the gauges must be
-// absent when the ring is disabled.
+// absent when the ring is disabled. The engine's 8 KiB chunks hold more
+// target-bin values than a summary lists, so stage 2 has chunks to read.
 TEST_F(ParallelQueryTest, PrefetchMetricsAccountIssuedReads) {
-  const TimestampNanos last = parallel_clock_.NowNanos();
+  ManualClock big_clock{1};
+  uint32_t big_index = 0;
+  std::unique_ptr<Loom> big = BuildEngine(dir_.FilePath("big"), 4, &big_clock, &big_index,
+                                          SimdMode::kAuto, /*prefetch_depth=*/4,
+                                          /*chunk_size=*/8192);
+  const TimestampNanos last = big_clock.NowNanos();
   // The ring worker races the consumers for scheduler time; on a loaded
   // single-core host one query may finish before the worker runs. Each query
   // submits a fresh job, so repeat until the worker lands a hit (bounded).
   MetricsSnapshot snap;
   for (int attempt = 0; attempt < 50; ++attempt) {
     QueryTrace trace;
-    auto p50 = parallel_->IndexedAggregate(kSource, parallel_index_, {0, last + 1},
-                                           AggregateMethod::kPercentile, 50.0, &trace);
+    auto p50 = big->IndexedAggregate(kSource, big_index, {0, last + 1},
+                                     AggregateMethod::kPercentile, 50.0, &trace);
     ASSERT_TRUE(p50.ok());
     ASSERT_GE(trace.chunks_scanned, 2u);  // stage 2 rescanned at least two chunks
-    snap = parallel_->metrics()->Snapshot();
+    snap = big->metrics()->Snapshot();
     if (snap.gauges.at("loom_query_prefetch_hits_total") > 0.0) {
       break;
     }
@@ -524,9 +530,10 @@ TEST_F(ParallelQueryTest, SingleWorkerPoolMatchesSerial) {
 
 // --- Bin-level zone maps ----------------------------------------------------
 //
-// Every summary entry keeps its bin's [min, max]. These cases pin, by trace
-// counts, the record reads that lets a query skip, on four engines holding the
-// same stream: serial and parallel, hot only and mostly archived.
+// Every summary entry keeps its bin's [min, max], and lists its values when it
+// holds 3 to 16. These cases pin, by trace counts, the record reads that lets
+// a query skip, on four engines holding the same stream: serial and parallel,
+// hot only and mostly archived.
 
 constexpr size_t kZoneRecords = 3000;
 
@@ -540,7 +547,7 @@ struct ZoneEngine {
 
 class BinZoneMapTest : public ::testing::Test {
  protected:
-  void Build(const std::vector<double>& values) {
+  void Build(const std::vector<double>& values, size_t chunk_size = 1024) {
     for (size_t threads : {size_t{0}, size_t{4}}) {
       for (bool archived : {false, true}) {
         ZoneEngine e;
@@ -549,7 +556,7 @@ class BinZoneMapTest : public ::testing::Test {
         e.clock = std::make_unique<ManualClock>(1);
         LoomOptions opts;
         opts.dir = dir_.FilePath(e.name);
-        opts.chunk_size = 1024;  // ~14 records per chunk
+        opts.chunk_size = chunk_size;  // 1024: ~14 records per chunk
         opts.record_block_size = 8192;
         opts.query_threads = threads;
         opts.clock = e.clock.get();
@@ -673,9 +680,39 @@ TEST_F(BinZoneMapTest, PercentileOverExactEntriesRescansNothing) {
   }
 }
 
+// Every other value lands in bin [32, 64), so each chunk's entry for it holds
+// about seven values: more than min and max pin, few enough that the summary
+// lists them, and the p50 in that bin needs no stage-2 rescan.
+TEST_F(BinZoneMapTest, PercentileOverListedEntriesRescansNothing) {
+  Rng rng(11);
+  std::vector<double> values;
+  for (size_t i = 0; i < kZoneRecords; ++i) {
+    if (i % 2 == 1) {
+      values.push_back(rng.NextUniform(33.0, 63.0));
+    } else {
+      values.push_back(i % 4 == 0 ? 2.5 : 1000.5);
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(Build(values));
+  const double want = Percentile(values, 50.0);
+  ASSERT_GE(want, 32.0);
+  ASSERT_LT(want, 64.0);
+  for (const ZoneEngine& e : engines_) {
+    QueryTrace trace;
+    auto got = e.loom->IndexedAggregate(kSource, e.index_id, {0, ~0ULL},
+                                        AggregateMethod::kPercentile, 50.0, &trace);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), want) << e.name;
+    ExpectInvariants(trace, e);
+    EXPECT_EQ(trace.chunks_scanned, 0u) << e.name;
+    EXPECT_GT(trace.chunks_summary_folded, 0u) << e.name;
+  }
+}
+
 // Every value lands in bin [32, 64): the first half in [32, 39), the second in
 // [40, 63). The p75 lies in the second half, so the first half's chunks sit
-// wholly below the bracket and only count toward the rank.
+// wholly below the bracket and only count toward the rank. The 4 KiB chunks
+// hold ~56 values each, more than a summary lists, so the bracket decides.
 TEST_F(BinZoneMapTest, DenseBinPercentileRescansOnlyChunksNearTheAnswer) {
   Rng rng(7);
   std::vector<double> values;
@@ -683,7 +720,7 @@ TEST_F(BinZoneMapTest, DenseBinPercentileRescansOnlyChunksNearTheAnswer) {
     values.push_back(i < kZoneRecords / 2 ? rng.NextUniform(32.0, 39.0)
                                           : rng.NextUniform(40.0, 63.0));
   }
-  ASSERT_NO_FATAL_FAILURE(Build(values));
+  ASSERT_NO_FATAL_FAILURE(Build(values, /*chunk_size=*/4096));
   const double want = Percentile(values, 75.0);
   for (const ZoneEngine& e : engines_) {
     QueryTrace trace;

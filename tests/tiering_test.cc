@@ -344,7 +344,11 @@ TEST_F(TieringTest, DemoteThenQueryBitIdentical) {
 }
 
 TEST_F(TieringTest, CrossTierTraceInvariantHolds) {
-  OpenEngine(BaseOptions());
+  // 4 KiB chunks hold ~45 source-1 values in one bin, more than a summary
+  // lists, so the percentile below has archived chunks to rescan.
+  LoomOptions opts = BaseOptions();
+  opts.chunk_size = 4096;
+  OpenEngine(opts);
   Ingest(8000);
   DrainFlusher();
   DemoteAll();

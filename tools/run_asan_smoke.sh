@@ -23,6 +23,9 @@
 #   loom_engine_test           the differential suite: zone-map pointers into
 #                              archive footers and the percentile stage-2
 #                              bracket, hot and archived
+#   index_test                 the chunk summary decoder on truncated and
+#                              inconsistent frames (listed-value section
+#                              included), and the builder's listed-value copy
 #
 # Wired as a ctest (asan_smoke) in the default build so `ctest` exercises it;
 # run manually from anywhere:
@@ -35,7 +38,7 @@ build="$repo/build-asan"
 
 cmake --preset asan -S "$repo" >/dev/null
 cmake --build "$build" --target loom_ingest_pipeline_test hybridlog_test \
-  tiering_test export_test standing_query_test daemon_test loom_engine_test \
+  tiering_test export_test standing_query_test daemon_test loom_engine_test index_test \
   -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
@@ -46,4 +49,5 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 "$build/tests/standing_query_test"
 "$build/tests/daemon_test"
 "$build/tests/loom_engine_test"
+"$build/tests/index_test"
 echo "asan smoke: OK"

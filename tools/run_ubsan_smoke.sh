@@ -13,6 +13,8 @@
 #   loom_engine_test          the differential suite: the percentile bracket's
 #                             rank arithmetic (local_rank - below) and the
 #                             archive zone-map pointers, serial and parallel
+#   index_test                the chunk summary decoder's offset and length
+#                             arithmetic on truncated and inconsistent frames
 #
 # Wired as a ctest (ubsan_smoke) in the default build; run manually:
 #   tools/run_ubsan_smoke.sh
@@ -24,11 +26,12 @@ build="$repo/build-ubsan"
 
 cmake --preset ubsan -S "$repo" >/dev/null
 cmake --build "$build" --target kernels_test loom_parallel_query_test loom_engine_test \
-  -j "$(nproc)"
+  index_test -j "$(nproc)"
 
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$build/tests/kernels_test"
 "$build/tests/loom_parallel_query_test"
 LOOM_SIMD=scalar "$build/tests/loom_parallel_query_test"
 "$build/tests/loom_engine_test"
+"$build/tests/index_test"
 echo "ubsan smoke: OK"
