@@ -3,11 +3,10 @@
 //
 // The baseline configuration reproduces the original engine's write path:
 // index values are classified one record at a time with the scalar BinOf
-// path, the record-log flusher retires one block per submission, and flush
-// I/O uses the synchronous pwritev backend. The full configuration turns on
-// batched SIMD summary classification, coalesced multi-block vectored
-// flushes and the auto-selected flush backend. Both seal each chunk on the
-// ingest thread. The workload is multi-source (8 interleaved sources, the
+// path. The full configuration turns on batched SIMD summary classification,
+// so the two differ only in summary staging. Both seal each chunk on the
+// ingest thread, and in both the record-log flusher writes each full block
+// with one pwrite. The workload is multi-source (8 interleaved sources, the
 // daemon's shape). The final rows repeat the full configuration under
 // group-commit and every-block durability to price the fdatasync policies.
 // Every configuration must produce bit-identical query results (checksummed
@@ -45,8 +44,6 @@ constexpr double kGateGroup = 0.9;      // group commit vs no-sync floor
 struct Config {
   const char* name;
   size_t stage_records;
-  size_t inflight_blocks;
-  IoBackend io;
   SyncPolicy sync;
 };
 
@@ -105,8 +102,6 @@ RunResult RunConfig(const std::string& dir, const Config& cfg, uint64_t seed) {
   opts.record_block_size = 1 << 20;
   opts.enable_latency_metrics = false;
   opts.summary_stage_records = cfg.stage_records;
-  opts.flush_inflight_blocks = cfg.inflight_blocks;
-  opts.io_backend = cfg.io;
   opts.sync_policy = cfg.sync;
   auto engine = Loom::Open(opts);
   if (!engine.ok()) {
@@ -203,13 +198,12 @@ int main(int argc, char** argv) {
 
   const uint64_t seed = ParseBenchSeed(argc, argv, 1);
   const unsigned hw = std::thread::hardware_concurrency();
-  // Baseline first: scalar per-record BinOf, one block per flush
-  // submission, synchronous pwritev, no fdatasync until Close.
+  // Baseline first: scalar per-record BinOf, no fdatasync until Close.
   const Config configs[] = {
-      {"baseline", 0, 1, IoBackend::kSync, SyncPolicy::kNone},
-      {"full", 256, 4, IoBackend::kAuto, SyncPolicy::kNone},
-      {"full-group", 256, 4, IoBackend::kAuto, SyncPolicy::kGroup},
-      {"full-everyblk", 256, 4, IoBackend::kAuto, SyncPolicy::kEveryBlock},
+      {"baseline", 0, SyncPolicy::kNone},
+      {"full", 256, SyncPolicy::kNone},
+      {"full-group", 256, SyncPolicy::kGroup},
+      {"full-everyblk", 256, SyncPolicy::kEveryBlock},
   };
 
   TempDir dir;
@@ -280,7 +274,7 @@ int main(int argc, char** argv) {
   json.Field("all_results_identical", all_identical);
   json.Field("all_trace_invariants_ok", all_trace_ok);
   // Self-telemetry of the full engine: finalize latency, flush queue depth,
-  // writer stalls, and the coalesced-write counters.
+  // writer stalls, and the group-commit counters.
   json.MetricsSection("metrics", full_metrics);
   (void)json.WriteFile("BENCH_ingest_pipeline.json");
 

@@ -22,10 +22,8 @@
 //
 //   cold sweep  disk-resident scan-heavy queries (summary cache disabled, a
 //               value scan that decodes every chunk plus the p99 stage-2
-//               rescan) at 4 threads, comparing {scalar kernels, prefetch
-//               off} against {vector kernels, prefetch ring on}. The ring
-//               serves stage-2 rescans only, so the scan compares kernels
-//               and the p99 carries the prefetch. Gate: >= 1.5x on the scan
+//               rescan) at 4 threads, comparing scalar kernels against the
+//               auto-dispatched vector kernels. Gate: >= 1.5x on the scan
 //               when hw >= 4, with the bit-identical checksum and the
 //               pruned + scanned == considered trace invariant under BOTH
 //               dispatches.
@@ -90,7 +88,7 @@ struct Engine {
 };
 
 Engine BuildEngine(const std::string& dir, const Dataset& data, size_t query_threads,
-                   SimdMode simd_mode = SimdMode::kAuto, size_t prefetch_depth = 4) {
+                   SimdMode simd_mode = SimdMode::kAuto) {
   Engine e;
   e.clock = std::make_unique<ManualClock>(1);
   LoomOptions opts;
@@ -101,7 +99,6 @@ Engine BuildEngine(const std::string& dir, const Dataset& data, size_t query_thr
   opts.summary_cache_bytes = 0;  // every pass cold: workers pay the decode
   opts.query_threads = query_threads;
   opts.simd_mode = simd_mode;
-  opts.prefetch_depth = prefetch_depth;
   auto l = Loom::Open(opts);
   e.loom = std::move(*l);
   (void)e.loom->DefineSource(kSyscallSource);
@@ -175,9 +172,6 @@ struct ColdResult {
   double p99_seconds = 1e30;   // stage-2 rescan path
   double checksum = 0.0;
   bool trace_ok = true;  // pruned + scanned == considered on every query
-  double prefetch_issued = 0.0;
-  double prefetch_hits = 0.0;
-  double prefetch_wasted = 0.0;
 };
 
 ColdResult RunColdQueries(const Engine& e, const TimeRange& range) {
@@ -214,14 +208,6 @@ ColdResult RunColdQueries(const Engine& e, const TimeRange& range) {
     }
     r.checksum = checksum;
   }
-  const MetricsSnapshot snap = e.loom->metrics()->Snapshot();
-  const auto gauge = [&](const char* name) {
-    auto it = snap.gauges.find(name);
-    return it != snap.gauges.end() ? it->second : 0.0;
-  };
-  r.prefetch_issued = gauge("loom_query_prefetch_issued_total");
-  r.prefetch_hits = gauge("loom_query_prefetch_hits_total");
-  r.prefetch_wasted = gauge("loom_query_prefetch_wasted_total");
   return r;
 }
 
@@ -378,12 +364,10 @@ int main(int argc, char** argv) {
   json.Field("gate_met", gate_met);
   json.Field("results_match", results_match);
 
-  // --- Cold-cache disk-resident sweep: PR 3 baseline vs prefetch+SIMD ------
+  // --- Cold-cache disk-resident sweep: scalar vs auto-dispatched kernels ----
   printf("\nCold-cache disk-resident sweep (4 query threads, scan-heavy):\n");
-  Engine baseline = BuildEngine(dir.FilePath("cold_base"), data, 4, SimdMode::kScalar,
-                                /*prefetch_depth=*/0);
-  Engine tuned = BuildEngine(dir.FilePath("cold_tuned"), data, 4, SimdMode::kAuto,
-                             /*prefetch_depth=*/4);
+  Engine baseline = BuildEngine(dir.FilePath("cold_base"), data, 4, SimdMode::kScalar);
+  Engine tuned = BuildEngine(dir.FilePath("cold_tuned"), data, 4, SimdMode::kAuto);
   ColdResult cold_base = RunColdQueries(baseline, range);
   ColdResult cold_tuned = RunColdQueries(tuned, range);
   const double cold_speedup =
@@ -392,16 +376,12 @@ int main(int argc, char** argv) {
       cold_base.p99_seconds / std::max(1e-9, cold_tuned.p99_seconds);
   const bool cold_match = cold_base.checksum == cold_tuned.checksum;
   const bool cold_trace_ok = cold_base.trace_ok && cold_tuned.trace_ok;
-  TablePrinter cold_table({"config", "scan", "p99", "checksum", "prefetch hit/issued"});
-  cold_table.AddRow({"scalar, prefetch off", FormatSeconds(cold_base.scan_seconds),
-                     FormatSeconds(cold_base.p99_seconds), FormatDouble(cold_base.checksum, 3),
-                     "-"});
-  cold_table.AddRow({std::string(SelectKernels(SimdMode::kAuto)->name) + ", prefetch on",
-                     FormatSeconds(cold_tuned.scan_seconds),
+  TablePrinter cold_table({"kernels", "scan", "p99", "checksum"});
+  cold_table.AddRow({"scalar", FormatSeconds(cold_base.scan_seconds),
+                     FormatSeconds(cold_base.p99_seconds), FormatDouble(cold_base.checksum, 3)});
+  cold_table.AddRow({SelectKernels(SimdMode::kAuto)->name, FormatSeconds(cold_tuned.scan_seconds),
                      FormatSeconds(cold_tuned.p99_seconds),
-                     FormatDouble(cold_tuned.checksum, 3),
-                     FormatDouble(cold_tuned.prefetch_hits, 0) + "/" +
-                         FormatDouble(cold_tuned.prefetch_issued, 0)});
+                     FormatDouble(cold_tuned.checksum, 3)});
   cold_table.Print();
   const bool cold_gate_met = cold_speedup >= kColdGateSpeedup;
   printf("Cold scan speedup: %.2fx (target >= %.1fx, %s), p99: %.2fx\n", cold_speedup,
@@ -421,9 +401,6 @@ int main(int argc, char** argv) {
   json.Field("cold_gate_met", cold_gate_met);
   json.Field("cold_results_match", cold_match);
   json.Field("cold_trace_invariant_ok", cold_trace_ok);
-  json.Field("cold_prefetch_issued", cold_tuned.prefetch_issued);
-  json.Field("cold_prefetch_hits", cold_tuned.prefetch_hits);
-  json.Field("cold_prefetch_wasted", cold_tuned.prefetch_wasted);
 
   // --- Kernel microbench: scalar vs auto-dispatched MB/s -------------------
   const KernelOps* scalar_ops = SelectKernels(SimdMode::kScalar);

@@ -73,40 +73,6 @@ Status File::PWriteAll(uint64_t offset, std::span<const uint8_t> data) {
   return Status::Ok();
 }
 
-Status File::PWriteVAll(uint64_t offset, const struct iovec* iov, int iovcnt) {
-  if (fd_ < 0) {
-    return Status::FailedPrecondition("PWriteVAll on closed file");
-  }
-  if (iovcnt <= 0) {
-    return Status::Ok();
-  }
-  // Local copy so short writes can advance through (and trim) the segments.
-  std::vector<struct iovec> segs(iov, iov + iovcnt);
-  size_t first = 0;
-  uint64_t pos = offset;
-  while (first < segs.size()) {
-    ssize_t n = ::pwritev(fd_, segs.data() + first, static_cast<int>(segs.size() - first),
-                          static_cast<off_t>(pos));
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status::IoError(ErrnoMessage("pwritev", path_));
-    }
-    pos += static_cast<uint64_t>(n);
-    size_t advanced = static_cast<size_t>(n);
-    while (first < segs.size() && advanced >= segs[first].iov_len) {
-      advanced -= segs[first].iov_len;
-      ++first;
-    }
-    if (first < segs.size() && advanced > 0) {
-      segs[first].iov_base = static_cast<uint8_t*>(segs[first].iov_base) + advanced;
-      segs[first].iov_len -= advanced;
-    }
-  }
-  return Status::Ok();
-}
-
 Status File::PReadAll(uint64_t offset, std::span<uint8_t> out) const {
   if (fd_ < 0) {
     return Status::FailedPrecondition("PReadAll on closed file");

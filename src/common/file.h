@@ -6,8 +6,6 @@
 #ifndef SRC_COMMON_FILE_H_
 #define SRC_COMMON_FILE_H_
 
-#include <sys/uio.h>
-
 #include <cstdint>
 #include <span>
 #include <string>
@@ -33,17 +31,9 @@ class File {
 
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
-  // Raw descriptor for I/O backends that submit syscalls themselves
-  // (io_backend.h). -1 when closed; ownership stays with this File.
-  int fd() const { return fd_; }
 
   // Writes all of `data` at `offset`. Retries short writes.
   Status PWriteAll(uint64_t offset, std::span<const uint8_t> data);
-  // Vectored positional write: all `iovcnt` segments land contiguously at
-  // `offset`. Retries short writes (advancing through the iov array), so on
-  // Ok every byte was handed to the kernel. The flusher uses this to coalesce
-  // adjacent full blocks into one submission.
-  Status PWriteVAll(uint64_t offset, const struct iovec* iov, int iovcnt);
   // Reads exactly `out.size()` bytes at `offset`. Fails on short read.
   Status PReadAll(uint64_t offset, std::span<uint8_t> out) const;
 

@@ -20,6 +20,10 @@ namespace {
 // Window used by scan-local read caches.
 constexpr size_t kScanWindow = 64 << 10;
 
+// LRU shards of the summary cache. Query threads try-lock a shard per lookup,
+// so more shards mean fewer skipped lookups when queries run concurrently.
+constexpr size_t kSummaryCacheShards = 8;
+
 // Forward scans of the timestamp index looking for the next chunk event are
 // bounded; past this many entries the query falls back to the chain walk.
 constexpr uint64_t kChunkEventScanCap = 8192;
@@ -179,13 +183,6 @@ Status LoomOptions::Validate() {
   if (chunk_size < 2 * kRecordHeaderSize) {
     return Status::InvalidArgument("chunk_size too small");
   }
-  if (summary_cache_bytes > 0 && summary_cache_shards == 0) {
-    return Status::InvalidArgument(
-        "summary_cache_shards must be nonzero when summary_cache_bytes > 0");
-  }
-  if (summary_cache_bytes == 0) {
-    summary_cache_shards = 0;  // canonical "cache disabled"
-  }
   if (ts_marker_period == 0) {
     ts_marker_period = 1;
   }
@@ -205,9 +202,6 @@ Status LoomOptions::Validate() {
   }
   if (query_threads > hw * 4) {
     query_threads = hw * 4;  // oversubscribing further only adds contention
-  }
-  if (flush_inflight_blocks == 0) {
-    flush_inflight_blocks = 1;
   }
   // A stage larger than this buys nothing (classify batches are already far
   // past the kernel's vector width) and bloats the per-index buffers.
@@ -242,26 +236,12 @@ Result<std::unique_ptr<Loom>> Loom::Open(const LoomOptions& options) {
   rec_opts.retain_bytes = opts.record_retain_bytes;
   rec_opts.metrics = opts.metrics;
   rec_opts.metrics_prefix = "loom_hybridlog_record";
-  rec_opts.flush_inflight_blocks = opts.flush_inflight_blocks;
-  rec_opts.io_backend = opts.io_backend;
   rec_opts.sync_policy = opts.sync_policy;
   rec_opts.group_commit_bytes = opts.group_commit_bytes;
   rec_opts.group_commit_interval_ms = opts.group_commit_interval_ms;
-  // The record log's block slot ring is long-lived and flushed constantly:
-  // register it with the io backend so an io_uring writer can submit
-  // WRITE_FIXED (no-op everywhere else). Index logs flush rarely.
-  rec_opts.register_buffers = true;
   rec_opts.group_commits_metric = opts.metrics->AddCounter("loom_ingest_group_commits_total");
   rec_opts.group_commit_bytes_metric =
       opts.metrics->AddCounter("loom_ingest_group_commit_bytes");
-  // The writer needs a block to fill while a full coalescing batch is in
-  // flight; only the record log gets the bigger ring (index logs flush
-  // rarely and keep the double-buffer default).
-  rec_opts.num_blocks = std::max<size_t>(rec_opts.num_blocks, opts.flush_inflight_blocks + 1);
-  rec_opts.coalesced_writes_metric =
-      opts.metrics->AddCounter("loom_ingest_coalesced_writes_total");
-  rec_opts.coalesced_write_bytes_metric =
-      opts.metrics->AddCounter("loom_ingest_coalesced_write_bytes");
   auto record_log = HybridLog::Create(opts.dir + "/record.log", rec_opts);
   if (!record_log.ok()) {
     return record_log.status();
@@ -306,7 +286,7 @@ Loom::Loom(const LoomOptions& options, std::unique_ptr<MetricsRegistry> owned_me
   if (options_.summary_cache_bytes > 0 && options_.enable_chunk_index) {
     SummaryCacheOptions cache_opts;
     cache_opts.capacity_bytes = options_.summary_cache_bytes;
-    cache_opts.shards = options_.summary_cache_shards;
+    cache_opts.shards = kSummaryCacheShards;
     summary_cache_ = std::make_unique<SummaryCache>(cache_opts);
   }
   if (options_.query_threads > 0) {
@@ -349,16 +329,12 @@ Loom::~Loom() {
     demoter_.join();
   }
   // A shared registry (LoomOptions.metrics) outlives this engine; the hooks
-  // capture `summary_cache_` / `query_pool_` / `prefetcher_` / `this` and
-  // must go first.
+  // capture `summary_cache_` / `query_pool_` / the logs and must go first.
   if (cache_hook_id_ != 0) {
     metrics_->RemoveCollectionHook(cache_hook_id_);
   }
   if (pool_hook_id_ != 0) {
     metrics_->RemoveCollectionHook(pool_hook_id_);
-  }
-  if (prefetch_hook_id_ != 0) {
-    metrics_->RemoveCollectionHook(prefetch_hook_id_);
   }
   if (ingest_hook_id_ != 0) {
     metrics_->RemoveCollectionHook(ingest_hook_id_);
@@ -434,23 +410,6 @@ void Loom::RegisterMetrics() {
                      : std::strcmp(name, "neon") == 0 ? 2.0
                                                       : 0.0);
   }
-  if (options_.prefetch_depth > 0) {
-    // The ring keeps its own counters under its mutex; fold them into gauges
-    // at each Snapshot(), mirroring the summary-cache pattern.
-    Gauge* issued = metrics_->AddGauge("loom_query_prefetch_issued_total");
-    Gauge* hits = metrics_->AddGauge("loom_query_prefetch_hits_total");
-    Gauge* wasted = metrics_->AddGauge("loom_query_prefetch_wasted_total");
-    Gauge* depth = metrics_->AddGauge("loom_query_prefetch_ring_depth");
-    ChunkPrefetcher* ring = &prefetcher_;
-    prefetch_hook_id_ =
-        metrics_->AddCollectionHook([ring, issued, hits, wasted, depth] {
-          const ChunkPrefetcher::Stats s = ring->stats();
-          issued->Set(static_cast<double>(s.issued));
-          hits->Set(static_cast<double>(s.hits));
-          wasted->Set(static_cast<double>(s.wasted));
-          depth->Set(static_cast<double>(s.depth));
-        });
-  }
   {
     // Tiered-storage family. Demotion counters tick in the demoter; the
     // per-query block counters fold from finished traces. Registered
@@ -473,14 +432,6 @@ void Loom::RegisterMetrics() {
     // pattern.
     Gauge* writer_stall = metrics_->AddGauge("loom_ingest_writer_stall_seconds_total");
     Gauge* flush_depth = metrics_->AddGauge("loom_ingest_flush_queue_depth");
-    // Resolved flush backend as a mode gauge (0 sync, 1 io_uring), like
-    // loom_query_kernel_mode; the fixed-buffer gauge says whether the
-    // io_uring writer additionally registered the slot ring (WRITE_FIXED).
-    Gauge* io_mode = metrics_->AddGauge("loom_ingest_io_backend_mode");
-    Gauge* write_fixed = metrics_->AddGauge("loom_ingest_io_write_fixed_mode");
-    const char* io_name = record_log_->io_backend_name();
-    io_mode->Set(std::strncmp(io_name, "io_uring", 8) == 0 ? 1.0 : 0.0);
-    write_fixed->Set(std::strcmp(io_name, "io_uring_fixed") == 0 ? 1.0 : 0.0);
     HybridLog* rec = record_log_.get();
     ingest_hook_id_ = metrics_->AddCollectionHook([rec, writer_stall, flush_depth] {
       writer_stall->Set(static_cast<double>(rec->writer_stall_nanos()) * 1e-9);
@@ -580,6 +531,8 @@ Result<uint32_t> Loom::DefineIndex(uint32_t source_id, IndexFunc func, Histogram
   state->open = true;
   state->func = func;
   state->spec = spec;
+  state->stage_values.resize(options_.summary_stage_records);
+  state->stage_ts.resize(options_.summary_stage_records);
   state->builder_slot =
       builder_.RegisterSlot(source_id, id, static_cast<uint32_t>(spec.num_bins()));
   it->second->indexes.push_back(state.get());
@@ -736,9 +689,9 @@ Status Loom::AppendRecord(SourceState& src, std::span<const uint8_t> payload,
       ++idx->stage_evaluated;
       std::optional<double> value = idx->func(payload);
       if (value.has_value()) {
-        idx->stage_values.push_back(*value);
-        idx->stage_ts.push_back(now);
-        if (idx->stage_values.size() >= stage_cap) {
+        idx->stage_values[idx->stage_n] = *value;
+        idx->stage_ts[idx->stage_n] = now;
+        if (++idx->stage_n == stage_cap) {
           FlushIndexStage(*idx);
         }
       }
@@ -761,7 +714,7 @@ void Loom::FlushIndexStage(IndexState& idx) {
     builder_.NoteEvaluatedBatch(idx.builder_slot, idx.stage_evaluated);
     idx.stage_evaluated = 0;
   }
-  const size_t n = idx.stage_values.size();
+  const size_t n = idx.stage_n;
   if (n == 0) {
     return;
   }
@@ -771,8 +724,7 @@ void Loom::FlushIndexStage(IndexState& idx) {
   idx.spec.ClassifyBatch(*kernels_, idx.stage_values.data(), n, stage_bins_.data());
   builder_.UpdateBatch(idx.builder_slot, stage_bins_.data(), idx.stage_values.data(),
                        idx.stage_ts.data(), n);
-  idx.stage_values.clear();
-  idx.stage_ts.clear();
+  idx.stage_n = 0;
 }
 
 void Loom::FlushSummaryStages() {
@@ -931,36 +883,26 @@ std::shared_ptr<StandingSubscription> Loom::SubscribeStanding(uint64_t query_id,
 
 // --- Scan helpers ---------------------------------------------------------------
 
-Status Loom::ScanRecordRange(uint64_t from, uint64_t to,
-                             const std::function<bool(const RecordView&)>& fn,
-                             QueryTrace* trace) const {
-  return ScanRecordRangeInternal(from, to, /*filtered=*/false, 0, TimeRange{}, {}, fn, trace);
-}
-
 Status Loom::ScanRecordRangeFor(uint64_t from, uint64_t to, uint32_t source_id, TimeRange t_range,
                                 const std::function<bool(const RecordView&)>& fn,
                                 QueryTrace* trace) const {
-  return ScanRecordRangeInternal(from, to, /*filtered=*/true, source_id, t_range, {}, fn, trace);
+  return ScanRecordRangeInternal(from, to, /*filtered=*/true, source_id, t_range, fn, trace);
 }
 
 template <typename Fn>
 Status Loom::ScanRecordRangeInternal(uint64_t from, uint64_t to, bool filtered,
-                                     uint32_t source_id, TimeRange t_range,
-                                     std::span<const uint8_t> preloaded, const Fn& fn,
+                                     uint32_t source_id, TimeRange t_range, const Fn& fn,
                                      QueryTrace* trace) const {
   // Data below the retention floor is gone; scan the retained suffix. Chunk
   // alignment survives because the floor advances in block multiples and
   // blocks are chunk-aligned.
   uint64_t seen_floor = record_log_->retained_floor();
-  const uint64_t preload_base = from;  // `preloaded`, when present, starts here
   from = std::max(from, seen_floor);
   if (from >= to) {
     return Status::Ok();
   }
   const uint64_t scan_t0 = trace->detailed ? MetricsNowNanos() : 0;
-  // When the prefetched buffer covers the whole range the reader is never
-  // constructed (candidate chunk scans on a ring hit take this path).
-  std::optional<CachedLogReader> reader;
+  CachedLogReader reader(record_log_.get(), to, kScanWindow);
   const uint64_t chunk_size = options_.chunk_size;
   uint64_t addr = from;
   // A query pins the floor, but an unpinned reader (the standing-query
@@ -993,23 +935,14 @@ Status Loom::ScanRecordRangeInternal(uint64_t from, uint64_t to, bool filtered,
       continue;
     }
     const size_t span_len = static_cast<size_t>(chunk_end - addr);
-    const uint8_t* buf = nullptr;
-    if (!preloaded.empty() && addr >= preload_base &&
-        (addr - preload_base) + span_len <= preloaded.size()) {
-      buf = preloaded.data() + (addr - preload_base);
-    } else {
-      if (!reader.has_value()) {
-        reader.emplace(record_log_.get(), to, kScanWindow);
+    auto span = reader.Fetch(addr, span_len);
+    if (!span.ok()) {
+      if (reclaimed_mid_scan(span.status())) {
+        continue;
       }
-      auto span = reader->Fetch(addr, span_len);
-      if (!span.ok()) {
-        if (reclaimed_mid_scan(span.status())) {
-          continue;
-        }
-        return span.status();
-      }
-      buf = span.value().data();
+      return span.status();
     }
+    const uint8_t* buf = span.value().data();
     // Batch-decode the span, vector-filter, then emit strictly in log order
     // with per-record accounting — an early stop mid-batch leaves the trace
     // exactly where the per-record walk would have left it.
@@ -1258,9 +1191,9 @@ Status Loom::DemoteOnce() {
     // Payloads are copied out of the scan window first (the span a callback
     // sees dies with the next fetch); spans are rebuilt once `backing` has
     // its final size.
-    LOOM_RETURN_IF_ERROR(ScanRecordRange(
-        s.chunk_addr, s.chunk_addr + s.chunk_len,
-        [&](const RecordView& view) -> bool {
+    LOOM_RETURN_IF_ERROR(ScanRecordRangeInternal(
+        s.chunk_addr, s.chunk_addr + s.chunk_len, /*filtered=*/false, 0, TimeRange{},
+        [&](const RecordView& view) {
           metas.push_back(
               {view.source_id, view.ts, view.addr, backing.size(), view.payload.size()});
           backing.insert(backing.end(), view.payload.begin(), view.payload.end());
@@ -1328,8 +1261,6 @@ struct Loom::QueryPlan {
   // A chain walk runs on the calling thread, streaming: a worker would have
   // to buffer the whole chain.
   bool serial = false;
-  // Percentile stage 2 reads its hot chunks ahead: slot i is candidate i.
-  ChunkPrefetcher::Job* ring = nullptr;
 };
 
 // What the executor made of one candidate: produced by the thread that ran
@@ -1803,17 +1734,8 @@ Status Loom::RunCandidate(const QueryPlan& plan, size_t c, QueryOp& op, Outcome*
   if (cand.kind == Candidate::Kind::kArchive) {
     return ScanArchiveBlockFor(cand, op.source_id, op.t_range, on_record, trace);
   }
-  std::optional<std::vector<uint8_t>> pre;
-  std::span<const uint8_t> preloaded;
-  if (plan.ring != nullptr) {
-    // Every slot is taken, hit or miss, so the ring's cursor advances.
-    pre = plan.ring->Take(c);
-    if (pre.has_value() && to > from && pre->size() >= to - from) {
-      preloaded = std::span<const uint8_t>(pre->data(), static_cast<size_t>(to - from));
-    }
-  }
-  return ScanRecordRangeInternal(from, to, /*filtered=*/true, op.source_id, op.t_range, preloaded,
-                                 on_record, trace);
+  return ScanRecordRangeInternal(from, to, /*filtered=*/true, op.source_id, op.t_range, on_record,
+                                 trace);
 }
 
 Status Loom::WalkChain(const Candidate& chain, const Snapshot& snap, QueryOp& op, Outcome* o,
@@ -2310,25 +2232,6 @@ Result<double> Loom::Percentile(uint32_t source_id, uint32_t index_id, const Ind
   trace->tier_chunks_pruned -= rescan_archived;
   trace->tier_chunks_summary_folded -= rescan_archived;
   trace->tier_chunks_scanned += rescan_archived;
-  // Stage-2 chunks are known exactly (decoded summaries in hand) and every
-  // one of them is read, so this is the one place the prefetch ring runs: it
-  // gets precise ranges and no read is wasted on a chunk a summary settles.
-  // Archived rescans stream from their archives instead, so the ring only
-  // runs when every rescan chunk is hot (slot indexes must line up).
-  std::unique_ptr<ChunkPrefetcher::Job> ring;
-  if (options_.prefetch_depth > 0 && rescan.size() >= 2 && rescan_archived == 0) {
-    std::vector<ChunkPrefetcher::Range> ranges;
-    ranges.reserve(rescan.size());
-    for (const Candidate& c : rescan) {
-      const ChunkSummary& s = *c.summary;
-      const uint64_t end =
-          std::min<uint64_t>(s.chunk_addr + s.chunk_len, stage2.snap.record_tail);
-      ranges.push_back(
-          {s.chunk_addr, static_cast<uint32_t>(end > s.chunk_addr ? end - s.chunk_addr : 0)});
-    }
-    ring = prefetcher_.Submit(record_log_.get(), std::move(ranges), options_.prefetch_depth);
-    stage2.ring = ring.get();
-  }
   // Collect each rescanned chunk's values, classify them in one kernel pass
   // (order, and so nth_element's input, matches a per-record BinOf filter)
   // and keep the target bin's.

@@ -54,7 +54,6 @@
 #include "src/core/query_trace.h"
 #include "src/core/record_format.h"
 #include "src/hybridlog/hybrid_log.h"
-#include "src/hybridlog/prefetch_ring.h"
 #include "src/index/chunk_summary.h"
 #include "src/index/histogram.h"
 #include "src/index/summary_cache.h"
@@ -117,8 +116,6 @@ struct LoomOptions {
   // queries over overlapping ranges skip the per-summary log reads + decode.
   // Only query threads touch the cache (try-lock shards); ingest never does.
   size_t summary_cache_bytes = 8 << 20;
-  // LRU shard count for the summary cache (rounded up to a power of two).
-  size_t summary_cache_shards = 8;
 
   // Worker threads for morsel-driven parallel query execution (0 = every
   // query runs serially on its calling thread, today's default). The pool is
@@ -135,15 +132,6 @@ struct LoomOptions {
   // unavailable set silently degrades to scalar.
   SimdMode simd_mode = SimdMode::kAuto;
 
-  // Read-ahead depth of the chunk prefetch ring: a percentile query hands its
-  // stage-2 rescan list (chunks known to need their records read) to a
-  // background reader that stays up to `prefetch_depth` chunks ahead of
-  // decode, overlapping record-log I/O with kernel compute. Memory stays
-  // bounded at prefetch_depth chunks per query. Candidate chunks, which the
-  // summaries mostly prune or fold, are read by the scanning thread instead.
-  // 0 disables the ring (queries read through their scan-local caches only).
-  size_t prefetch_depth = 4;
-
   // --- Write path ----------------------------------------------------------
 
   // Durability policy of the record log's flusher (see
@@ -158,19 +146,6 @@ struct LoomOptions {
   // since the oldest unsynced byte, whichever comes first.
   uint64_t group_commit_bytes = 1 << 20;
   uint64_t group_commit_interval_ms = 50;
-
-  // Record-log flusher budget: up to this many queued full blocks are
-  // coalesced into one vectored write per flush submission. 1 keeps the
-  // historical block-at-a-time flusher; Open sizes the record log's
-  // in-memory ring to flush_inflight_blocks + 1 slots (minimum 2) so the
-  // writer keeps filling while a batch is in flight.
-  size_t flush_inflight_blocks = 1;
-
-  // Flush submission backend (see src/common/io_backend.h): kAuto resolves
-  // the LOOM_IO env override (sync|io_uring|auto) and then probes the kernel
-  // for io_uring, mirroring simd_mode/LOOM_SIMD. The synchronous pwritev
-  // path is the universal fallback; this knob never changes results.
-  IoBackend io_backend = IoBackend::kAuto;
 
   // Batched summary construction: per-record index values are staged in a
   // small per-index buffer and classified with the vectorized classify_bins
@@ -195,10 +170,10 @@ struct LoomOptions {
   bool enable_latency_metrics = true;
 
   // Validates and canonicalizes the options in place: rejects nonsensical
-  // combinations (empty dir, chunk_size too small for a record, a nonzero
-  // cache budget with zero shards), clamps query_threads to 4x the hardware
-  // concurrency, normalizes a zero-byte cache budget to zero shards, bumps a
-  // zero ts_marker_period to 1, and applies the block-size round-ups.
+  // combinations (empty dir, chunk_size too small for a record, archive_dir
+  // without the chunk index), clamps query_threads to 4x the hardware
+  // concurrency, bumps a zero ts_marker_period to 1, and applies the
+  // block-size round-ups.
   // Loom::Open calls this on its private copy; call it directly to pre-check
   // configuration (e.g. daemon config parsing).
   Status Validate();
@@ -402,11 +377,15 @@ class Loom {
     IndexFunc func;
     HistogramSpec spec = HistogramSpec::ExactMatch(0);
     size_t builder_slot = 0;
-    // Staged summary construction (summary_stage_records > 0): extracted
-    // values wait here until a batch classify + builder fold. Ingest thread
-    // only; flushed at stage capacity, chunk seal, and index/source close.
+    // Staged summary construction (summary_stage_records > 0): the first
+    // stage_n extracted values wait here until a batch classify + builder
+    // fold. Both buffers are sized to the stage capacity when the index is
+    // defined, so staging a value is two stores with no growth check for the
+    // compiler to outline. Ingest thread only; flushed at stage capacity,
+    // chunk seal, and index/source close.
     std::vector<double> stage_values;
     std::vector<TimestampNanos> stage_ts;
+    size_t stage_n = 0;
     uint64_t stage_evaluated = 0;
     bool stage_listed = false;  // member of staged_indexes_
   };
@@ -572,30 +551,24 @@ class Loom {
   Status DemoteOnce();
 
   // Scans records in [from, to) of the record log, invoking `fn` for every
-  // record (all sources). `fn` returns false to stop. Records examined and
-  // bytes decoded accumulate into `trace` (never null on internal paths).
-  // Decoding runs chunk-at-a-time through the dispatched kernel set: the
-  // whole chunk span is fetched, batch-decoded into SoA arrays, and emitted
-  // in order (so early stops observe the exact serial prefix).
-  Status ScanRecordRange(uint64_t from, uint64_t to,
-                         const std::function<bool(const RecordView&)>& fn,
-                         QueryTrace* trace) const;
-  // Filtered variant: only records matching (source_id, t_range) reach `fn`;
-  // the predicate runs vectorized over each decoded batch, and the scan ends
-  // after the batch that passes t_range.end (log order is arrival order).
-  // Trace accounting (records_examined / bytes_read) still covers every
-  // record visited.
+  // record that matches (source_id, t_range) when `filtered`, or for every
+  // record (all sources) otherwise. `fn` returns false to stop. Decoding runs
+  // chunk-at-a-time through the dispatched kernel set: the whole chunk span
+  // is fetched through one CachedLogReader, batch-decoded into SoA arrays,
+  // vector-filtered, and emitted in order (so early stops observe the exact
+  // serial prefix); a filtered scan ends after the batch that passes
+  // t_range.end (log order is arrival order). Records examined and bytes
+  // decoded accumulate into `trace` (never null on internal paths) for every
+  // record visited. The executor and demotion call it with their own
+  // callables, so a record reaches them in one indirect call.
+  template <typename Fn>
+  Status ScanRecordRangeInternal(uint64_t from, uint64_t to, bool filtered, uint32_t source_id,
+                                 TimeRange t_range, const Fn& fn, QueryTrace* trace) const;
+  // ScanRecordRangeInternal, filtered, behind a std::function (the standing
+  // engine's straddling-chunk rescan).
   Status ScanRecordRangeFor(uint64_t from, uint64_t to, uint32_t source_id, TimeRange t_range,
                             const std::function<bool(const RecordView&)>& fn,
                             QueryTrace* trace) const;
-  // Shared body of the two variants above. The executor calls it with its
-  // own callable, so a record reaches the operator in one indirect call.
-  // `preloaded`, when non-empty, holds the record bytes starting at `from`
-  // (a prefetched chunk); spans inside it skip the read cache entirely.
-  template <typename Fn>
-  Status ScanRecordRangeInternal(uint64_t from, uint64_t to, bool filtered, uint32_t source_id,
-                                 TimeRange t_range, std::span<const uint8_t> preloaded,
-                                 const Fn& fn, QueryTrace* trace) const;
 
   const LoomOptions options_;
   Clock* clock_;
@@ -635,11 +608,6 @@ class Loom {
   // Vectorized per-chunk kernels, resolved once at Open from
   // options.simd_mode / LOOM_SIMD / CPU detection. Never null.
   const KernelOps* kernels_ = nullptr;
-
-  // Chunk prefetch ring for percentile stage-2 rescans (worker thread starts
-  // lazily on the first one when prefetch_depth > 0). Declared after the
-  // logs: its worker reads the record log, so it must be destroyed first.
-  mutable ChunkPrefetcher prefetcher_;
 
   // Tiered storage (null unless archive_dir is set). The demoter thread is
   // the only writer of archives; queries snapshot the catalog and read
@@ -725,7 +693,6 @@ class Loom {
   // the destructor because a shared registry may outlive this engine.
   uint64_t cache_hook_id_ = 0;
   uint64_t pool_hook_id_ = 0;
-  uint64_t prefetch_hook_id_ = 0;
   uint64_t ingest_hook_id_ = 0;
   uint64_t tier_hook_id_ = 0;
   // Writer-local sampling counter for the 1-in-64 Push latency timer.

@@ -88,10 +88,7 @@ Status ApplyDaemonConfigOption(DaemonOptions* options, std::string_view raw_key,
       {"demote_interval_ms", &loom.demote_interval_ms, nullptr, nullptr},
       {"demote_batch_chunks", nullptr, &loom.demote_batch_chunks, nullptr},
       {"summary_cache_bytes", nullptr, &loom.summary_cache_bytes, nullptr},
-      {"summary_cache_shards", nullptr, &loom.summary_cache_shards, nullptr},
       {"query_threads", nullptr, &loom.query_threads, nullptr},
-      {"prefetch_depth", nullptr, &loom.prefetch_depth, nullptr},
-      {"flush_inflight_blocks", nullptr, &loom.flush_inflight_blocks, nullptr},
       {"group_commit_bytes", &loom.group_commit_bytes, nullptr, nullptr},
       {"group_commit_interval_ms", &loom.group_commit_interval_ms, nullptr, nullptr},
       {"summary_stage_records", nullptr, &loom.summary_stage_records, nullptr},

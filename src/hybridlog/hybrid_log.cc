@@ -69,17 +69,9 @@ Result<std::unique_ptr<HybridLog>> HybridLog::Create(const std::string& file_pat
     return Status::InvalidArgument("hybrid log needs block_size > 0 and num_blocks >= 2");
   }
   HybridLogOptions normalized = options;
-  if (normalized.sync_on_flush) {
-    normalized.sync_policy = SyncPolicy::kEveryBlock;  // legacy alias
-  }
   if (normalized.group_commit_bytes == 0) {
     normalized.group_commit_bytes = normalized.block_size;
   }
-  // The writer must always have a block to fill while a batch is in flight,
-  // so the coalescing budget cannot cover every slot.
-  normalized.flush_inflight_blocks =
-      std::max<size_t>(1, std::min(normalized.flush_inflight_blocks, normalized.num_blocks - 1));
-  normalized.io_backend = ResolveIoBackend(normalized.io_backend);
   if (normalized.retain_bytes > 0) {
     // The in-memory blocks must always stay inside the retained window.
     const uint64_t floor =
@@ -96,7 +88,6 @@ Result<std::unique_ptr<HybridLog>> HybridLog::Create(const std::string& file_pat
 HybridLog::HybridLog(File file, const HybridLogOptions& options)
     : options_(options),
       file_(std::move(file)),
-      block_writer_(MakeBlockWriter(options.io_backend)),
       flush_queue_(64) {
   slots_.reserve(options_.num_blocks);
   slot_version_ = std::make_unique<std::atomic<uint64_t>[]>(options_.num_blocks);
@@ -114,17 +105,6 @@ HybridLog::HybridLog(File file, const HybridLogOptions& options)
     disk_reads_metric_ = reg->AddCounter(p + "_disk_reads_total");
     memory_reads_metric_ = reg->AddCounter(p + "_memory_reads_total");
     snapshot_fallbacks_metric_ = reg->AddCounter(p + "_snapshot_fallbacks_total");
-  }
-  if (options_.register_buffers) {
-    // Offer the slot ring to the backend as fixed buffers (WRITE_FIXED).
-    // Runs before the flusher starts, so the writer's fixed/plain decision is
-    // settled before any submission. Failure just keeps the vectored path.
-    std::vector<struct iovec> bufs;
-    bufs.reserve(slots_.size());
-    for (const auto& slot : slots_) {
-      bufs.push_back({slot.get(), options_.block_size});
-    }
-    (void)block_writer_->RegisterBuffers(bufs.data(), static_cast<unsigned>(bufs.size()));
   }
   flusher_ = std::thread([this] { FlusherMain(); });
 }
@@ -214,17 +194,16 @@ void HybridLog::RecycleSlot(uint64_t block_no) {
 
 void HybridLog::FlusherMain() {
   const size_t bs = options_.block_size;
-  const size_t budget = options_.flush_inflight_blocks;
-  std::vector<uint64_t> batch;
-  std::vector<struct iovec> iov;
-  batch.reserve(budget);
-  iov.reserve(budget);
-  bool stopping = false;
   // Group-commit state (sync_policy = kGroup): bytes flushed but not yet
   // covered by an fdatasync, and when the oldest of them was flushed.
   uint64_t unsynced_bytes = 0;
   uint64_t first_unsynced_nanos = 0;
   const uint64_t group_interval_nanos = options_.group_commit_interval_ms * 1'000'000ULL;
+  // Set once a block write fails. From then on no block counts as flushed:
+  // the failed block and every later one stay in their slots (the writer
+  // stalls once the ring is full rather than recycling a slot whose bytes
+  // never reached the file), and Close() rewrites them from the ring.
+  bool write_failed = false;
   const auto group_commit = [&] {
     if (file_.Sync().ok()) {
       synced_bytes_.store(flushed_bytes_.load(std::memory_order_relaxed),
@@ -240,7 +219,7 @@ void HybridLog::FlusherMain() {
       first_unsynced_nanos = 0;
     }
   };
-  while (!stopping) {
+  while (true) {
     std::optional<uint64_t> item = flush_queue_.TryPop();
     if (!item.has_value()) {
       // Idle tick: an interval-expired group commit drains here so a paused
@@ -262,78 +241,52 @@ void HybridLog::FlusherMain() {
     if (*item == kStopSentinel) {
       return;
     }
-    // Coalesce: drain up to `budget` already-queued blocks. The writer pushes
-    // block numbers in order, so a batch is always a consecutive run and its
-    // slots map to one contiguous file range. Slot memory stays stable for
-    // the whole batch — the writer cannot recycle a slot until
-    // flushed_block_count_ (advanced only below) passes it.
-    batch.clear();
-    batch.push_back(*item);
-    while (batch.size() < budget) {
-      std::optional<uint64_t> next = flush_queue_.TryPop();
-      if (!next.has_value()) {
-        break;
-      }
-      if (*next == kStopSentinel) {
-        stopping = true;
-        break;
-      }
-      assert(*next == batch.back() + 1);
-      batch.push_back(*next);
+    if (write_failed) {
+      continue;
     }
-    iov.clear();
-    for (uint64_t block_no : batch) {
-      iov.push_back({slots_[block_no % options_.num_blocks].get(), bs});
-    }
-    const uint64_t first = batch.front();
-    const uint64_t last = batch.back();
+    // The writer cannot recycle this block's slot until flushed_block_count_
+    // (advanced only below) passes it, so the slot is stable for the write.
+    const uint64_t block_no = *item;
+    const uint64_t end = (block_no + 1) * bs;
     const uint64_t flush_t0 = flush_seconds_ != nullptr ? SteadyNowNanos() : 0;
-    Status st = block_writer_->WriteV(file_, first * bs, iov.data(),
-                                      static_cast<int>(iov.size()));
-    // I/O errors here would lose historical data but must not corrupt the
-    // reader protocol: only count the batch as flushed on success, which
-    // stalls the writer rather than serving bad reads.
-    if (st.ok()) {
-      // Publish the flushed tail first (the writer's recycle wait and the
-      // durability watermark both key off it), then apply the sync policy so
-      // the flush-latency histogram keeps covering write + sync.
-      flushed_bytes_.store((last + 1) * bs, std::memory_order_release);
-      flushed_block_count_.store(last + 1, std::memory_order_release);
-      if (options_.sync_policy == SyncPolicy::kEveryBlock) {
-        if (file_.Sync().ok()) {
-          synced_bytes_.store((last + 1) * bs, std::memory_order_release);
-        }
-      } else if (options_.sync_policy == SyncPolicy::kGroup) {
-        if (unsynced_bytes == 0) {
-          first_unsynced_nanos = SteadyNowNanos();
-        }
-        unsynced_bytes += batch.size() * bs;
-        if (unsynced_bytes >= options_.group_commit_bytes ||
-            SteadyNowNanos() - first_unsynced_nanos >= group_interval_nanos) {
-          group_commit();
-        }
+    Status st = file_.PWriteAll(
+        block_no * bs,
+        std::span<const uint8_t>(slots_[block_no % options_.num_blocks].get(), bs));
+    if (!st.ok()) {
+      write_failed = true;
+      continue;
+    }
+    // Publish the flushed tail first (the writer's recycle wait and the
+    // durability watermark both key off it), then apply the sync policy so
+    // the flush-latency histogram keeps covering write + sync.
+    flushed_bytes_.store(end, std::memory_order_release);
+    flushed_block_count_.store(block_no + 1, std::memory_order_release);
+    if (options_.sync_policy == SyncPolicy::kEveryBlock) {
+      if (file_.Sync().ok()) {
+        synced_bytes_.store(end, std::memory_order_release);
       }
-      if (flush_seconds_ != nullptr) {
-        flush_seconds_->ObserveNanos(SteadyNowNanos() - flush_t0);
+    } else if (options_.sync_policy == SyncPolicy::kGroup) {
+      if (unsynced_bytes == 0) {
+        first_unsynced_nanos = SteadyNowNanos();
       }
-      if (blocks_flushed_metric_ != nullptr) {
-        blocks_flushed_metric_->Increment(batch.size());
+      unsynced_bytes += bs;
+      if (unsynced_bytes >= options_.group_commit_bytes ||
+          SteadyNowNanos() - first_unsynced_nanos >= group_interval_nanos) {
+        group_commit();
       }
-      if (batch.size() > 1) {
-        if (options_.coalesced_writes_metric != nullptr) {
-          options_.coalesced_writes_metric->Increment();
-        }
-        if (options_.coalesced_write_bytes_metric != nullptr) {
-          options_.coalesced_write_bytes_metric->Increment(batch.size() * bs);
-        }
-      }
-      // Retention: drop whole blocks that fall out of the retained window
-      // and return their disk space. Readers observe the floor first (and
-      // re-validate after copying), so a concurrent punch is never served as
-      // data.
-      if (options_.retain_bytes > 0) {
-        AdvanceRetention((last + 1) * bs);
-      }
+    }
+    if (flush_seconds_ != nullptr) {
+      flush_seconds_->ObserveNanos(SteadyNowNanos() - flush_t0);
+    }
+    if (blocks_flushed_metric_ != nullptr) {
+      blocks_flushed_metric_->Increment();
+    }
+    // Retention: drop whole blocks that fall out of the retained window and
+    // return their disk space. Readers observe the floor first (and
+    // re-validate after copying), so a concurrent punch is never served as
+    // data.
+    if (options_.retain_bytes > 0) {
+      AdvanceRetention(end);
     }
   }
 }
@@ -447,9 +400,9 @@ Status HybridLog::Close() {
     }
     flushed_bytes_.store(tail, std::memory_order_release);
   }
-  // Durability audit: without sync_on_flush nothing above fdatasync'd, so the
-  // tail flush (and any batch the flusher wrote since the last sync) could
-  // still sit in the page cache. One final fdatasync makes Close() mean "the
+  // Durability audit: under kNone nothing above fdatasync'd, so the tail
+  // flush (and any block the flusher wrote since the last sync) could still
+  // sit in the page cache. One final fdatasync makes Close() mean "the
   // whole published log is on disk".
   if (tail > 0) {
     LOOM_RETURN_IF_ERROR(file_.Sync());

@@ -2,8 +2,9 @@
 //
 // This is the storage substrate from §4.1 of the paper. A single writer
 // appends into a fixed-size in-memory block; when the block fills, it is
-// handed to a background flusher thread over an SPSC queue and the writer
-// switches to the next block (double buffering by default). Every byte has a
+// handed to a background flusher thread over an SPSC queue, which writes it to
+// the file with one pwrite, and the writer switches to the next block (double
+// buffering by default). Every byte has a
 // stable 64-bit address equal to its physical offset in the backing file, so
 // record lookup is O(1) and the whole log can be read back from disk after the
 // in-memory blocks are recycled.
@@ -30,13 +31,14 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "src/common/file.h"
-#include "src/common/io_backend.h"
 #include "src/common/metrics.h"
 #include "src/common/spsc_queue.h"
 #include "src/common/status.h"
@@ -47,17 +49,17 @@ namespace loom {
 inline constexpr uint64_t kNullAddr = ~0ULL;
 
 // When flushed bytes become *durable* (fdatasync), between the two historical
-// endpoints (§4.5: nothing until Close vs sync_on_flush on every batch):
+// endpoints (§4.5: nothing until Close vs a sync after every block):
 //   kNone       durability only at Close(); data-at-risk = everything since
 //               open (the paper's default — bounded by design, not by fsync).
-//   kGroup      group commit: the flusher batches fdatasync across coalesced
+//   kGroup      group commit: the flusher batches fdatasync across block
 //               flushes and issues one when either `group_commit_bytes` of
 //               unsynced data accumulate or `group_commit_interval_ms` passed
 //               since the oldest unsynced byte (checked on flush and on idle
 //               ticks, so a stalled ingest still drains to disk). Data-at-risk
 //               is bounded by the configured window at a small fraction of
 //               every-block cost.
-//   kEveryBlock fdatasync after every flush submission; minimum risk, maximum
+//   kEveryBlock fdatasync after every block flush; minimum risk, maximum
 //               write amplification.
 enum class SyncPolicy : uint8_t { kNone, kGroup, kEveryBlock };
 
@@ -72,49 +74,26 @@ struct HybridLogOptions {
   size_t block_size = 1 << 20;
   // Number of in-memory blocks (>= 2). Two gives the paper's double buffering.
   size_t num_blocks = 2;
-  // fdatasync after each block flush. Off by default (§4.5: durability is
-  // bounded by the in-memory blocks by design). Legacy alias: true is folded
-  // into sync_policy = kEveryBlock by Create.
-  bool sync_on_flush = false;
-  // Durability policy for flushed bytes (see SyncPolicy above). The group
-  // thresholds apply only under kGroup.
+  // Durability policy for flushed bytes (see SyncPolicy above). Off by
+  // default (§4.5: durability is bounded by the in-memory blocks by design).
+  // The group thresholds apply only under kGroup.
   SyncPolicy sync_policy = SyncPolicy::kNone;
   uint64_t group_commit_bytes = 1 << 20;
   uint64_t group_commit_interval_ms = 50;
-  // Register the in-memory block slots with the I/O backend as fixed buffers
-  // (io_uring WRITE_FIXED). Purely a submission-path optimization: when the
-  // runtime probe fails (no io_uring, locked-memory limits, seccomp) the
-  // flusher keeps the plain vectored path. The engine enables this for the
-  // record log only; index logs flush too rarely to matter.
-  bool register_buffers = false;
   // Retention: keep at most this many bytes of log addressable; older data
   // is dropped (the file range is hole-punched where the filesystem supports
   // it, so disk space is reclaimed). 0 = retain everything. Retention is
   // applied at block granularity after flushes.
   uint64_t retain_bytes = 0;
-  // Flusher in-flight block budget: up to this many queued full blocks are
-  // drained per flusher iteration and coalesced into one vectored write
-  // (adjacent block numbers are contiguous file offsets). 1 keeps the
-  // historical one-block-per-write behavior; Create clamps to
-  // [1, num_blocks - 1] so the writer always has a block to fill while the
-  // batch is in flight.
-  size_t flush_inflight_blocks = 1;
-  // How flush submissions reach the kernel (see io_backend.h). kAuto resolves
-  // the LOOM_IO env override, then probes for io_uring, falling back to
-  // synchronous pwritev. Resolved once in Create.
-  IoBackend io_backend = IoBackend::kAuto;
   // When set, the log registers its metrics (block flush latency, writer
   // stall time, read-path counters) under `metrics_prefix`, e.g.
   // "loom_hybridlog_record". The registry must outlive the log.
   MetricsRegistry* metrics = nullptr;
   std::string metrics_prefix;
-  // Optional externally-registered counters for coalesced flush submissions
-  // (the engine registers these under its loom_ingest_* family and points the
-  // record log at them). Counted only for multi-block writes.
-  Counter* coalesced_writes_metric = nullptr;
-  Counter* coalesced_write_bytes_metric = nullptr;
-  // Optional counters for group commits (sync_policy = kGroup): submissions
-  // and the bytes each one made durable. Same engine-owned pattern as above.
+  // Optional externally-registered counters for group commits (sync_policy =
+  // kGroup): submissions and the bytes each one made durable. The engine
+  // registers these under its loom_ingest_* family and points the record log
+  // at them.
   Counter* group_commits_metric = nullptr;
   Counter* group_commit_bytes_metric = nullptr;
 };
@@ -164,8 +143,9 @@ class HybridLog {
   // other threads (stats scrapes) get a relaxed snapshot.
   uint64_t tail() const { return tail_.load(std::memory_order_relaxed); }
 
-  // Flushes the active block's published prefix to disk and stops the
-  // flusher. Called automatically by the destructor. After Close() all
+  // Stops the flusher, then writes what it did not flush to disk: the active
+  // block's published prefix, and every full block from the first one whose
+  // flush write failed. Called automatically by the destructor. After Close() all
   // published data is readable from disk; Append must not be called again.
   Status Close();
 
@@ -223,7 +203,7 @@ class HybridLog {
   // its work at its floor and read everything at or above it. Later pins sit
   // at or above earlier ones, so while readers overlap the lowest pin keeps
   // rising and the floor lags by at most the oldest running reader.
-  // Retention a pin held back is applied by the flusher (its next batch, or
+  // Retention a pin held back is applied by the flusher (its next block, or
   // its idle tick once the pin goes), never on the reader's thread. Free when
   // retain_bytes == 0: the floor never moves then.
   uint64_t PinFloor();
@@ -240,10 +220,6 @@ class HybridLog {
   uint64_t writer_stall_nanos() const {
     return writer_stall_nanos_.load(std::memory_order_relaxed);
   }
-
-  // Resolved flush submission backend: "sync", "io_uring", or
-  // "io_uring_fixed" when the block slots are registered for WRITE_FIXED.
-  const char* io_backend_name() const { return block_writer_->name(); }
 
   size_t block_size() const { return options_.block_size; }
   // Fraction of the published log currently resident in memory.
@@ -266,11 +242,8 @@ class HybridLog {
   void RotateTo(uint64_t block_no);
   Status ReadWithinBlock(uint64_t addr, std::span<uint8_t> out) const;
 
-  const HybridLogOptions options_;  // io_backend resolved by Create
+  const HybridLogOptions options_;
   File file_;
-  // Flush submission backend (sync pwritev or io_uring). Flusher thread only,
-  // except for the tail flush in Close() after the flusher has joined.
-  std::unique_ptr<BlockWriter> block_writer_;
 
   // Block slot `i` holds block number slot_version_[i]; readers use the
   // version to detect recycles (seqlock validation).

@@ -105,20 +105,6 @@ Result<std::optional<uint64_t>> TimestampIndexReader::FirstEntryAfter(TimestampN
   return std::optional<uint64_t>(first);
 }
 
-Result<std::optional<TimestampIndexEntry>> TimestampIndexReader::LastChunkEvent() const {
-  const uint64_t n = num_entries();
-  for (uint64_t i = n; i > 0; --i) {
-    auto e = ReadIndex(i - 1);
-    if (!e.ok()) {
-      return e.status();
-    }
-    if (e.value().kind == TimestampIndexEntry::Kind::kChunk) {
-      return std::optional<TimestampIndexEntry>(e.value());
-    }
-  }
-  return std::optional<TimestampIndexEntry>(std::nullopt);
-}
-
 Result<std::optional<TimestampIndexEntry>> TimestampIndexReader::FirstRecordMarkerAfter(
     uint32_t source_id, TimestampNanos ts) const {
   auto pos = FirstEntryAfter(ts);

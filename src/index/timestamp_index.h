@@ -81,12 +81,6 @@ class TimestampIndexReader {
   // Index of the first entry with ts > `ts`, or nullopt if none.
   Result<std::optional<uint64_t>> FirstEntryAfter(TimestampNanos ts) const;
 
-  // Latest chunk event at or below the snapshot tail, found by scanning
-  // backward from the tail (cheap: chunk events are frequent relative to the
-  // scan, and the scan is bounded by the marker period). Returns nullopt if
-  // no chunk event exists.
-  Result<std::optional<TimestampIndexEntry>> LastChunkEvent() const;
-
   // Earliest record marker for `source_id` with ts > `ts` (used to bound
   // backward record-chain walks). Scans forward from the binary-search
   // position.

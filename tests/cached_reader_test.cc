@@ -2,14 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "src/common/file.h"
 #include "src/hybridlog/hybrid_log.h"
-#include "src/hybridlog/prefetch_ring.h"
 
 namespace loom {
 namespace {
@@ -162,110 +159,6 @@ TEST(CachedReaderTest, FetchMissMayReplaceCurrentWindow) {
   ASSERT_TRUE(got.ok());
   ExpectPattern(got.value(), 2100);
   EXPECT_EQ(reader.window_loads(), 2u);
-}
-
-// --- chunk prefetch ring ---------------------------------------------------
-
-// Polls until the ring has issued at least `n` reads (the worker runs on its
-// own thread; Take() itself never blocks).
-bool WaitForIssued(const ChunkPrefetcher& p, uint64_t n) {
-  for (int i = 0; i < 5000; ++i) {
-    if (p.stats().issued >= n) {
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return false;
-}
-
-TEST(PrefetchRingTest, DeliversBuffersAndCountsHitsMissesWaste) {
-  TempDir dir;
-  auto log = MakePatternLog(dir, 4096);
-  ChunkPrefetcher ring;
-  std::vector<ChunkPrefetcher::Range> ranges = {
-      {0, 256}, {256, 256}, {512, 256}, {768, 256}};
-  auto job = ring.Submit(log.get(), ranges, /*depth=*/1);
-  ASSERT_NE(job, nullptr);
-
-  // depth=1 with cursor at 0: only index 0 may load.
-  ASSERT_TRUE(WaitForIssued(ring, 1));
-  EXPECT_EQ(ring.stats().issued, 1u);
-
-  // Consumer overtakes the ring at index 2: a miss, and the cursor jump
-  // opens the window over indexes 1 and 3.
-  EXPECT_FALSE(job->Take(2).has_value());
-  ASSERT_TRUE(WaitForIssued(ring, 3));
-  EXPECT_EQ(ring.stats().issued, 3u);
-
-  auto b3 = job->Take(3);
-  ASSERT_TRUE(b3.has_value());
-  ASSERT_EQ(b3->size(), 256u);
-  ExpectPattern(std::span<const uint8_t>(b3->data(), b3->size()), 768);
-
-  auto b0 = job->Take(0);
-  ASSERT_TRUE(b0.has_value());
-  ExpectPattern(std::span<const uint8_t>(b0->data(), b0->size()), 0);
-
-  job.reset();  // index 1 was prefetched but never taken: wasted
-  const auto stats = ring.stats();
-  EXPECT_EQ(stats.issued, 3u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.wasted, 1u);
-  EXPECT_EQ(stats.depth, 1u);
-}
-
-TEST(PrefetchRingTest, FailedReadIsAMissNotABuffer) {
-  TempDir dir;
-  auto log = MakePatternLog(dir, 1024);
-  ChunkPrefetcher ring;
-  // Range past the published tail: the worker's read fails and the slot must
-  // degrade to a miss (the consumer's own read path owns error reporting).
-  std::vector<ChunkPrefetcher::Range> ranges = {{1 << 20, 256}};
-  auto job = ring.Submit(log.get(), ranges, 2);
-  ASSERT_NE(job, nullptr);
-  ASSERT_TRUE(WaitForIssued(ring, 1));
-  EXPECT_FALSE(job->Take(0).has_value());
-  EXPECT_EQ(ring.stats().hits, 0u);
-}
-
-TEST(PrefetchRingTest, EmptySubmitAndEarlyRetireAreSafe) {
-  TempDir dir;
-  auto log = MakePatternLog(dir, 2048);
-  ChunkPrefetcher ring;
-  EXPECT_EQ(ring.Submit(log.get(), {}, 4), nullptr);
-
-  // Retire a job immediately; the ring (and its worker) must shut down
-  // cleanly with no hangs, and anything it read counts as wasted.
-  std::vector<ChunkPrefetcher::Range> ranges = {{0, 512}, {512, 512}};
-  auto job = ring.Submit(log.get(), ranges, 4);
-  ASSERT_NE(job, nullptr);
-  job.reset();
-  const auto stats = ring.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.issued, stats.wasted);
-}
-
-TEST(PrefetchRingTest, SequentialConsumerHitsEveryChunk) {
-  TempDir dir;
-  auto log = MakePatternLog(dir, 4096);
-  ChunkPrefetcher ring;
-  std::vector<ChunkPrefetcher::Range> ranges;
-  for (uint64_t a = 0; a < 4096; a += 512) {
-    ranges.push_back({a, 512});
-  }
-  auto job = ring.Submit(log.get(), ranges, /*depth=*/8);
-  ASSERT_NE(job, nullptr);
-  ASSERT_TRUE(WaitForIssued(ring, ranges.size()));
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    auto buf = job->Take(i);
-    ASSERT_TRUE(buf.has_value()) << "index " << i;
-    ExpectPattern(std::span<const uint8_t>(buf->data(), buf->size()),
-                  ranges[i].addr);
-  }
-  job.reset();
-  const auto stats = ring.stats();
-  EXPECT_EQ(stats.hits, ranges.size());
-  EXPECT_EQ(stats.wasted, 0u);
 }
 
 }  // namespace

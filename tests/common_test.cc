@@ -1,16 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <thread>
 #include <vector>
-
-#include <cstdlib>
-#include <optional>
 
 #include "src/common/clock.h"
 #include "src/common/codec.h"
 #include "src/common/file.h"
-#include "src/common/io_backend.h"
 #include "src/common/rng.h"
 #include "src/common/spsc_queue.h"
 #include "src/common/status.h"
@@ -342,69 +337,6 @@ TEST(CodecTest, InPlaceStoreLoad) {
   EXPECT_EQ(LoadU64(buf), 42u);
   StoreU32(buf, 7);
   EXPECT_EQ(LoadU32(buf), 7u);
-}
-
-// --- Vectored writes + io backend selection ----------------------------------
-
-TEST(FileTest, PWriteVAllWritesAllSegments) {
-  TempDir dir;
-  auto file = File::CreateTruncate(dir.FilePath("f"));
-  ASSERT_TRUE(file.ok());
-  std::vector<uint8_t> a(100, 0x11), b(1, 0x22), c(4096, 0x33);
-  struct iovec iov[3] = {{a.data(), a.size()}, {b.data(), b.size()}, {c.data(), c.size()}};
-  ASSERT_TRUE(file->PWriteVAll(16, iov, 3).ok());
-  std::vector<uint8_t> out(100 + 1 + 4096);
-  ASSERT_TRUE(file->PReadAll(16, out).ok());
-  EXPECT_TRUE(std::all_of(out.begin(), out.begin() + 100, [](uint8_t x) { return x == 0x11; }));
-  EXPECT_EQ(out[100], 0x22);
-  EXPECT_TRUE(std::all_of(out.begin() + 101, out.end(), [](uint8_t x) { return x == 0x33; }));
-}
-
-TEST(FileTest, PWriteVAllSingleSegment) {
-  TempDir dir;
-  auto file = File::CreateTruncate(dir.FilePath("f"));
-  ASSERT_TRUE(file.ok());
-  std::vector<uint8_t> a(64, 0xAB);
-  struct iovec iov = {a.data(), a.size()};
-  ASSERT_TRUE(file->PWriteVAll(0, &iov, 1).ok());
-  std::vector<uint8_t> out(64);
-  ASSERT_TRUE(file->PReadAll(0, out).ok());
-  EXPECT_EQ(out, a);
-}
-
-TEST(IoBackendTest, ParseRecognizesAllNames) {
-  EXPECT_EQ(ParseIoBackend("auto"), IoBackend::kAuto);
-  EXPECT_EQ(ParseIoBackend("sync"), IoBackend::kSync);
-  EXPECT_EQ(ParseIoBackend("io_uring"), IoBackend::kIoUring);
-  EXPECT_EQ(ParseIoBackend("bogus"), std::nullopt);
-  EXPECT_EQ(ParseIoBackend(""), std::nullopt);
-}
-
-TEST(IoBackendTest, NamesRoundTrip) {
-  EXPECT_STREQ(IoBackendName(IoBackend::kSync), "sync");
-  EXPECT_STREQ(IoBackendName(IoBackend::kIoUring), "io_uring");
-  EXPECT_STREQ(IoBackendName(IoBackend::kAuto), "auto");
-}
-
-TEST(IoBackendTest, EnvOverrideWins) {
-  ASSERT_EQ(setenv("LOOM_IO", "sync", 1), 0);
-  EXPECT_EQ(IoBackendFromEnv(IoBackend::kAuto), IoBackend::kSync);
-  ASSERT_EQ(setenv("LOOM_IO", "nonsense", 1), 0);
-  EXPECT_EQ(IoBackendFromEnv(IoBackend::kAuto), IoBackend::kAuto);  // ignored
-  ASSERT_EQ(unsetenv("LOOM_IO"), 0);
-  EXPECT_EQ(IoBackendFromEnv(IoBackend::kAuto), IoBackend::kAuto);
-}
-
-TEST(IoBackendTest, ResolveNeverReturnsAuto) {
-  ASSERT_EQ(unsetenv("LOOM_IO"), 0);
-  const IoBackend resolved = ResolveIoBackend(IoBackend::kAuto);
-  EXPECT_TRUE(resolved == IoBackend::kSync || resolved == IoBackend::kIoUring);
-  // Explicit sync is honored as-is; explicit io_uring degrades to sync when
-  // the kernel probe fails, so it also never stays unresolved.
-  EXPECT_EQ(ResolveIoBackend(IoBackend::kSync), IoBackend::kSync);
-  const IoBackend uring = ResolveIoBackend(IoBackend::kIoUring);
-  EXPECT_TRUE(uring == IoBackend::kSync || uring == IoBackend::kIoUring);
-  EXPECT_EQ(uring == IoBackend::kIoUring, IoUringAvailable());
 }
 
 }  // namespace

@@ -444,11 +444,10 @@ TEST_F(DaemonTest, QueryThreadsWireThroughDaemonConfig) {
 }
 
 TEST_F(DaemonTest, FlushKnobsWireThroughDaemonConfig) {
-  // DaemonOptions.loom carries the write-path knobs into the engine: with
-  // coalesced flushing on, daemon-fed ingest still answers queries exactly,
-  // and the seal traffic shows up in the metrics the daemon exports.
+  // DaemonOptions.loom carries the write-path knobs into the engine:
+  // daemon-fed ingest still answers queries exactly, and the seal traffic
+  // shows up in the metrics the daemon exports.
   DaemonOptions opts;
-  opts.loom.flush_inflight_blocks = 4;
   opts.loom.chunk_size = 2 << 10;
   auto daemon = StartDaemon(opts);
   auto channel = daemon->AddSource(kAppSource);
@@ -468,11 +467,10 @@ TEST_F(DaemonTest, FlushKnobsWireThroughDaemonConfig) {
   EXPECT_EQ(count.value(), 20000.0);
 
   MetricsSnapshot snap = daemon->metrics()->Snapshot();
-  EXPECT_EQ(daemon->engine()->options().flush_inflight_blocks, 4u);
+  EXPECT_EQ(daemon->engine()->options().chunk_size, 2u << 10);
   const uint64_t sealed = snap.counters.at("loom_core_chunks_finalized_total");
   EXPECT_GE(sealed, 1u);
   EXPECT_EQ(snap.histograms.at("loom_ingest_finalize_seconds").count, sealed);
-  EXPECT_GE(snap.gauges.count("loom_ingest_io_backend_mode"), 1u);
 }
 
 // --- Daemon configuration surface -----------------------------------------

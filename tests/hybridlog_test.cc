@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/time.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -324,62 +329,6 @@ TEST_P(HybridLogBlockCountTest, MoreBlocksStillCorrect) {
 
 INSTANTIATE_TEST_SUITE_P(BlockCounts, HybridLogBlockCountTest, ::testing::Values(2, 3, 4, 8));
 
-// --- Coalesced flushes (flush_inflight_blocks) -------------------------------
-
-TEST(HybridLogCoalesceTest, CoalescedFlushReadbackAndCounters) {
-  TempDir dir;
-  MetricsRegistry registry;
-  Counter* writes = registry.AddCounter("loom_ingest_coalesced_writes_total");
-  Counter* bytes = registry.AddCounter("loom_ingest_coalesced_write_bytes");
-  HybridLogOptions opts;
-  opts.block_size = 256;
-  opts.num_blocks = 8;
-  opts.flush_inflight_blocks = 4;
-  opts.io_backend = IoBackend::kSync;
-  opts.coalesced_writes_metric = writes;
-  opts.coalesced_write_bytes_metric = bytes;
-  auto log = HybridLog::Create(dir.FilePath("log"), opts);
-  ASSERT_TRUE(log.ok());
-  constexpr int kCells = 400;  // 100 KiB >> the 2 KiB ring: plenty of batches
-  for (int i = 0; i < kCells; ++i) {
-    ASSERT_TRUE((*log)->Append(Pattern(256, static_cast<uint8_t>(i * 7))).ok());
-  }
-  (*log)->Publish();
-  for (int i = 0; i < kCells; ++i) {
-    std::vector<uint8_t> out(256);
-    ASSERT_TRUE((*log)->Read(static_cast<uint64_t>(i) * 256, out).ok());
-    EXPECT_EQ(out, Pattern(256, static_cast<uint8_t>(i * 7)));
-  }
-  ASSERT_TRUE((*log)->Close().ok());
-  // The final full block may go out via Close's tail write instead of the
-  // flusher, so the flusher count can trail by one.
-  EXPECT_GE((*log)->stats().blocks_flushed, static_cast<uint64_t>(kCells - 1));
-  // A 4-deep budget against a saturating writer must coalesce at least once;
-  // byte accounting covers whole blocks.
-  EXPECT_GT(writes->Value(), 0u);
-  EXPECT_GE(bytes->Value(), writes->Value() * 2 * opts.block_size);
-  EXPECT_EQ(bytes->Value() % opts.block_size, 0u);
-}
-
-TEST(HybridLogCoalesceTest, InflightBudgetClampedToRing) {
-  TempDir dir;
-  HybridLogOptions opts;
-  opts.block_size = 128;
-  opts.num_blocks = 2;
-  opts.flush_inflight_blocks = 100;  // clamped to num_blocks - 1 == 1
-  auto log = HybridLog::Create(dir.FilePath("log"), opts);
-  ASSERT_TRUE(log.ok());
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE((*log)->Append(Pattern(64, static_cast<uint8_t>(i))).ok());
-  }
-  (*log)->Publish();
-  for (int i = 0; i < 64; ++i) {
-    std::vector<uint8_t> out(64);
-    ASSERT_TRUE((*log)->Read(static_cast<uint64_t>(i) * 64, out).ok());
-    EXPECT_EQ(out, Pattern(64, static_cast<uint8_t>(i)));
-  }
-}
-
 TEST(HybridLogCoalesceTest, CloseSyncsPublishedPrefixToDisk) {
   // Durability audit: after Close() the backing file holds every published
   // byte (Close ends with an fdatasync; reopen the raw file and verify).
@@ -390,7 +339,6 @@ TEST(HybridLogCoalesceTest, CloseSyncsPublishedPrefixToDisk) {
     HybridLogOptions opts;
     opts.block_size = 256;
     opts.num_blocks = 4;
-    opts.flush_inflight_blocks = 3;
     auto log = HybridLog::Create(path, opts);
     ASSERT_TRUE(log.ok());
     for (int i = 0; i < kCells; ++i) {
@@ -521,32 +469,9 @@ TEST(HybridLogSyncPolicyTest, EveryBlockKeepsDurableTailAtFlushedTail) {
   EXPECT_EQ((*log)->durable_tail(), (*log)->tail());
 }
 
-TEST(HybridLogSyncPolicyTest, LegacySyncOnFlushFoldsIntoEveryBlock) {
-  TempDir dir;
-  HybridLogOptions opts;
-  opts.block_size = 256;
-  opts.num_blocks = 4;
-  opts.sync_on_flush = true;  // legacy alias for sync_policy = kEveryBlock
-  auto log = HybridLog::Create(dir.FilePath("log"), opts);
-  ASSERT_TRUE(log.ok());
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE((*log)->Append(Pattern(256, static_cast<uint8_t>(i))).ok());
-  }
-  (*log)->Publish();
-  const uint64_t flusher_owned = 7 * opts.block_size;
-  for (int spins = 0; (*log)->durable_tail() < flusher_owned && spins < 2000; ++spins) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE((*log)->durable_tail(), flusher_owned);
-  ASSERT_TRUE((*log)->Close().ok());
-  EXPECT_EQ((*log)->durable_tail(), (*log)->tail());
-}
-
 TEST(HybridLogRegisteredBuffersTest, RoundTripThroughDisk) {
-  // register_buffers submits flushes as WRITE_FIXED over the registered slot
-  // ring on io_uring kernels and silently keeps the vectored path elsewhere;
-  // either way every byte must land in the backing file verbatim. Recycle
-  // the ring many times so registered slots are reused across flushes.
+  // Every byte must land in the backing file verbatim. Recycle the slot ring
+  // many times so each slot is rewritten and reflushed.
   TempDir dir;
   const std::string path = dir.FilePath("log");
   constexpr int kCells = 96;
@@ -554,8 +479,6 @@ TEST(HybridLogRegisteredBuffersTest, RoundTripThroughDisk) {
     HybridLogOptions opts;
     opts.block_size = 256;
     opts.num_blocks = 4;
-    opts.flush_inflight_blocks = 2;
-    opts.register_buffers = true;
     auto log = HybridLog::Create(path, opts);
     ASSERT_TRUE(log.ok());
     for (int i = 0; i < kCells; ++i) {
@@ -577,6 +500,192 @@ TEST(HybridLogRegisteredBuffersTest, RoundTripThroughDisk) {
     std::vector<uint8_t> out(256);
     ASSERT_TRUE(file->PReadAll(static_cast<uint64_t>(i) * 256, out).ok());
     EXPECT_EQ(out, Pattern(256, static_cast<uint8_t>(i * 13))) << i;
+  }
+}
+
+// Captures 64 MiB through the engine's 4 MiB record blocks while a 1 kHz
+// interval timer interrupts the flusher, then checks every 4 KiB cell of the
+// file after Close. The flusher is the only thread that leaves SIGALRM
+// unblocked: the calling thread blocks it after Create, and the appender
+// inherits that mask. A writer that hangs fails the deadline instead of
+// wedging the suite.
+testing::AssertionResult CaptureUnderAlarms(const std::string& path) {
+  constexpr size_t kCell = 4096;
+  constexpr uint64_t kCells = (64 << 20) / kCell;
+  const auto cell = [](uint64_t i, uint8_t* out) {
+    for (size_t w = 0; w < kCell / 8; ++w) {
+      const uint64_t word = (i * 0x9E3779B97F4A7C15ULL) ^ w;
+      std::memcpy(out + w * 8, &word, 8);
+    }
+  };
+  HybridLogOptions opts;
+  opts.block_size = 4 << 20;  // LoomOptions::record_block_size's default
+  auto created = HybridLog::Create(path, opts);
+  if (!created.ok()) {
+    return testing::AssertionFailure() << created.status().ToString();
+  }
+  struct Run {
+    std::unique_ptr<HybridLog> log;
+    std::atomic<bool> done{false};
+    Status append_status;
+    Status close_status;
+  };
+  // Shared with the appender, so a hung appender can be abandoned safely.
+  auto run = std::make_shared<Run>();
+  run->log = std::move(created.value());
+
+  struct sigaction action {};
+  action.sa_handler = [](int) {};
+  action.sa_flags = SA_RESTART;
+  sigemptyset(&action.sa_mask);
+  struct sigaction old_action {};
+  sigaction(SIGALRM, &action, &old_action);
+  sigset_t alarm_set;
+  sigemptyset(&alarm_set);
+  sigaddset(&alarm_set, SIGALRM);
+  sigset_t old_mask;
+  pthread_sigmask(SIG_BLOCK, &alarm_set, &old_mask);
+
+  std::thread appender([run, cell] {
+    std::vector<uint8_t> buf(kCell);
+    for (uint64_t i = 0; i < kCells && run->append_status.ok(); ++i) {
+      cell(i, buf.data());
+      run->append_status = run->log->Append(buf).status();
+    }
+    run->log->Publish();
+    run->close_status = run->log->Close();
+    run->done.store(true, std::memory_order_release);
+  });
+  struct itimerval every_ms {};
+  every_ms.it_interval.tv_usec = 1000;
+  every_ms.it_value.tv_usec = 1000;
+  struct itimerval old_timer {};
+  setitimer(ITIMER_REAL, &every_ms, &old_timer);
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!run->done.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const bool finished = run->done.load(std::memory_order_acquire);
+
+  setitimer(ITIMER_REAL, &old_timer, nullptr);
+  // Ignoring the signal discards one still pending before the old
+  // disposition (possibly the default, which terminates) comes back.
+  struct sigaction ignore {};
+  ignore.sa_handler = SIG_IGN;
+  sigaction(SIGALRM, &ignore, nullptr);
+  sigaction(SIGALRM, &old_action, nullptr);
+  pthread_sigmask(SIG_SETMASK, &old_mask, nullptr);
+
+  if (!finished) {
+    appender.detach();
+    return testing::AssertionFailure() << "writer hung: flushed_tail "
+                                       << run->log->flushed_tail() << " of " << kCells * kCell;
+  }
+  appender.join();
+  if (!run->append_status.ok() || !run->close_status.ok()) {
+    return testing::AssertionFailure() << "append: " << run->append_status.ToString()
+                                       << ", close: " << run->close_status.ToString();
+  }
+  auto file = File::OpenReadOnly(path);
+  if (!file.ok()) {
+    return testing::AssertionFailure() << file.status().ToString();
+  }
+  std::vector<uint8_t> want(kCell);
+  std::vector<uint8_t> got(kCell);
+  uint64_t wrong = 0;
+  for (uint64_t i = 0; i < kCells; ++i) {
+    cell(i, want.data());
+    if (!file->PReadAll(i * kCell, got).ok() || got != want) {
+      ++wrong;
+    }
+  }
+  if (wrong > 0) {
+    return testing::AssertionFailure() << wrong << " of " << kCells << " cells wrong on disk";
+  }
+  return testing::AssertionSuccess();
+}
+
+// A signal that reaches the flusher mid-write must not cost a block: the
+// write is retried or finished, never dropped or confused with a later one.
+// Several captures, because an interrupt lands inside a write only on some.
+TEST(HybridLogSignalTest, SignalsAtTheFlusherLoseNoBytes) {
+  TempDir dir;
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_TRUE(CaptureUnderAlarms(dir.FilePath("log" + std::to_string(round))))
+        << "round " << round;
+  }
+}
+
+// A block whose write fails counts as flushed no more than any later block:
+// the flushed watermark stays below it, reads keep coming from the ring, and
+// Close() rewrites the unflushed blocks. A file-size limit fails the third
+// block's write halfway (EFBIG); it is lifted once the flusher has taken the
+// fourth block off the queue, so the blocks after that could be written.
+TEST(HybridLogWriteErrorTest, FailedBlockWriteHoldsTheFlushedTail) {
+  constexpr size_t kCell = 4096;
+  constexpr size_t kBlock = 64 << 10;
+  constexpr uint64_t kCellsPerBlock = kBlock / kCell;
+  const auto cell = [](uint64_t i, uint8_t* out) {
+    for (size_t k = 0; k < kCell; k += sizeof(i)) {
+      std::memcpy(out + k, &i, sizeof(i));
+    }
+  };
+  TempDir dir;
+  const std::string path = dir.FilePath("log");
+  HybridLogOptions opts;
+  opts.block_size = kBlock;
+  opts.num_blocks = 8;
+  auto log = HybridLog::Create(path, opts);
+  ASSERT_TRUE(log.ok());
+  std::vector<uint8_t> buf(kCell);
+  uint64_t cells = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  // Fills blocks up to `block`, starts the next one (queueing `block` for the
+  // flusher) and waits until the flusher has taken it off the queue.
+  const auto fill_through = [&](uint64_t block) {
+    for (; cells <= (block + 1) * kCellsPerBlock; ++cells) {
+      cell(cells, buf.data());
+      ASSERT_TRUE((*log)->Append(buf).ok());
+    }
+    (*log)->Publish();
+    while ((*log)->FlushQueueDepthApprox() > 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+
+  struct sigaction ignore {};
+  ignore.sa_handler = SIG_IGN;
+  struct sigaction old_action {};
+  sigaction(SIGXFSZ, &ignore, &old_action);
+  struct rlimit old_limit {};
+  getrlimit(RLIMIT_FSIZE, &old_limit);
+  struct rlimit capped = old_limit;
+  capped.rlim_cur = 2 * kBlock + kBlock / 2;
+  setrlimit(RLIMIT_FSIZE, &capped);
+  fill_through(3);  // block 2's write has returned by the time block 3 is popped
+  setrlimit(RLIMIT_FSIZE, &old_limit);
+  sigaction(SIGXFSZ, &old_action, nullptr);
+  auto reader = File::OpenReadOnly(path);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_EQ(reader->Size().value_or(0), capped.rlim_cur);
+
+  fill_through(5);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let block 5 finish
+  EXPECT_EQ((*log)->flushed_tail(), 2 * kBlock);
+  std::vector<uint8_t> want(kCell);
+  for (uint64_t i = 0; i < cells; ++i) {
+    cell(i, want.data());
+    ASSERT_TRUE((*log)->Read(i * kCell, buf).ok());
+    ASSERT_TRUE(buf == want) << "cell " << i;
+  }
+
+  ASSERT_TRUE((*log)->Close().ok());
+  for (uint64_t i = 0; i < cells; ++i) {
+    cell(i, want.data());
+    ASSERT_TRUE(reader->PReadAll(i * kCell, buf).ok());
+    ASSERT_TRUE(buf == want) << "cell " << i << " on disk";
   }
 }
 

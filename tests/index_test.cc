@@ -541,12 +541,15 @@ TEST_F(TimestampIndexFixture, ChunkEventChain) {
   log_->Publish();
   TimestampIndexReader reader(log_.get(), log_->queryable_tail());
 
-  auto last = reader.LastChunkEvent();
+  auto pos = reader.LastEntryAtOrBefore(20);
+  ASSERT_TRUE(pos.ok());
+  ASSERT_TRUE(pos.value().has_value());
+  auto last = reader.ReadIndex(*pos.value());
   ASSERT_TRUE(last.ok());
-  ASSERT_TRUE(last.value().has_value());
-  EXPECT_EQ(last.value()->target_addr, 2000u);
-  ASSERT_NE(last.value()->prev_addr, kNullAddr);
-  auto prev = reader.ReadAt(last.value()->prev_addr);
+  EXPECT_EQ(last.value().kind, TimestampIndexEntry::Kind::kChunk);
+  EXPECT_EQ(last.value().target_addr, 2000u);
+  ASSERT_NE(last.value().prev_addr, kNullAddr);
+  auto prev = reader.ReadAt(last.value().prev_addr);
   ASSERT_TRUE(prev.ok());
   EXPECT_EQ(prev.value().target_addr, 1000u);
   EXPECT_EQ(prev.value().prev_addr, kNullAddr);
@@ -558,7 +561,6 @@ TEST_F(TimestampIndexFixture, EmptyIndexQueries) {
   EXPECT_EQ(reader.num_entries(), 0u);
   EXPECT_FALSE(reader.LastEntryAtOrBefore(100).value().has_value());
   EXPECT_FALSE(reader.FirstEntryAfter(0).value().has_value());
-  EXPECT_FALSE(reader.LastChunkEvent().value().has_value());
   EXPECT_FALSE(reader.FirstRecordMarkerAfter(1, 0).value().has_value());
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -81,6 +82,16 @@ TEST(LoomConcurrencyTest, RawScanDuringIngestSeesPrefix) {
 
   for (uint64_t i = 1; i <= kRecords; ++i) {
     ASSERT_TRUE(l->Push(1, SeqPayload(i)).ok());
+  }
+  // On a loaded host the scheduler can starve the reader for the whole stream
+  // above. Ingest then goes on, one record per 100 us, until the reader has
+  // finished its scans or 10 s pass, so a reader that cannot scan while
+  // ingest runs still fails the progress check below.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (uint64_t i = kRecords + 1;
+       scans.load() <= 10 && std::chrono::steady_clock::now() < deadline; ++i) {
+    ASSERT_TRUE(l->Push(1, SeqPayload(i)).ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   done.store(true, std::memory_order_release);
   reader.join();

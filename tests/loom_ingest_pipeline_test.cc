@@ -1,9 +1,6 @@
 // The ingest write path: staged summary construction bit-identical to the
 // scalar path, chunk seals on the ingest thread (a failed seal is sticky),
 // reader visibility under concurrent ingest, and the ingest metrics family.
-//
-// The whole suite is registered twice in CMake: once normally and once with
-// LOOM_IO=sync forced, pinning the synchronous flush backend.
 
 #include <gtest/gtest.h>
 
@@ -267,7 +264,7 @@ TEST(IngestPipelineTest, PipelinedWithChunkIndexDisabled) {
 }
 
 // The ingest metrics family is registered and carries data after a run
-// (finalize latency, flush queue depth, io-backend mode).
+// (finalize latency, flush queue depth, writer stalls).
 TEST(IngestPipelineTest, IngestMetricsRegisteredAndPopulated) {
   TempDir dir;
   ManualClock clock{1};
@@ -280,8 +277,6 @@ TEST(IngestPipelineTest, IngestMetricsRegisteredAndPopulated) {
   EXPECT_NE(text.find("loom_ingest_finalize_seconds"), std::string::npos);
   EXPECT_NE(text.find("loom_ingest_flush_queue_depth"), std::string::npos);
   EXPECT_NE(text.find("loom_ingest_writer_stall_seconds_total"), std::string::npos);
-  EXPECT_NE(text.find("loom_ingest_io_backend_mode"), std::string::npos);
-  EXPECT_NE(text.find("loom_ingest_coalesced_writes_total"), std::string::npos);
   const uint64_t sealed = (*loom)->stats().chunks_finalized;
   EXPECT_GT(sealed, 0u);
   // Every chunk seal is timed once.

@@ -70,11 +70,10 @@ class ParallelQueryTest : public ::testing::Test {
 
   std::unique_ptr<Loom> BuildEngine(const std::string& dir, size_t query_threads,
                                     ManualClock* clock, uint32_t* index_id,
-                                    SimdMode simd_mode = SimdMode::kAuto,
-                                    size_t prefetch_depth = 4, size_t chunk_size = 1024) {
+                                    SimdMode simd_mode = SimdMode::kAuto) {
     LoomOptions opts;
     opts.dir = dir;
-    opts.chunk_size = chunk_size;  // 1024: ~13 records per chunk -> hundreds of candidates
+    opts.chunk_size = 1024;  // ~13 records per chunk -> hundreds of candidates
     opts.record_block_size = 8192;
     opts.chunk_index_block_size = 4096;
     opts.ts_index_block_size = 4096;
@@ -82,7 +81,6 @@ class ParallelQueryTest : public ::testing::Test {
     opts.summary_cache_bytes = 1 << 20;
     opts.query_threads = query_threads;
     opts.simd_mode = simd_mode;
-    opts.prefetch_depth = prefetch_depth;
     opts.clock = clock;
     auto loom = Loom::Open(opts);
     EXPECT_TRUE(loom.ok()) << loom.status().ToString();
@@ -373,15 +371,14 @@ TEST_F(ParallelQueryTest, RandomizedEquivalenceSweep) {
   }
 }
 
-// A forced-scalar engine with the prefetch ring disabled must return
-// bit-identical results to the auto-dispatched engines: the vector kernels
-// and the ring are pure performance layers, never allowed to change a byte
-// of query output or delivery order.
-TEST_F(ParallelQueryTest, ForcedScalarNoPrefetchBitIdentical) {
+// A forced-scalar engine must return bit-identical results to the
+// auto-dispatched engines: the vector kernels are a pure performance layer,
+// never allowed to change a byte of query output or delivery order.
+TEST_F(ParallelQueryTest, ForcedScalarBitIdentical) {
   ManualClock clock{1};
   uint32_t index_id = 0;
-  std::unique_ptr<Loom> scalar = BuildEngine(dir_.FilePath("scalar"), 4, &clock, &index_id,
-                                             SimdMode::kScalar, /*prefetch_depth=*/0);
+  std::unique_ptr<Loom> scalar =
+      BuildEngine(dir_.FilePath("scalar"), 4, &clock, &index_id, SimdMode::kScalar);
   for (const TimeRange& range : Ranges()) {
     std::vector<Delivered> a;
     std::vector<Delivered> b;
@@ -432,85 +429,6 @@ TEST_F(ParallelQueryTest, ForcedScalarNoPrefetchBitIdentical) {
 
   // The scalar engine reports its dispatch in the metrics registry.
   EXPECT_EQ(scalar->metrics()->Snapshot().gauges.at("loom_query_kernel_mode"), 0.0);
-}
-
-// Prefetch ring observability: the ring serves percentile stage 2, whose
-// rescan list is exact. A p50 over the whole range folds every candidate from
-// its summary, then rescans every chunk holding the target bin; each read the
-// ring made must be accounted as a hit or wasted, and the gauges must be
-// absent when the ring is disabled. The engine's 8 KiB chunks hold more
-// target-bin values than a summary lists, so stage 2 has chunks to read.
-TEST_F(ParallelQueryTest, PrefetchMetricsAccountIssuedReads) {
-  ManualClock big_clock{1};
-  uint32_t big_index = 0;
-  std::unique_ptr<Loom> big = BuildEngine(dir_.FilePath("big"), 4, &big_clock, &big_index,
-                                          SimdMode::kAuto, /*prefetch_depth=*/4,
-                                          /*chunk_size=*/8192);
-  const TimestampNanos last = big_clock.NowNanos();
-  // The ring worker races the consumers for scheduler time; on a loaded
-  // single-core host one query may finish before the worker runs. Each query
-  // submits a fresh job, so repeat until the worker lands a hit (bounded).
-  MetricsSnapshot snap;
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    QueryTrace trace;
-    auto p50 = big->IndexedAggregate(kSource, big_index, {0, last + 1},
-                                     AggregateMethod::kPercentile, 50.0, &trace);
-    ASSERT_TRUE(p50.ok());
-    ASSERT_GE(trace.chunks_scanned, 2u);  // stage 2 rescanned at least two chunks
-    snap = big->metrics()->Snapshot();
-    if (snap.gauges.at("loom_query_prefetch_hits_total") > 0.0) {
-      break;
-    }
-  }
-  const double issued = snap.gauges.at("loom_query_prefetch_issued_total");
-  const double hits = snap.gauges.at("loom_query_prefetch_hits_total");
-  const double wasted = snap.gauges.at("loom_query_prefetch_wasted_total");
-  EXPECT_GT(issued, 0.0);
-  EXPECT_GT(hits, 0.0);
-  EXPECT_EQ(snap.gauges.at("loom_query_prefetch_ring_depth"), 4.0);
-  // Conservation: every read the worker completed was either consumed or
-  // retired as wasted; it cannot exceed what was issued.
-  EXPECT_LE(hits + wasted, issued);
-
-  ManualClock clock{1};
-  uint32_t index_id = 0;
-  std::unique_ptr<Loom> off =
-      BuildEngine(dir_.FilePath("off"), 4, &clock, &index_id, SimdMode::kAuto,
-                  /*prefetch_depth=*/0);
-  EXPECT_EQ(off->metrics()->Snapshot().gauges.count("loom_query_prefetch_issued_total"), 0u);
-}
-
-// Only exact stage-2 lists go to the ring: a value scan and a distributive
-// aggregate read each candidate's chunk on the scanning thread, after its
-// summary said scan, and leave the ring's read count where it was.
-TEST_F(ParallelQueryTest, CandidateScansLeavePrefetchRingIdle) {
-  const TimestampNanos last = serial_clock_.NowNanos();
-  for (auto [engine, index_id] : {std::pair{serial_.get(), serial_index_},
-                                  std::pair{parallel_.get(), parallel_index_}}) {
-    auto ring_reads = [engine] {
-      return engine->metrics()->Snapshot().gauges.at("loom_query_prefetch_issued_total");
-    };
-    const double before = ring_reads();
-    QueryTrace scan_trace;
-    size_t n = 0;
-    ASSERT_TRUE(engine
-                    ->IndexedScanValues(kSource, index_id, {0, last + 1}, {0.0, 1e9},
-                                        [&](double, const RecordView&) {
-                                          ++n;
-                                          return true;
-                                        },
-                                        &scan_trace)
-                    .ok());
-    EXPECT_EQ(n, kNumRecords);
-    EXPECT_GE(scan_trace.chunks_scanned, 2u);
-    QueryTrace sum_trace;
-    ASSERT_TRUE(engine
-                    ->IndexedAggregate(kSource, index_id, {last / 4, (3 * last) / 4},
-                                       AggregateMethod::kSum, 0.0, &sum_trace)
-                    .ok());
-    EXPECT_GE(sum_trace.chunks_scanned, 1u);  // the partial chunks at both ends
-    EXPECT_EQ(ring_reads(), before);
-  }
 }
 
 // query_threads=1 still goes through the pool with one worker; it must be

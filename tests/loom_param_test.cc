@@ -199,27 +199,6 @@ TEST(LoomOptionsValidateTest, RejectsTinyChunkSize) {
   EXPECT_EQ(Loom::Open(opts).status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(LoomOptionsValidateTest, RejectsCacheBytesWithZeroShards) {
-  TempDir dir;
-  LoomOptions opts = BaseOptions(dir);
-  opts.summary_cache_bytes = 1 << 20;
-  opts.summary_cache_shards = 0;
-  Status st = opts.Validate();
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(Loom::Open(opts).status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(LoomOptionsValidateTest, DisabledCacheCanonicalizesShardsToZero) {
-  TempDir dir;
-  LoomOptions opts = BaseOptions(dir);
-  opts.summary_cache_bytes = 0;
-  opts.summary_cache_shards = 8;  // benches pass this combination; must stay valid
-  ASSERT_TRUE(opts.Validate().ok());
-  EXPECT_EQ(opts.summary_cache_shards, 0u);
-  auto loom = Loom::Open(opts);
-  EXPECT_TRUE(loom.ok()) << loom.status().ToString();
-}
-
 TEST(LoomOptionsValidateTest, ClampsExcessiveQueryThreads) {
   TempDir dir;
   LoomOptions opts = BaseOptions(dir);

@@ -92,15 +92,11 @@ done < <(grep -rhoE 'metrics_prefix = "[^"]+"' "$src" --include='*.cc' --include
 # surface (DESIGN.md): every name below must stay registered somewhere in
 # src/ or dashboards built on them silently go dark.
 required_ingest="
-loom_ingest_coalesced_writes_total
-loom_ingest_coalesced_write_bytes
 loom_ingest_finalize_seconds
 loom_ingest_writer_stall_seconds_total
 loom_ingest_flush_queue_depth
-loom_ingest_io_backend_mode
 loom_ingest_group_commits_total
 loom_ingest_group_commit_bytes
-loom_ingest_io_write_fixed_mode
 "
 all_names="$( (extract Counter; extract Gauge; extract Histogram) | sort -u)"
 for name in $required_ingest; do

@@ -8,8 +8,9 @@
 #   loom_ingest_pipeline_test  staged summary buffers, the chunk seal (its
 #                              in-place builder reset included), and the
 #                              sticky failed-seal path
-#   hybridlog_test             block recycling, the coalesced multi-block
-#                              vectored flush, and close-time sync readback
+#   hybridlog_test             block recycling, the one-write-per-block
+#                              flush (interrupted by signals included), and
+#                              close-time sync readback
 #   tiering_test               demotion payload staging (spans rebuilt over a
 #                              scan window), archive block decode buffers, and
 #                              the crash-safe tmp/rename write protocol

@@ -7,9 +7,9 @@
 #
 #   kernels_test              unaligned vector loads, the u64 signed-compare
 #                             bias, NaN handling, mask tail arithmetic
-#   loom_parallel_query_test  the batched decode/emission restructure and the
-#                             prefetch ring, under both dispatches (the
-#                             second run forces LOOM_SIMD=scalar)
+#   loom_parallel_query_test  the batched decode/emission restructure, under
+#                             both dispatches (the second run forces
+#                             LOOM_SIMD=scalar)
 #   loom_engine_test          the differential suite: the percentile bracket's
 #                             rank arithmetic (local_rank - below) and the
 #                             archive zone-map pointers, serial and parallel
