@@ -83,15 +83,11 @@ struct LoomIndexes {
 
 // Standard Loom instance for the case studies: one source per telemetry
 // stream, exponential latency histograms, and an exact-match dport index.
-// `query_threads` sizes the morsel-driven parallel query executor (0 = the
-// serial executor).
 inline std::unique_ptr<Loom> MakeCaseStudyLoom(const std::string& dir, ManualClock* clock,
-                                               LoomIndexes* idx, bool redis,
-                                               size_t query_threads = 0) {
+                                               LoomIndexes* idx, bool redis) {
   LoomOptions opts;
   opts.dir = dir;
   opts.clock = clock;
-  opts.query_threads = query_threads;
   auto loom = Loom::Open(opts);
   if (!loom.ok()) {
     return nullptr;

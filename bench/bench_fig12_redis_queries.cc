@@ -79,14 +79,6 @@ int main(int argc, char** argv) {
   auto l = MakeCaseStudyLoom(dir.FilePath("loom"), &loom_clock, &idx, /*redis=*/true);
   const double loom_ingest = ReplayIntoLoom(replay, l.get(), &loom_clock);
 
-  // Same engine configuration with the parallel query executor (4 pool
-  // threads); only meaningful on multi-core machines, reported either way.
-  ManualClock loom_mt_clock(1);
-  LoomIndexes idx_mt;
-  auto lmt = MakeCaseStudyLoom(dir.FilePath("loom_mt"), &loom_mt_clock, &idx_mt, /*redis=*/true,
-                               /*query_threads=*/4);
-  (void)ReplayIntoLoom(replay, lmt.get(), &loom_mt_clock);
-
   ManualClock fs_clock(1);
   FishStorePsfs psfs;
   auto fs = MakeCaseStudyFishStore(dir.FilePath("fs"), &fs_clock, &psfs, /*redis=*/true);
@@ -105,13 +97,13 @@ int main(int argc, char** argv) {
   const uint32_t kAppSeries = kAppSource * 1000;
   const uint32_t kSendtoSeries = kSyscallSource * 1000 + kSyscallSendto;
 
-  TablePrinter table({"phase", "query", "Loom", "Loom 4T", "FishStore", "InfluxDB-idealized",
+  TablePrinter table({"phase", "query", "Loom", "FishStore", "InfluxDB-idealized",
                       "Loom rows", "cache hit%", "speedup vs FS", "speedup vs TSDB"});
 
   struct Spec {
     const char* phase;
     const char* name;
-    QueryResult loom, loom_mt, fish, tsdb;
+    QueryResult loom, fish, tsdb;
     double cache_hit_rate = 0.0;  // summary-cache hit rate during the Loom query
   };
   std::vector<Spec> specs;
@@ -138,22 +130,21 @@ int main(int argc, char** argv) {
     TimeRange range;
     uint32_t loom_source;
     uint32_t loom_index;
-    uint32_t loom_index_mt;
     bool fish_by_syscall;  // else by source
     uint64_t fish_value;
     uint32_t tsdb_series;
   };
   const std::vector<PercentileScanCase> cases = {
-      {"P1", "Slow Requests (99.99p scan)", p1, kAppSource, idx.app_latency, idx_mt.app_latency,
-       false, kAppSource, kAppSeries},
-      {"P2", "Slow Requests (99.99p scan)", p2, kAppSource, idx.app_latency, idx_mt.app_latency,
-       false, kAppSource, kAppSeries},
-      {"P2", "Slow sendto Executions", p2, kSyscallSource, idx.sendto_latency,
-       idx_mt.sendto_latency, true, kSyscallSendto, kSendtoSeries},
+      {"P1", "Slow Requests (99.99p scan)", p1, kAppSource, idx.app_latency, false, kAppSource,
+       kAppSeries},
+      {"P2", "Slow Requests (99.99p scan)", p2, kAppSource, idx.app_latency, false, kAppSource,
+       kAppSeries},
+      {"P2", "Slow sendto Executions", p2, kSyscallSource, idx.sendto_latency, true,
+       kSyscallSendto, kSendtoSeries},
   };
 
   for (const auto& c : cases) {
-    Spec spec{c.phase, c.name, {}, {}, {}, {}};
+    Spec spec{c.phase, c.name, {}, {}, {}};
     spec.loom = timed_loom(&spec.cache_hit_rate, [&](QueryResult& r) {
       auto pct = l->IndexedAggregate(c.loom_source, c.loom_index, c.range,
                                      AggregateMethod::kPercentile, 99.99);
@@ -166,19 +157,6 @@ int main(int argc, char** argv) {
                              ++r.rows;
                              return true;
                            });
-    });
-    spec.loom_mt = Timed([&](QueryResult& r) {
-      auto pct = lmt->IndexedAggregate(c.loom_source, c.loom_index_mt, c.range,
-                                       AggregateMethod::kPercentile, 99.99);
-      if (!pct.ok()) {
-        return;
-      }
-      r.value = pct.value();
-      (void)lmt->IndexedScan(c.loom_source, c.loom_index_mt, c.range, {pct.value(), 1e15},
-                             [&](const RecordView&) {
-                               ++r.rows;
-                               return true;
-                             });
     });
     spec.fish = Timed([&](QueryResult& r) {
       // Pass 1: walk the PSF chain to collect latencies in range.
@@ -234,16 +212,9 @@ int main(int argc, char** argv) {
 
   // ---- P3: Maximum Latency Request ---------------------------------------
   {
-    Spec spec{"P3", "Maximum Latency Request", {}, {}, {}, {}};
+    Spec spec{"P3", "Maximum Latency Request", {}, {}, {}};
     spec.loom = timed_loom(&spec.cache_hit_rate, [&](QueryResult& r) {
       auto max = l->IndexedAggregate(kAppSource, idx.app_latency, p3, AggregateMethod::kMax);
-      if (max.ok()) {
-        r.value = max.value();
-        r.rows = 1;
-      }
-    });
-    spec.loom_mt = Timed([&](QueryResult& r) {
-      auto max = lmt->IndexedAggregate(kAppSource, idx_mt.app_latency, p3, AggregateMethod::kMax);
       if (max.ok()) {
         r.value = max.value();
         r.rows = 1;
@@ -294,15 +265,9 @@ int main(int argc, char** argv) {
                          });
     const TimeRange window{slow_ts - 5 * kNanosPerSecond, slow_ts + 5 * kNanosPerSecond};
 
-    Spec spec{"P3", "TCP Packet Dump (10 s window)", {}, {}, {}, {}};
+    Spec spec{"P3", "TCP Packet Dump (10 s window)", {}, {}, {}};
     spec.loom = timed_loom(&spec.cache_hit_rate, [&](QueryResult& r) {
       (void)l->RawScan(kPacketSource, window, [&](const RecordView&) {
-        ++r.rows;
-        return true;
-      });
-    });
-    spec.loom_mt = Timed([&](QueryResult& r) {
-      (void)lmt->RawScan(kPacketSource, window, [&](const RecordView&) {
         ++r.rows;
         return true;
       });
@@ -329,7 +294,6 @@ int main(int argc, char** argv) {
 
   for (const Spec& s : specs) {
     table.AddRow({s.phase, s.name, FormatSeconds(s.loom.seconds),
-                  FormatSeconds(s.loom_mt.seconds),
                   FormatSeconds(s.fish.seconds), FormatSeconds(s.tsdb.seconds),
                   FormatCount(s.loom.rows), FormatDouble(s.cache_hit_rate * 100.0, 0) + "%",
                   FormatDouble(s.fish.seconds / std::max(1e-9, s.loom.seconds), 1) + "x",

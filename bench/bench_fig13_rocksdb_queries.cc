@@ -73,14 +73,6 @@ int main(int argc, char** argv) {
   auto l = MakeCaseStudyLoom(dir.FilePath("loom"), &loom_clock, &idx, /*redis=*/false);
   const double loom_ingest = ReplayIntoLoom(replay, l.get(), &loom_clock);
 
-  // Same engine configuration with the parallel query executor (4 pool
-  // threads); only meaningful on multi-core machines, reported either way.
-  ManualClock loom_mt_clock(1);
-  LoomIndexes idx_mt;
-  auto lmt = MakeCaseStudyLoom(dir.FilePath("loom_mt"), &loom_mt_clock, &idx_mt, /*redis=*/false,
-                               /*query_threads=*/4);
-  (void)ReplayIntoLoom(replay, lmt.get(), &loom_mt_clock);
-
   ManualClock fs_clock(1);
   FishStorePsfs psfs;
   auto fs = MakeCaseStudyFishStore(dir.FilePath("fs"), &fs_clock, &psfs, /*redis=*/false);
@@ -124,7 +116,7 @@ int main(int argc, char** argv) {
   struct Spec {
     const char* phase;
     const char* name;
-    QueryResult loom, loom_mt, fish, tsdb;
+    QueryResult loom, fish, tsdb;
   };
   std::vector<Spec> specs;
 
@@ -152,11 +144,6 @@ int main(int argc, char** argv) {
                          .value_or(0);
                    }),
                    Timed([&] {
-                     return lmt->IndexedAggregate(kAppSource, idx_mt.app_latency, p1,
-                                                  AggregateMethod::kMax)
-                         .value_or(0);
-                   }),
-                   Timed([&] {
                      auto values = fish_chain_values(psfs.by_source, kAppSource, p1, false);
                      return values.empty() ? 0.0
                                            : *std::max_element(values.begin(), values.end());
@@ -169,11 +156,6 @@ int main(int argc, char** argv) {
                    timed_loom([&] {
                      return l->IndexedAggregate(kAppSource, idx.app_latency, p1,
                                                 AggregateMethod::kPercentile, 99.99)
-                         .value_or(0);
-                   }),
-                   Timed([&] {
-                     return lmt->IndexedAggregate(kAppSource, idx_mt.app_latency, p1,
-                                                  AggregateMethod::kPercentile, 99.99)
                          .value_or(0);
                    }),
                    Timed([&] {
@@ -194,11 +176,6 @@ int main(int argc, char** argv) {
                          .value_or(0);
                    }),
                    Timed([&] {
-                     return lmt->IndexedAggregate(kSyscallSource, idx_mt.pread64_latency, p2,
-                                                  AggregateMethod::kMax)
-                         .value_or(0);
-                   }),
-                   Timed([&] {
                      auto values =
                          fish_chain_values(psfs.by_syscall, kSyscallPread64, p2, true);
                      return values.empty() ? 0.0
@@ -212,11 +189,6 @@ int main(int argc, char** argv) {
                    timed_loom([&] {
                      return l->IndexedAggregate(kSyscallSource, idx.pread64_latency, p2,
                                                 AggregateMethod::kPercentile, 99.99)
-                         .value_or(0);
-                   }),
-                   Timed([&] {
-                     return lmt->IndexedAggregate(kSyscallSource, idx_mt.pread64_latency, p2,
-                                                  AggregateMethod::kPercentile, 99.99)
                          .value_or(0);
                    }),
                    Timed([&] {
@@ -238,11 +210,6 @@ int main(int argc, char** argv) {
                          .value_or(0);
                    }),
                    Timed([&] {
-                     return lmt->IndexedAggregate(kPageCacheSource, idx_mt.pagecache_event, p3,
-                                                  AggregateMethod::kCount)
-                         .value_or(0);
-                   }),
-                   Timed([&] {
                      uint64_t count = 0;
                      (void)fs->PsfScan(psfs.by_pc_event, 1, [&](const FishStore::Record& rec) {
                        if (rec.ts < p3.start) {
@@ -259,15 +226,13 @@ int main(int argc, char** argv) {
                      return (*tsdb)->QueryCount(kPcSeries, p3.start, p3.end).value_or(0);
                    })});
 
-  TablePrinter table({"phase", "query", "Loom", "Loom 4T", "FishStore", "InfluxDB-idealized",
+  TablePrinter table({"phase", "query", "Loom", "FishStore", "InfluxDB-idealized",
                       "speedup vs FS", "speedup vs TSDB", "cache hit%", "results agree"});
   for (size_t i = 0; i < specs.size(); ++i) {
     const Spec& s = specs[i];
     const bool agree = std::abs(s.loom.value - s.fish.value) < 1e-6 * (1 + std::abs(s.loom.value)) &&
-                       std::abs(s.loom.value - s.tsdb.value) < 1e-6 * (1 + std::abs(s.loom.value)) &&
-                       s.loom.value == s.loom_mt.value;
+                       std::abs(s.loom.value - s.tsdb.value) < 1e-6 * (1 + std::abs(s.loom.value));
     table.AddRow({s.phase, s.name, FormatSeconds(s.loom.seconds),
-                  FormatSeconds(s.loom_mt.seconds),
                   FormatSeconds(s.fish.seconds), FormatSeconds(s.tsdb.seconds),
                   FormatDouble(s.fish.seconds / std::max(1e-9, s.loom.seconds), 1) + "x",
                   FormatDouble(s.tsdb.seconds / std::max(1e-9, s.loom.seconds), 1) + "x",

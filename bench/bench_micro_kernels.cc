@@ -1,28 +1,11 @@
-// Micro-benchmark for the morsel-driven parallel query executor.
+// Micro-benchmark for the per-chunk kernel layer (src/core/kernels).
 //
-// One deterministic dataset (seedable via --seed) is ingested into engines
-// that differ only in LoomOptions::query_threads. The summary cache is
-// disabled so every pass is cold: each candidate chunk pays the full summary
-// read + decode, which is exactly the per-candidate work the executor fans
-// out across pool workers. The same wide-range queries then run against every
-// configuration:
-//
-//   aggregate   IndexedAggregate(kMean) over the whole timeline (the gated
-//               query: summary-dominated, embarrassingly parallel)
-//   histogram   IndexedHistogram over the whole timeline
-//   p99         IndexedAggregate(kPercentile, 99) (adds the stage-2 bin scan)
-//
-// Expectation: with >= 4 hardware threads, 4 query threads run the cold
-// aggregate >= 2.5x faster than the serial executor, and every configuration
-// returns bit-identical results. On smaller machines the speedup gate is
-// reported but not enforced (gate_applicable = false) — a 1-core container
-// cannot demonstrate parallel speedup, only correctness and overhead.
-//
-// Two further sections cover the per-chunk kernel layer:
+// One deterministic dataset (seedable via --seed) is ingested into two
+// engines that differ only in LoomOptions::simd_mode. Two sections:
 //
 //   cold sweep  disk-resident scan-heavy queries (summary cache disabled, a
 //               value scan that decodes every chunk plus the p99 stage-2
-//               rescan) at 4 threads, comparing scalar kernels against the
+//               rescan), comparing scalar kernels against the
 //               auto-dispatched vector kernels. Gate: >= 1.5x on the scan
 //               when hw >= 4, with the bit-identical checksum and the
 //               pruned + scanned == considered trace invariant under BOTH
@@ -31,7 +14,7 @@
 //               filter_source_time, scalar vs the auto-dispatched
 //               implementation on this machine.
 //
-// Results are written to BENCH_parallel_query.json.
+// Results are written to BENCH_kernels.json.
 
 #include <algorithm>
 #include <cstdio>
@@ -54,10 +37,8 @@ namespace loom {
 namespace {
 
 constexpr uint64_t kTotalRecords = 400000;
-constexpr int kRepeats = 5;
-constexpr double kGateSpeedup = 2.5;
 constexpr int kColdRepeats = 3;
-constexpr double kColdGateSpeedup = 1.5;  // vector vs scalar kernels, cold scan at 4T
+constexpr double kColdGateSpeedup = 1.5;  // vector vs scalar kernels, cold scan
 
 struct Dataset {
   std::vector<SyscallRecord> records;
@@ -87,17 +68,15 @@ struct Engine {
   uint32_t index_id = 0;
 };
 
-Engine BuildEngine(const std::string& dir, const Dataset& data, size_t query_threads,
-                   SimdMode simd_mode = SimdMode::kAuto) {
+Engine BuildEngine(const std::string& dir, const Dataset& data, SimdMode simd_mode) {
   Engine e;
   e.clock = std::make_unique<ManualClock>(1);
   LoomOptions opts;
   opts.dir = dir;
   opts.clock = e.clock.get();
-  opts.chunk_size = 16 << 10;  // small chunks -> many morsels per query
+  opts.chunk_size = 16 << 10;  // small chunks -> many candidates per query
   opts.record_block_size = 1 << 20;
-  opts.summary_cache_bytes = 0;  // every pass cold: workers pay the decode
-  opts.query_threads = query_threads;
+  opts.summary_cache_bytes = 0;  // every pass cold: each candidate pays the decode
   opts.simd_mode = simd_mode;
   auto l = Loom::Open(opts);
   e.loom = std::move(*l);
@@ -117,52 +96,6 @@ Engine BuildEngine(const std::string& dir, const Dataset& data, size_t query_thr
     (void)e.loom->Push(kSyscallSource, payload);
   }
   return e;
-}
-
-struct PassResult {
-  double aggregate_seconds = 0.0;  // the gated query, min over repeats
-  double histogram_seconds = 0.0;
-  double p99_seconds = 0.0;
-  double checksum = 0.0;  // folds every query result; must match across configs
-};
-
-PassResult RunQueries(const Engine& e, const TimeRange& range) {
-  PassResult r;
-  r.aggregate_seconds = 1e30;
-  r.histogram_seconds = 1e30;
-  r.p99_seconds = 1e30;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    double checksum = 0.0;
-    {
-      WallTimer t;
-      checksum += e.loom->IndexedAggregate(kSyscallSource, e.index_id, range,
-                                           AggregateMethod::kMean)
-                      .value_or(0);
-      checksum += e.loom->IndexedAggregate(kSyscallSource, e.index_id, range,
-                                           AggregateMethod::kSum)
-                      .value_or(0);
-      r.aggregate_seconds = std::min(r.aggregate_seconds, t.Seconds());
-    }
-    {
-      WallTimer t;
-      auto bins = e.loom->IndexedHistogram(kSyscallSource, e.index_id, range);
-      if (bins.ok()) {
-        for (size_t b = 0; b < bins.value().size(); ++b) {
-          checksum += static_cast<double>(bins.value()[b]) * static_cast<double>(b + 1);
-        }
-      }
-      r.histogram_seconds = std::min(r.histogram_seconds, t.Seconds());
-    }
-    {
-      WallTimer t;
-      checksum += e.loom->IndexedAggregate(kSyscallSource, e.index_id, range,
-                                           AggregateMethod::kPercentile, 99.0)
-                      .value_or(0);
-      r.p99_seconds = std::min(r.p99_seconds, t.Seconds());
-    }
-    r.checksum = checksum;
-  }
-  return r;
 }
 
 // --- Cold-cache disk-resident sweep -----------------------------------------
@@ -264,9 +197,9 @@ double FilterMbps(const KernelOps* ops, const std::vector<uint32_t>& sids,
 
 int main(int argc, char** argv) {
   using namespace loom;
-  PrintBanner("Micro", "Morsel-driven parallel query executor: speedup vs query_threads",
-              "with >= 4 hardware threads, 4 query threads should run the cold wide-range "
-              "aggregate >= 2.5x faster than serial, with bit-identical results everywhere");
+  PrintBanner("Micro", "Per-chunk kernels: scalar vs auto-dispatched",
+              "with >= 4 hardware threads, the vector kernels should run the cold "
+              "disk-resident value scan >= 1.5x faster than scalar, with bit-identical results");
 
   const uint64_t seed = ParseBenchSeed(argc, argv, 777);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -275,99 +208,17 @@ int main(int argc, char** argv) {
   printf("Dataset: %s records (seed %llu), chunk size 16 KiB, %u hardware thread(s)\n\n",
          FormatCount(data.records.size()).c_str(), static_cast<unsigned long long>(seed), hw);
 
-  const std::vector<size_t> configs = {0, 1, 2, 4, 8};
   TempDir dir;
-
-  TablePrinter table({"query_threads", "effective", "aggregate", "histogram", "p99",
-                      "agg speedup", "checksum"});
-  std::vector<PassResult> results;
-  std::vector<size_t> effective_threads;
-  double serial_aggregate = 0.0;
-  std::unique_ptr<Loom> metrics_engine;  // keep the 4-thread engine's registry
-  for (size_t t : configs) {
-    // Validate() clamps query_threads to 4x the hardware concurrency; report
-    // the thread count the engine actually ran with.
-    const size_t effective = std::min<size_t>(t, static_cast<size_t>(hw) * 4);
-    Engine e = BuildEngine(dir.FilePath("t" + std::to_string(t)), data, t);
-    PassResult r = RunQueries(e, range);
-    if (t == 0) {
-      serial_aggregate = r.aggregate_seconds;
-    }
-    const double speedup = serial_aggregate / std::max(1e-9, r.aggregate_seconds);
-    table.AddRow({t == 0 ? "0 (serial)" : std::to_string(t), std::to_string(effective),
-                  FormatSeconds(r.aggregate_seconds), FormatSeconds(r.histogram_seconds),
-                  FormatSeconds(r.p99_seconds), FormatDouble(speedup, 2) + "x",
-                  FormatDouble(r.checksum, 3)});
-    results.push_back(r);
-    effective_threads.push_back(effective);
-    if (t == 4) {
-      metrics_engine = std::move(e.loom);
-    }
-  }
-  table.Print();
-
-  bool results_match = true;
-  for (const PassResult& r : results) {
-    results_match = results_match && r.checksum == results[0].checksum;
-  }
-  double speedup_at_4 = 0.0;
-  for (size_t i = 0; i < configs.size(); ++i) {
-    if (configs[i] == 4) {
-      speedup_at_4 = serial_aggregate / std::max(1e-9, results[i].aggregate_seconds);
-    }
-  }
-  const bool gate_applicable = hw >= 4;
-  const bool gate_met = speedup_at_4 >= kGateSpeedup;
-  printf("\nResults match across configurations: %s\n", results_match ? "yes" : "NO");
-  printf("Aggregate speedup at 4 threads: %.2fx (target >= %.1fx, %s on %u-core machine)\n",
-         speedup_at_4, kGateSpeedup, gate_applicable ? "enforced" : "not enforced", hw);
-
   JsonWriter json;
   json.Field("seed", seed);
   json.Field("records", kTotalRecords);
   json.Field("chunk_size_bytes", 16 << 10);
-  json.Field("repeats", kRepeats);
   json.Field("hardware_threads", static_cast<uint64_t>(hw));
-  json.BeginArray("threads_requested");
-  for (size_t t : configs) {
-    json.ArrayValue(static_cast<double>(t));
-  }
-  json.EndArray();
-  json.BeginArray("threads_effective");
-  for (size_t t : effective_threads) {
-    json.ArrayValue(static_cast<double>(t));
-  }
-  json.EndArray();
-  json.BeginArray("aggregate_seconds");
-  for (const PassResult& r : results) {
-    json.ArrayValue(r.aggregate_seconds);
-  }
-  json.EndArray();
-  json.BeginArray("histogram_seconds");
-  for (const PassResult& r : results) {
-    json.ArrayValue(r.histogram_seconds);
-  }
-  json.EndArray();
-  json.BeginArray("p99_seconds");
-  for (const PassResult& r : results) {
-    json.ArrayValue(r.p99_seconds);
-  }
-  json.EndArray();
-  json.BeginArray("aggregate_speedup");
-  for (const PassResult& r : results) {
-    json.ArrayValue(serial_aggregate / std::max(1e-9, r.aggregate_seconds));
-  }
-  json.EndArray();
-  json.Field("speedup_at_4_threads", speedup_at_4);
-  json.Field("gate_threshold", kGateSpeedup);
-  json.Field("gate_applicable", gate_applicable);
-  json.Field("gate_met", gate_met);
-  json.Field("results_match", results_match);
 
   // --- Cold-cache disk-resident sweep: scalar vs auto-dispatched kernels ----
-  printf("\nCold-cache disk-resident sweep (4 query threads, scan-heavy):\n");
-  Engine baseline = BuildEngine(dir.FilePath("cold_base"), data, 4, SimdMode::kScalar);
-  Engine tuned = BuildEngine(dir.FilePath("cold_tuned"), data, 4, SimdMode::kAuto);
+  printf("Cold-cache disk-resident sweep (scan-heavy):\n");
+  Engine baseline = BuildEngine(dir.FilePath("cold_base"), data, SimdMode::kScalar);
+  Engine tuned = BuildEngine(dir.FilePath("cold_tuned"), data, SimdMode::kAuto);
   ColdResult cold_base = RunColdQueries(baseline, range);
   ColdResult cold_tuned = RunColdQueries(tuned, range);
   const double cold_speedup =
@@ -383,6 +234,7 @@ int main(int argc, char** argv) {
                      FormatSeconds(cold_tuned.p99_seconds),
                      FormatDouble(cold_tuned.checksum, 3)});
   cold_table.Print();
+  const bool gate_applicable = hw >= 4;
   const bool cold_gate_met = cold_speedup >= kColdGateSpeedup;
   printf("Cold scan speedup: %.2fx (target >= %.1fx, %s), p99: %.2fx\n", cold_speedup,
          kColdGateSpeedup, gate_applicable ? "enforced" : "not enforced", cold_p99_speedup);
@@ -462,13 +314,10 @@ int main(int argc, char** argv) {
     json.Field("filter_simd_mbps", flt_auto);
   }
 
-  if (metrics_engine != nullptr) {
-    json.MetricsSection("metrics", metrics_engine->metrics()->Snapshot());
-  }
-  (void)json.WriteFile("BENCH_parallel_query.json");
+  json.MetricsSection("metrics", tuned.loom->metrics()->Snapshot());
+  (void)json.WriteFile("BENCH_kernels.json");
 
-  const bool ok = results_match && cold_match && cold_trace_ok &&
-                  ((gate_met && cold_gate_met) || !gate_applicable);
+  const bool ok = cold_match && cold_trace_ok && (cold_gate_met || !gate_applicable);
   printf("%s\n", ok ? "OK" : "BELOW TARGET");
   return ok ? 0 : 1;
 }

@@ -22,9 +22,6 @@ int main() {
   TempDir dir;
   LoomOptions options;
   options.dir = dir.FilePath("loom");
-  // Let wide queries fan out across a small worker pool; ingest still runs
-  // on exactly one thread and results are identical to query_threads = 0.
-  options.query_threads = 2;
   auto loom = Loom::Open(options).value();
 
   (void)loom->DefineSource(kAppSource);

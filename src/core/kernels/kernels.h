@@ -18,8 +18,8 @@
 //     to scalar).
 //   * Every implementation is bit-exact against the scalar reference: same
 //     bins (NaN included), same mask bits, same decoded fields, for any
-//     input. The fuzz suite (tests/kernels_test.cc) and the golden
-//     serial-vs-parallel suite enforce this.
+//     input. The fuzz suite (tests/kernels_test.cc) and the golden query
+//     suite (tests/loom_query_golden_test.cc) enforce this.
 //   * No alignment requirements: kernels use unaligned loads and never read
 //     past the end of an input array (tails run through a scalar epilogue).
 //

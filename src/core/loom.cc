@@ -28,12 +28,8 @@ constexpr size_t kSummaryCacheShards = 8;
 // bounded; past this many entries the query falls back to the chain walk.
 constexpr uint64_t kChunkEventScanCap = 8192;
 
-// Plans with fewer candidates than this stay serial — pool coordination
-// costs more than it buys on tiny plans.
-constexpr size_t kMinParallelCandidates = 4;
-
 // Backward chain walks batch this many headers before running the vectorized
-// time filter over them (the walk itself is data-dependent and stays serial).
+// time filter over them (the walk itself is data-dependent).
 constexpr size_t kChainWalkBatch = 64;
 
 Clock* DefaultClock() {
@@ -63,23 +59,6 @@ class PlanTimer {
   QueryTrace* trace_;
   uint64_t t0_;
 };
-
-// Partitions n candidates into contiguous morsels sized for `workers`
-// threads: enough morsels for load balance (about four per thread, caller
-// included), each within [1, 64] candidates.
-std::vector<std::pair<size_t, size_t>> MakeMorsels(size_t n, size_t workers) {
-  std::vector<std::pair<size_t, size_t>> morsels;
-  if (n == 0) {
-    return morsels;
-  }
-  const size_t target = (workers + 1) * 4;
-  const size_t size = std::max<size_t>(1, std::min<size_t>(64, (n + target - 1) / target));
-  morsels.reserve((n + size - 1) / size);
-  for (size_t b = 0; b < n; b += size) {
-    morsels.emplace_back(b, std::min(n, b + size));
-  }
-  return morsels;
-}
 
 // A value scan's filter as the zone-map classifier sees it: the range and the
 // histogram bins overlapping it.
@@ -196,13 +175,6 @@ Status LoomOptions::Validate() {
   record_block_size = RoundUp(std::max(record_block_size, chunk_size), chunk_size);
   ts_index_block_size =
       RoundUp(std::max<size_t>(ts_index_block_size, 1024), TimestampIndexEntry::kEncodedSize);
-  size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) {
-    hw = 1;
-  }
-  if (query_threads > hw * 4) {
-    query_threads = hw * 4;  // oversubscribing further only adds contention
-  }
   // A stage larger than this buys nothing (classify batches are already far
   // past the kernel's vector width) and bloats the per-index buffers.
   if (summary_stage_records > 4096) {
@@ -289,9 +261,6 @@ Loom::Loom(const LoomOptions& options, std::unique_ptr<MetricsRegistry> owned_me
     cache_opts.shards = kSummaryCacheShards;
     summary_cache_ = std::make_unique<SummaryCache>(cache_opts);
   }
-  if (options_.query_threads > 0) {
-    query_pool_ = std::make_unique<QueryThreadPool>(options_.query_threads);
-  }
   // Resolve the kernel set once: an explicit simd_mode wins; kAuto consults
   // LOOM_SIMD and then autodetects. SelectKernels never returns null.
   kernels_ = SelectKernels(options_.simd_mode == SimdMode::kAuto
@@ -329,12 +298,9 @@ Loom::~Loom() {
     demoter_.join();
   }
   // A shared registry (LoomOptions.metrics) outlives this engine; the hooks
-  // capture `summary_cache_` / `query_pool_` / the logs and must go first.
+  // capture `summary_cache_` / the logs / the catalog and must go first.
   if (cache_hook_id_ != 0) {
     metrics_->RemoveCollectionHook(cache_hook_id_);
-  }
-  if (pool_hook_id_ != 0) {
-    metrics_->RemoveCollectionHook(pool_hook_id_);
   }
   if (ingest_hook_id_ != 0) {
     metrics_->RemoveCollectionHook(ingest_hook_id_);
@@ -366,19 +332,6 @@ void Loom::RegisterMetrics() {
   m_.aggregate_seconds = metrics_->AddHistogram("loom_query_aggregate_seconds");
   m_.histogram_seconds = metrics_->AddHistogram("loom_query_histogram_seconds");
   m_.count_seconds = metrics_->AddHistogram("loom_query_count_seconds");
-  m_.parallel_queries = metrics_->AddCounter("loom_query_parallel_queries_total");
-  m_.parallel_morsels = metrics_->AddCounter("loom_query_parallel_morsels_total");
-  m_.parallel_worker_runs = metrics_->AddCounter("loom_query_parallel_worker_runs_total");
-  m_.parallel_merge_seconds = metrics_->AddHistogram("loom_query_parallel_merge_seconds");
-  if (query_pool_ != nullptr) {
-    Gauge* pool_threads = metrics_->AddGauge("loom_query_parallel_pool_threads");
-    Gauge* queue_depth = metrics_->AddGauge("loom_query_parallel_pool_queue_depth");
-    QueryThreadPool* pool = query_pool_.get();
-    pool_threads->Set(static_cast<double>(pool->num_threads()));
-    pool_hook_id_ = metrics_->AddCollectionHook([pool, queue_depth] {
-      queue_depth->Set(static_cast<double>(pool->QueueDepthApprox()));
-    });
-  }
   if (summary_cache_ != nullptr) {
     // The cache keeps its own atomics (query threads bump them with no
     // registry in sight); a collection hook folds them into gauges at each
@@ -459,14 +412,6 @@ void Loom::FoldTraceIntoMetrics(const QueryTrace& trace, Histogram* op_hist) con
   }
   if (trace.bytes_read > 0) {
     m_.query_bytes_read->Increment(trace.bytes_read);
-  }
-  if (trace.parallel_morsels > 0) {
-    m_.parallel_queries->Increment();
-    m_.parallel_morsels->Increment(trace.parallel_morsels);
-    m_.parallel_worker_runs->Increment(trace.parallel_workers);
-    if (options_.enable_latency_metrics) {
-      m_.parallel_merge_seconds->ObserveNanos(trace.merge_nanos);
-    }
   }
   if (options_.enable_latency_metrics && op_hist != nullptr) {
     op_hist->ObserveNanos(trace.total_nanos);
@@ -1258,16 +1203,13 @@ struct Loom::Candidate {
 struct Loom::QueryPlan {
   Snapshot snap;
   std::vector<Candidate> candidates;
-  // A chain walk runs on the calling thread, streaming: a worker would have
-  // to buffer the whole chain.
-  bool serial = false;
 };
 
-// What the executor made of one candidate: produced by the thread that ran
-// it, consumed by the operator on the calling thread in plan order.
+// What the executor made of one candidate, handed to the operator before the
+// next candidate runs.
 struct Loom::Outcome {
   // A record kept for delivery after the scan, its payload copied out of
-  // the scan window.
+  // the scan window: only the archived blocks a newest-first walk reverses.
   struct Match {
     double value = 0.0;
     TimestampNanos ts = 0;
@@ -1278,9 +1220,6 @@ struct Loom::Outcome {
       return RecordView{source_id, ts, addr, std::span<const uint8_t>(payload)};
     }
   };
-  // Serial execution: the candidate is consumed before the next one runs,
-  // so its records may go straight to the caller instead of into `matches`.
-  bool stream = false;
   // A summarized candidate that passed the filters; counted into the trace.
   bool considered = false;
   Zone zone = Zone::kScan;
@@ -1305,12 +1244,12 @@ struct Loom::QueryOp {
                              // the first pass already counted it
 
   // Per record of a scanned candidate that matches the source and the time
-  // range, on the thread running the candidate. False stops the candidate.
+  // range. False stops the candidate.
   // (Policies keep the index function's std::optional result non-const:
   // GCC 12 copies a const one through memory, a store-forwarding stall per
   // record that cost percentile stage 2 about a tenth of its time.)
   virtual bool OnRecord(const Candidate& c, const RecordView& view, Outcome* o) = 0;
-  // Per candidate, on the calling thread, in plan order. False ends the query.
+  // Per candidate, in plan order. False ends the query.
   virtual bool Consume(const Candidate& c, Outcome& o) = 0;
 
  protected:
@@ -1318,8 +1257,9 @@ struct Loom::QueryOp {
 };
 
 // The emit-matches policy of RawScan and IndexedScanValues: a match goes
-// straight to the caller when the executor streams its candidate, else it
-// is copied into the outcome and Consume replays it in plan order.
+// straight to the caller, except in an archived block that a newest-first
+// walk reverses, whose matches are copied into the outcome for Consume to
+// replay newest-first.
 struct Loom::EmitOp : QueryOp {
   const RecordCallback* record_cb = nullptr;  // one of the two is set
   const ValueCallback* value_cb = nullptr;
@@ -1327,18 +1267,16 @@ struct Loom::EmitOp : QueryOp {
   bool stopped = false;
 
   bool Emit(const Candidate& c, double value, const RecordView& view, Outcome* o) {
-    if (o->stream && !Reversed(c)) {
+    if (!Reversed(c)) {
       return Deliver(value, view);
     }
     o->matches.push_back({value, view.ts, view.addr, {view.payload.begin(), view.payload.end()}});
     return true;
   }
-  bool Consume(const Candidate& c, Outcome& o) final {
-    const bool reversed = Reversed(c);
-    const size_t n = o.matches.size();
-    for (size_t i = 0; i < n && !stopped; ++i) {
-      const Outcome::Match& m = o.matches[reversed ? n - 1 - i : i];
-      Deliver(m.value, m.View(source_id));
+  bool Consume(const Candidate&, Outcome& o) final {
+    // Only a reversed block buffers matches: replay them newest-first.
+    for (auto m = o.matches.rbegin(); m != o.matches.rend() && !stopped; ++m) {
+      Deliver(m->value, m->View(source_id));
     }
     return !stopped;
   }
@@ -1358,12 +1296,6 @@ struct Loom::EmitOp : QueryOp {
     return !stopped;
   }
 };
-
-bool Loom::CanRunParallel() const {
-  // No nested parallelism: an index function or callback that re-enters the
-  // engine from a pool worker runs its query serially inline.
-  return query_pool_ != nullptr && !QueryThreadPool::OnWorkerThread();
-}
 
 Status Loom::Query(QueryOp& op, uint64_t floor, QueryTrace* trace) const {
   QueryPlan plan;
@@ -1390,7 +1322,6 @@ Status Loom::Plan(const QueryOp& op, uint64_t floor, QueryPlan* plan, QueryTrace
 
   if (op.walks_chain || (!options_.enable_chunk_index && !ts_index)) {
     LOOM_RETURN_IF_ERROR(PlanChain(op, snap, &out));
-    plan->serial = true;
     // Newest-first: the blocks follow the walk, newest block first.
     out.insert(out.end(), archived.rbegin(), archived.rend());
     return Status::Ok();
@@ -1448,7 +1379,7 @@ Status Loom::Plan(const QueryOp& op, uint64_t floor, QueryPlan* plan, QueryTrace
     }
   } else if (ts_index && snap.chunk_tail > 0) {
     // The hot chunks come from timestamp-index entries alone; their summaries
-    // load per candidate on the executor (possibly on pool workers).
+    // load per candidate on the executor.
     //
     // Upper bound: binary search to the first entry after t_range.end, then a
     // bounded forward scan for the next chunk event — the chunk containing
@@ -1584,102 +1515,22 @@ Status Loom::ScanArchiveBlockFor(const Candidate& cand, uint32_t source_id, Time
 }
 
 Status Loom::Execute(const QueryPlan& plan, QueryOp& op, QueryTrace* trace) const {
-  const size_t n = plan.candidates.size();
-  // Counts a summarized candidate into the trace, then hands it to the
-  // operator.
-  const auto consume = [&](size_t c, Outcome& o) {
+  // Each outcome is consumed before the next candidate runs, so records
+  // stream to the operator and memory stays bounded by one candidate. A
+  // failed candidate still delivers what it read first.
+  for (size_t c = 0; c < plan.candidates.size(); ++c) {
     const Candidate& cand = plan.candidates[c];
+    Outcome o;
+    const Status st = RunCandidate(plan, c, op, &o, trace);
     if (o.considered) {
       CountZone(trace, o.zone, cand.kind == Candidate::Kind::kArchive);
     }
-    return op.Consume(cand, o);
-  };
-
-  if (plan.serial || !CanRunParallel() || n < kMinParallelCandidates) {
-    // Serial: each outcome is consumed before the next candidate runs, so
-    // records stream to the operator and memory stays bounded by one
-    // candidate. A failed candidate still delivers what it read first.
-    for (size_t c = 0; c < n; ++c) {
-      Outcome o;
-      o.stream = true;
-      const Status st = RunCandidate(plan, c, op, &o, trace);
-      if (!consume(c, o)) {
-        break;
-      }
-      LOOM_RETURN_IF_ERROR(st);
+    if (!op.Consume(cand, o)) {
+      break;
     }
-    return Status::Ok();
+    LOOM_RETURN_IF_ERROR(st);
   }
-
-  // Parallel: workers run morsels of candidates into per-candidate outcomes,
-  // and the calling thread consumes them strictly in candidate order. That
-  // keeps results byte-identical to serial execution, double
-  // non-associativity and callback order included. Producers run at most
-  // `window` morsels ahead of consumption.
-  const std::vector<std::pair<size_t, size_t>> morsels =
-      MakeMorsels(n, query_pool_->num_threads());
-  std::vector<Outcome> outcomes(n);
-  // Per morsel: the candidates before `ran` ran, and `status` is how the last
-  // of them ended. A morsel stops at its first failure, or before running
-  // anything once a sibling failed.
-  struct MorselRun {
-    size_t ran = 0;
-    Status status;
-  };
-  std::vector<MorselRun> runs(morsels.size());
-  std::vector<QueryTrace> morsel_traces(morsels.size());
-  for (size_t mi = 0; mi < morsels.size(); ++mi) {
-    runs[mi].ran = morsels[mi].first;
-    morsel_traces[mi].detailed = trace->detailed;
-  }
-  std::atomic<bool> abort{false};
-  Status failed;
-  bool stopped = false;  // the operator ended the query
-  const bool timed = trace->detailed || options_.enable_latency_metrics;
-  const size_t window = std::max<size_t>(2 * query_pool_->num_threads(), 4);
-  const QueryThreadPool::RunStats stats = query_pool_->RunOrdered(
-      morsels.size(), window,
-      [&](size_t mi) {
-        MorselRun& run = runs[mi];
-        for (size_t c = morsels[mi].first; c < morsels[mi].second; ++c) {
-          if (abort.load(std::memory_order_relaxed)) {
-            return;  // a sibling failed; the query returns its error
-          }
-          run.ran = c + 1;
-          run.status = RunCandidate(plan, c, op, &outcomes[c], &morsel_traces[mi]);
-          if (!run.status.ok()) {
-            abort.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-      },
-      [&](size_t mi) -> bool {
-        const uint64_t t0 = timed ? MetricsNowNanos() : 0;
-        const MorselRun& run = runs[mi];
-        // A failed candidate still delivers what it read before failing, the
-        // serial prefix; a morsel cut short by a sibling's failure ends the
-        // query with that failure.
-        for (size_t c = morsels[mi].first; c < run.ran && !stopped; ++c) {
-          stopped = !consume(c, outcomes[c]);
-          outcomes[c] = Outcome{};  // free buffered records eagerly
-        }
-        if (!stopped) {
-          failed = run.status;
-        }
-        if (timed) {
-          trace->merge_nanos += MetricsNowNanos() - t0;
-        }
-        return !stopped && failed.ok() && run.ran == morsels[mi].second;
-      });
-  trace->parallel_morsels += stats.morsels;
-  trace->parallel_workers += stats.workers_used;
-  for (const QueryTrace& mt : morsel_traces) {
-    trace->AbsorbWorker(mt);
-  }
-  for (size_t mi = 0; !stopped && failed.ok() && mi < runs.size(); ++mi) {
-    failed = runs[mi].status;  // the failure that cut a morsel short
-  }
-  return failed;
+  return Status::Ok();
 }
 
 Status Loom::RunCandidate(const QueryPlan& plan, size_t c, QueryOp& op, Outcome* o,

@@ -13,17 +13,13 @@
 //     from any thread, concurrently with ingest. Queries never block ingest
 //     (§4.4): they read lock-free snapshots and fall back to persistent
 //     storage when the writer recycles an in-memory block mid-copy.
-//   * Externally each query still behaves single-threaded: callbacks run on
-//     the calling thread, in the same order as serial execution, against one
-//     snapshot. Internally, when LoomOptions::query_threads > 0, operators
-//     fan their candidate chunks out in morsels across a shared lazily-
-//     started QueryThreadPool and merge per-worker partials in candidate
-//     order, so results are byte-identical to serial execution. query_threads
-//     = 0 (the default) keeps the fully serial executor with its constant
-//     maximum memory footprint (§3); parallel execution buffers at most a
-//     bounded window of morsel results. Index functions must be thread-safe (pure
-//     functions of the payload): with parallelism enabled they are evaluated
-//     concurrently from pool workers.
+//   * Each query runs on its calling thread alone: the executor takes the
+//     planner's candidate chunks one at a time, against one snapshot, and
+//     callbacks run on that thread in candidate order. Memory stays bounded
+//     by one candidate, the constant maximum footprint of §3. Index
+//     functions must be thread-safe (pure functions of the payload): queries
+//     on different threads evaluate them concurrently with each other and
+//     with the ingest thread.
 //
 // Consistency (§4.5): a query observes exactly the records published before
 // its snapshot was created. Durability is bounded by the in-memory blocks:
@@ -50,7 +46,6 @@
 #include "src/common/metrics.h"
 #include "src/common/status.h"
 #include "src/core/kernels/kernels.h"
-#include "src/core/query_thread_pool.h"
 #include "src/core/query_trace.h"
 #include "src/core/record_format.h"
 #include "src/hybridlog/hybrid_log.h"
@@ -117,13 +112,6 @@ struct LoomOptions {
   // Only query threads touch the cache (try-lock shards); ingest never does.
   size_t summary_cache_bytes = 8 << 20;
 
-  // Worker threads for morsel-driven parallel query execution (0 = every
-  // query runs serially on its calling thread, today's default). The pool is
-  // shared across queries and starts lazily on the first parallel query.
-  // Validate() clamps values above 4x the hardware concurrency. Results are
-  // byte-identical to serial execution; index functions must be thread-safe.
-  size_t query_threads = 0;
-
   // Kernel dispatch for the per-chunk decode/classify/filter hot loops (see
   // src/core/kernels/kernels.h). kAuto resolves the LOOM_SIMD environment
   // variable (scalar|avx2|neon|auto) first, then autodetects the widest set
@@ -171,9 +159,8 @@ struct LoomOptions {
 
   // Validates and canonicalizes the options in place: rejects nonsensical
   // combinations (empty dir, chunk_size too small for a record, archive_dir
-  // without the chunk index), clamps query_threads to 4x the hardware
-  // concurrency, bumps a zero ts_marker_period to 1, and applies the
-  // block-size round-ups.
+  // without the chunk index), bumps a zero ts_marker_period to 1, clamps
+  // summary_stage_records, and applies the block-size round-ups.
   // Loom::Open calls this on its private copy; call it directly to pre-check
   // configuration (e.g. daemon config parsing).
   Status Validate();
@@ -222,8 +209,8 @@ class Loom {
  public:
   // Extracts the indexed value from a record payload; nullopt skips the
   // record (it is still stored and raw-scannable, just not indexed). Must be
-  // a thread-safe pure function of the payload: queries evaluate it from
-  // multiple pool workers when query_threads > 0.
+  // a thread-safe pure function of the payload: every querying thread
+  // evaluates it, concurrently with ingest and with other queries.
   using IndexFunc = std::function<std::optional<double>(std::span<const uint8_t>)>;
 
   // Receives matching records. Return false to stop the scan early.
@@ -441,9 +428,8 @@ class Loom {
   // hot chunks by summary address, and the unindexed tail. The executor
   // loads and filters each candidate, classifies it with ClassifyZone
   // (prune, fold or scan), reads records only to scan, and hands each
-  // outcome in candidate order to the operator's policy, a QueryOp. Serial
-  // execution is that loop on the calling thread; parallel execution runs
-  // the same per-candidate step as morsels on the query pool.
+  // outcome in candidate order to the operator's policy, a QueryOp. The loop
+  // runs on the calling thread, one candidate at a time.
 
   // Point-in-time view used by one query (§4.4 capture order), plus the
   // retention floor the query pinned for its lifetime: the archive tier
@@ -496,13 +482,13 @@ class Loom {
                              QueryTrace* trace) const;
   // Plans `op` and executes the plan.
   Status Query(QueryOp& op, uint64_t floor, QueryTrace* trace) const;
-  // Runs the plan's candidates and hands each outcome to op.Consume in plan
-  // order, counting summarized candidates into the trace. Memory stays
-  // bounded: serially by one candidate, in parallel by a window of morsels.
+  // Runs the plan's candidates one at a time and hands each outcome to
+  // op.Consume in plan order, counting summarized candidates into the trace.
+  // Memory stays bounded by one candidate.
   Status Execute(const QueryPlan& plan, QueryOp& op, QueryTrace* trace) const;
-  // The per-candidate step, safe to run concurrently for distinct
-  // candidates: loads and filters a hot chunk's summary, classifies the
-  // candidate, and reads its records only when the zone says scan.
+  // The per-candidate step: loads and filters a hot chunk's summary,
+  // classifies the candidate, and reads its records only when the zone says
+  // scan.
   Status RunCandidate(const QueryPlan& plan, size_t c, QueryOp& op, Outcome* out,
                       QueryTrace* trace) const;
   // Walks the chain newest-first, batching headers through the vectorized
@@ -520,10 +506,6 @@ class Loom {
   Result<double> Percentile(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
                             TimeRange t_range, double percentile, BinAccumulation& acc,
                             QueryTrace* trace) const;
-  // True when this query may fan out to the pool (pool configured and the
-  // caller is not itself a pool worker — no nested parallelism).
-  bool CanRunParallel() const;
-
   // Decompresses one archived block and streams its records filtered by
   // (source_id, t_range), reproducing the original hot-log RecordViews from
   // the stored address column. Accounts examined records and compressed
@@ -601,10 +583,6 @@ class Loom {
   // Record log address of the active (not yet summarized) chunk's start.
   std::atomic<uint64_t> published_indexed_tail_{0};
 
-  // Morsel-driven parallel query pool (null when query_threads == 0). Lazily
-  // started; shared by all queries on this engine.
-  std::unique_ptr<QueryThreadPool> query_pool_;
-
   // Vectorized per-chunk kernels, resolved once at Open from
   // options.simd_mode / LOOM_SIMD / CPU detection. Never null.
   const KernelOps* kernels_ = nullptr;
@@ -670,11 +648,6 @@ class Loom {
     Histogram* aggregate_seconds = nullptr;
     Histogram* histogram_seconds = nullptr;
     Histogram* count_seconds = nullptr;
-    // Parallel executor, folded from finished QueryTraces.
-    Counter* parallel_queries = nullptr;
-    Counter* parallel_morsels = nullptr;
-    Counter* parallel_worker_runs = nullptr;
-    Histogram* parallel_merge_seconds = nullptr;
     // Tiered storage. Demotion counters tick per demoted chunk; the block
     // counters fold from finished QueryTraces (tier_* fields).
     Counter* tier_demoted_chunks = nullptr;
@@ -689,10 +662,10 @@ class Loom {
     Histogram* tier_demote_seconds = nullptr;  // per demotion pass
   };
   CoreMetrics m_;
-  // Collection hooks refreshing the summary-cache and pool gauges; removed in
-  // the destructor because a shared registry may outlive this engine.
+  // Collection hooks refreshing the summary-cache, ingest and tier gauges;
+  // removed in the destructor because a shared registry may outlive this
+  // engine.
   uint64_t cache_hook_id_ = 0;
-  uint64_t pool_hook_id_ = 0;
   uint64_t ingest_hook_id_ = 0;
   uint64_t tier_hook_id_ = 0;
   // Writer-local sampling counter for the 1-in-64 Push latency timer.

@@ -59,18 +59,12 @@ struct QueryTrace {
   uint64_t tier_chunks_scanned = 0;         // blocks decompressed + decoded
   uint64_t tier_bytes_read = 0;
 
-  // Parallel execution (0 when the query ran serially). `parallel_workers`
-  // counts distinct threads — pool workers plus the calling thread — that
-  // processed at least one morsel.
-  uint64_t parallel_morsels = 0;
-  uint64_t parallel_workers = 0;
-
   // Stage timings (nanoseconds). plan = snapshot + candidate collection;
-  // scan = record-range scans and chain walks (summed across workers for a
-  // parallel query, so it reads as CPU time, not wall time); merge = the
-  // coordinator's combine step over per-morsel partials. Only measured when
-  // the caller passed a trace (detailed = true); total_nanos additionally
-  // feeds the per-operator histogram whenever latency metrics are enabled.
+  // scan = record-range scans and chain walks. Only measured when the caller
+  // passed a trace (detailed = true); total_nanos additionally feeds the
+  // per-operator histogram whenever latency metrics are enabled. merge_nanos
+  // is always 0 (a query runs its candidates one at a time on the calling
+  // thread, so there are no partials to combine); perfbench still reads it.
   uint64_t plan_nanos = 0;
   uint64_t scan_nanos = 0;
   uint64_t merge_nanos = 0;
@@ -102,29 +96,10 @@ struct QueryTrace {
            " tier_scanned=" + std::to_string(tier_chunks_scanned) +
            " tier_bytes=" + std::to_string(tier_bytes_read);
     }
-    s +=
-         " morsels=" + std::to_string(parallel_morsels) + "x" +
-         std::to_string(parallel_workers) +
-         " plan_us=" + std::to_string(plan_nanos / 1000) +
+    s += " plan_us=" + std::to_string(plan_nanos / 1000) +
          " scan_us=" + std::to_string(scan_nanos / 1000) +
-         " merge_us=" + std::to_string(merge_nanos / 1000) +
          " total_us=" + std::to_string(total_nanos / 1000) + "}";
     return s;
-  }
-
-  // Folds a per-morsel worker trace into this (coordinator) trace. Chunk
-  // classification counters (considered / pruned / folded / scanned) are
-  // deliberately NOT absorbed: the coordinator counts those itself while
-  // merging morsel outcomes, which is what keeps the
-  // pruned + scanned == considered invariant exact under parallelism.
-  void AbsorbWorker(const QueryTrace& w) {
-    records_examined += w.records_examined;
-    records_matched += w.records_matched;
-    bytes_read += w.bytes_read;
-    cache_hits += w.cache_hits;
-    cache_misses += w.cache_misses;
-    plan_nanos += w.plan_nanos;
-    scan_nanos += w.scan_nanos;
   }
 };
 

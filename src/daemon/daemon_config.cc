@@ -1,6 +1,7 @@
 #include "src/daemon/daemon_config.h"
 
 #include <charconv>
+#include <limits>
 
 namespace loom {
 
@@ -88,7 +89,6 @@ Status ApplyDaemonConfigOption(DaemonOptions* options, std::string_view raw_key,
       {"demote_interval_ms", &loom.demote_interval_ms, nullptr, nullptr},
       {"demote_batch_chunks", nullptr, &loom.demote_batch_chunks, nullptr},
       {"summary_cache_bytes", nullptr, &loom.summary_cache_bytes, nullptr},
-      {"query_threads", nullptr, &loom.query_threads, nullptr},
       {"group_commit_bytes", &loom.group_commit_bytes, nullptr, nullptr},
       {"group_commit_interval_ms", &loom.group_commit_interval_ms, nullptr, nullptr},
       {"summary_stage_records", nullptr, &loom.summary_stage_records, nullptr},
@@ -109,6 +109,10 @@ Status ApplyDaemonConfigOption(DaemonOptions* options, std::string_view raw_key,
       *f.u64 = parsed.value();
     } else if (f.sz != nullptr) {
       *f.sz = static_cast<size_t>(parsed.value());
+    } else if (parsed.value() > std::numeric_limits<uint32_t>::max()) {
+      // An error, not a wrap: 2^32 would otherwise become 0.
+      return Status::InvalidArgument("value out of range for " + key + ": " +
+                                     std::string(value));
     } else {
       *f.u32 = static_cast<uint32_t>(parsed.value());
     }

@@ -413,40 +413,10 @@ TEST_F(DaemonTest, QueriesRunConcurrentlyWithIngest) {
   EXPECT_EQ(daemon->records_ingested(), static_cast<uint64_t>(kRecords));
 }
 
-TEST_F(DaemonTest, QueryThreadsWireThroughDaemonConfig) {
-  // DaemonOptions.loom carries query_threads into the engine: wide queries
-  // issued through the daemon fan out across the pool, visible in the
-  // loom_query_parallel_* metrics the daemon exports.
-  DaemonOptions opts;
-  opts.loom.query_threads = 2;
-  opts.loom.chunk_size = 2 << 10;  // many chunks -> morsel threshold reached
-  auto daemon = StartDaemon(opts);
-  auto channel = daemon->AddSource(kAppSource);
-  ASSERT_TRUE(channel.ok());
-  auto spec = HistogramSpec::Uniform(0, 1000, 10).value();
-  auto idx = daemon->AddIndex(
-      kAppSource, [](std::span<const uint8_t> p) { return AppLatencyUs(p); }, spec);
-  ASSERT_TRUE(idx.ok());
-  for (int i = 0; i < 20000; ++i) {
-    channel.value()->Publish(AppPayload(i % 1000));
-  }
-  daemon->Flush();
-
-  auto count = daemon->engine()->IndexedAggregate(kAppSource, idx.value(), {0, ~0ULL},
-                                                  AggregateMethod::kCount);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(count.value(), 20000.0);
-
-  MetricsSnapshot snap = daemon->metrics()->Snapshot();
-  EXPECT_GE(snap.counters.at("loom_query_parallel_queries_total"), 1u);
-  EXPECT_GE(snap.counters.at("loom_query_parallel_morsels_total"), 2u);
-  EXPECT_EQ(snap.gauges.at("loom_query_parallel_pool_threads"), 2.0);
-}
-
-TEST_F(DaemonTest, FlushKnobsWireThroughDaemonConfig) {
-  // DaemonOptions.loom carries the write-path knobs into the engine:
-  // daemon-fed ingest still answers queries exactly, and the seal traffic
-  // shows up in the metrics the daemon exports.
+TEST_F(DaemonTest, ChunkSizeWiresThroughDaemonConfig) {
+  // DaemonOptions.loom carries chunk_size into the engine: daemon-fed ingest
+  // still answers queries exactly, and the seal traffic shows up in the
+  // metrics the daemon exports.
   DaemonOptions opts;
   opts.loom.chunk_size = 2 << 10;
   auto daemon = StartDaemon(opts);
@@ -588,6 +558,23 @@ TEST_F(DaemonTest, ConfigParserRejectsBadInput) {
   EXPECT_FALSE(ParseDaemonConfigArgs({"--chunk-size"}).ok());       // missing value
   EXPECT_FALSE(ParseDaemonConfigArgs({"chunk-size", "1"}).ok());    // no -- prefix
   EXPECT_FALSE(ParseDaemonConfigText("chunk_size 4096\n").ok());    // no '='
+}
+
+TEST_F(DaemonTest, ConfigParserRejectsValuesPastTheFieldRange) {
+  // ts_marker_period is 32 bits wide: 2^32 must not wrap to 0, which
+  // Validate would turn into a timestamp marker after every record.
+  auto flag = ParseDaemonConfigArgs({"--ts-marker-period", "4294967296"});
+  EXPECT_EQ(flag.status().code(), StatusCode::kInvalidArgument);
+  auto text = ParseDaemonConfigText("ts_marker_period = 4294967296\n");
+  EXPECT_EQ(text.status().code(), StatusCode::kInvalidArgument);
+
+  // The largest value that fits still parses, on both surfaces.
+  auto max_flag = ParseDaemonConfigArgs({"--ts_marker_period=4294967295"});
+  ASSERT_TRUE(max_flag.ok()) << max_flag.status().ToString();
+  EXPECT_EQ(max_flag.value().loom.ts_marker_period, 4294967295u);
+  auto max_text = ParseDaemonConfigText("ts_marker_period = 4294967295\n");
+  ASSERT_TRUE(max_text.ok()) << max_text.status().ToString();
+  EXPECT_EQ(max_text.value().loom.ts_marker_period, 4294967295u);
 }
 
 }  // namespace

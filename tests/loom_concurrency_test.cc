@@ -301,19 +301,18 @@ TEST(LoomConcurrencyTest, CachedQueriesMatchColdReadsUnderRetention) {
   EXPECT_LE(cache.bytes_used, opts.summary_cache_bytes);
 }
 
-TEST(LoomConcurrencyTest, ParallelQueriesDuringIngestAndRetention) {
-  // The morsel-driven executor fans query work out to pool workers while the
-  // ingest thread appends records and retention recycles blocks underneath.
-  // Every per-morsel candidate re-checks the retained floor, so parallel
-  // queries must stay exactly as consistent as serial ones.
+TEST(LoomConcurrencyTest, ConcurrentQueriesDuringIngestAndRetention) {
+  // Three query threads run the same mix at once while the ingest thread
+  // appends records and retention recycles blocks underneath. Every
+  // candidate re-checks the retained floor, so queries racing each other and
+  // retention must stay exactly as consistent as a lone query.
   TempDir dir;
   LoomOptions opts;
   opts.dir = dir.FilePath("loom");
   opts.record_block_size = 16 << 10;
   opts.chunk_size = 4 << 10;
-  opts.record_retain_bytes = 128 << 10;  // retention races the morsels
+  opts.record_retain_bytes = 128 << 10;  // retention races the queries
   opts.summary_cache_bytes = 1 << 20;
-  opts.query_threads = 3;
   auto loom = Loom::Open(opts);
   ASSERT_TRUE(loom.ok());
   Loom* l = loom->get();
@@ -327,64 +326,69 @@ TEST(LoomConcurrencyTest, ParallelQueriesDuringIngestAndRetention) {
   std::atomic<uint64_t> errors{0};
   std::atomic<uint64_t> queries{0};
 
-  std::thread reader([&] {
-    Rng rng(99);
-    while (!done.load(std::memory_order_acquire)) {
-      // Whole-range aggregate: summary-dominated, fans out across workers.
-      auto count = l->IndexedAggregate(1, idx.value(), {0, ~0ULL}, AggregateMethod::kCount);
-      if (!count.ok()) {
-        fprintf(stderr, "COUNT ERR: %s\n", count.status().ToString().c_str());
-        errors.fetch_add(1);
-        continue;
-      }
-      // Whole-range histogram and a value scan: the ordered-emission path.
-      auto hist = l->IndexedHistogram(1, idx.value(), {0, ~0ULL});
-      if (!hist.ok() && hist.status().code() != StatusCode::kNotFound) {
-        fprintf(stderr, "HIST ERR: %s\n", hist.status().ToString().c_str());
-        errors.fetch_add(1);
-      }
-      double lo = rng.NextUniform(0, 500);
-      uint64_t scanned = 0;
-      Status st = l->IndexedScan(1, idx.value(), {0, ~0ULL}, {lo, lo + 200},
-                                 [&](const RecordView& rec) {
-                                   const double v =
-                                       static_cast<double>(PayloadSeq(rec.payload) % 1000);
-                                   if (v < lo || v > lo + 200) {
-                                     errors.fetch_add(1);
-                                   }
-                                   return ++scanned < 4096;
-                                 });
-      if (!st.ok()) {
-        fprintf(stderr, "SCAN ERR: %s\n", st.ToString().c_str());
-        errors.fetch_add(1);
-      }
-      // Raw scan: the sequence must stay dense (each record's predecessor is
-      // seq - 1) per snapshot.
-      uint64_t prev = ~0ULL;
-      st = l->RawScan(1, {0, ~0ULL}, [&](const RecordView& r) {
-        const uint64_t seq = PayloadSeq(r.payload);
-        if (prev != ~0ULL && seq != prev - 1) {
-          fprintf(stderr, "RAW GAP: %llu after %llu\n",
-                  static_cast<unsigned long long>(seq), static_cast<unsigned long long>(prev));
+  std::vector<std::thread> readers;
+  for (uint64_t r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(99 + r);
+      while (!done.load(std::memory_order_acquire)) {
+        // Whole-range aggregate: summary-dominated.
+        auto count = l->IndexedAggregate(1, idx.value(), {0, ~0ULL}, AggregateMethod::kCount);
+        if (!count.ok()) {
+          fprintf(stderr, "COUNT ERR: %s\n", count.status().ToString().c_str());
           errors.fetch_add(1);
-          return false;
+          continue;
         }
-        prev = seq;
-        return true;
-      });
-      if (!st.ok()) {
-        fprintf(stderr, "RAW ERR: %s\n", st.ToString().c_str());
-        errors.fetch_add(1);
+        // Whole-range histogram and a value scan that stops early.
+        auto hist = l->IndexedHistogram(1, idx.value(), {0, ~0ULL});
+        if (!hist.ok() && hist.status().code() != StatusCode::kNotFound) {
+          fprintf(stderr, "HIST ERR: %s\n", hist.status().ToString().c_str());
+          errors.fetch_add(1);
+        }
+        double lo = rng.NextUniform(0, 500);
+        uint64_t scanned = 0;
+        Status st = l->IndexedScan(1, idx.value(), {0, ~0ULL}, {lo, lo + 200},
+                                   [&](const RecordView& rec) {
+                                     const double v =
+                                         static_cast<double>(PayloadSeq(rec.payload) % 1000);
+                                     if (v < lo || v > lo + 200) {
+                                       errors.fetch_add(1);
+                                     }
+                                     return ++scanned < 4096;
+                                   });
+        if (!st.ok()) {
+          fprintf(stderr, "SCAN ERR: %s\n", st.ToString().c_str());
+          errors.fetch_add(1);
+        }
+        // Raw scan: the sequence must stay dense (each record's predecessor
+        // is seq - 1) per snapshot.
+        uint64_t prev = ~0ULL;
+        st = l->RawScan(1, {0, ~0ULL}, [&](const RecordView& rec) {
+          const uint64_t seq = PayloadSeq(rec.payload);
+          if (prev != ~0ULL && seq != prev - 1) {
+            fprintf(stderr, "RAW GAP: %llu after %llu\n", static_cast<unsigned long long>(seq),
+                    static_cast<unsigned long long>(prev));
+            errors.fetch_add(1);
+            return false;
+          }
+          prev = seq;
+          return true;
+        });
+        if (!st.ok()) {
+          fprintf(stderr, "RAW ERR: %s\n", st.ToString().c_str());
+          errors.fetch_add(1);
+        }
+        queries.fetch_add(1);
       }
-      queries.fetch_add(1);
-    }
-  });
+    });
+  }
 
   for (uint64_t i = 1; i <= kRecords; ++i) {
     ASSERT_TRUE(l->Push(1, SeqPayload(i)).ok());
   }
   done.store(true, std::memory_order_release);
-  reader.join();
+  for (std::thread& t : readers) {
+    t.join();
+  }
   EXPECT_EQ(errors.load(), 0u);
   EXPECT_GT(queries.load(), 5u);
 }

@@ -517,23 +517,18 @@ struct RefRecord {
   double value;
 };
 
-// One differential configuration: the workload seed, the query pool size,
-// whether the probes run after demoting most chunks into the archive tier,
-// and the chunk size.
+// One differential configuration: the workload seed, whether the probes run
+// after demoting most chunks into the archive tier, and the chunk size.
 struct DiffCase {
   uint64_t seed;
-  size_t query_threads;
   bool archived;
   size_t chunk_size = 1024;
 };
 
-// Names the case after its seed alone for the serial hot-only engine with
-// 1 KiB chunks, so that configuration keeps its historical test names.
+// Names the case after its seed alone for the hot-only engine with 1 KiB
+// chunks, so that configuration keeps its historical test names.
 void PrintTo(const DiffCase& c, std::ostream* os) {
   *os << c.seed;
-  if (c.query_threads > 0) {
-    *os << "_threads" << c.query_threads;
-  }
   if (c.archived) {
     *os << "_archived";
   }
@@ -547,13 +542,11 @@ void PrintTo(const DiffCase& c, std::ostream* os) {
 // entry, which only the [min, max] bracket and a rescan settle.
 std::vector<DiffCase> DiffCases() {
   std::vector<DiffCase> cases;
-  for (size_t threads : {size_t{0}, size_t{4}}) {
-    for (bool archived : {false, true}) {
-      for (uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u}) {
-        cases.push_back({seed, threads, archived});
-      }
-      cases.push_back({77u, threads, archived, 8192});
+  for (bool archived : {false, true}) {
+    for (uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u}) {
+      cases.push_back({seed, archived});
     }
+    cases.push_back({77u, archived, 8192});
   }
   return cases;
 }
@@ -577,7 +570,6 @@ TEST_P(LoomDifferentialTest, MatchesReferenceModel) {
   opts.chunk_index_block_size = 4096;
   opts.ts_index_block_size = 2048;
   opts.ts_marker_period = 5;
-  opts.query_threads = c.query_threads;
   opts.clock = &clock;
   if (c.archived) {
     opts.archive_dir = dir.FilePath("cold");

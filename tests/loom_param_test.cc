@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <tuple>
 
 #include "src/common/file.h"
@@ -199,18 +198,6 @@ TEST(LoomOptionsValidateTest, RejectsTinyChunkSize) {
   EXPECT_EQ(Loom::Open(opts).status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(LoomOptionsValidateTest, ClampsExcessiveQueryThreads) {
-  TempDir dir;
-  LoomOptions opts = BaseOptions(dir);
-  opts.query_threads = 100000;  // clamped to 4x hardware concurrency, not rejected
-  ASSERT_TRUE(opts.Validate().ok());
-  size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  EXPECT_LE(opts.query_threads, hw * 4);
-  EXPECT_GE(opts.query_threads, 1u);
-  auto loom = Loom::Open(opts);
-  EXPECT_TRUE(loom.ok()) << loom.status().ToString();
-}
-
 TEST(LoomOptionsValidateTest, CanonicalizesMarkerPeriodAndBlockSizes) {
   TempDir dir;
   LoomOptions opts = BaseOptions(dir);
@@ -226,11 +213,11 @@ TEST(LoomOptionsValidateTest, CanonicalizesMarkerPeriodAndBlockSizes) {
 TEST(LoomOptionsValidateTest, ValidateIsIdempotent) {
   TempDir dir;
   LoomOptions opts = BaseOptions(dir);
-  opts.query_threads = 4;
+  opts.summary_stage_records = 1 << 20;  // clamped
   ASSERT_TRUE(opts.Validate().ok());
   LoomOptions once = opts;
   ASSERT_TRUE(opts.Validate().ok());
-  EXPECT_EQ(opts.query_threads, once.query_threads);
+  EXPECT_EQ(opts.summary_stage_records, once.summary_stage_records);
   EXPECT_EQ(opts.record_block_size, once.record_block_size);
   EXPECT_EQ(opts.ts_index_block_size, once.ts_index_block_size);
 }

@@ -104,6 +104,19 @@ TEST_F(ObservabilityTest, WorkloadScrapeTraceAndSelfQuery) {
     return channel.value()->stats().accepted >= kRecords;
   }));
   daemon_->Flush();
+  // The server counts a batch after handing it to the channel, so the
+  // channel can report it first.
+  ASSERT_TRUE(WaitUntil([&] {
+    return MetricValue(daemon_->DumpMetrics(), "loom_net_records_total") >= kRecords;
+  }));
+  // Self-telemetry records stored so far. A sample stored after this point
+  // was taken after the self index was defined, so the index holds its
+  // ingest-counter delta, which is positive.
+  const auto self_count = [&]() -> uint64_t {
+    auto count = daemon_->engine()->CountRecords(kSelfTelemetrySourceId, {0, ~0ULL});
+    return count.ok() ? count.value() : 0;
+  };
+  const uint64_t self_before_scrape = self_count();
 
   // --- Scrape: GET /metrics on the ingest port returns Prometheus text with
   // the ingest-latency histogram populated. ---
@@ -160,8 +173,8 @@ TEST_F(ObservabilityTest, WorkloadScrapeTraceAndSelfQuery) {
   // reserved source; IndexedAggregate over the engine's own ingest counter
   // sees the 5000-record burst. ---
   ASSERT_TRUE(WaitUntil([&] {
-    auto count = daemon_->engine()->CountRecords(kSelfTelemetrySourceId, {0, ~0ULL});
-    return count.ok() && count.value() > 50;
+    const uint64_t count = self_count();
+    return count > 50 && count > self_before_scrape;
   }));
   auto self_max = daemon_->engine()->IndexedAggregate(
       kSelfTelemetrySourceId, self_index.value(), {0, ~0ULL}, AggregateMethod::kMax);

@@ -5,15 +5,12 @@
 # the concurrency-sensitive test binaries, and runs them with
 # halt_on_error so any data race fails fast. This covers:
 #
-#   loom_concurrency_test     queries (serial and morsel-parallel) racing
+#   loom_concurrency_test     queries on several threads racing each other,
 #                             live ingest, block recycling, and retention;
 #                             four interleaved sources sealing chunks and
 #                             writing ts markers while queries run
-#   loom_parallel_query_test  the pool-backed executor: RunOrdered emission,
-#                             worker trace absorption, pinned-floor splits
-#   loom_engine_test          the differential suite, whose _threads4 and
-#                             _threads4_archived cases run every operator in
-#                             parallel across both tiers
+#   loom_engine_test          the differential suite: every operator over
+#                             hot and archived data while the flusher runs
 #   retention_test            query threads pinning retention floors while
 #                             the flusher advances and applies held retention
 #   loom_ingest_pipeline_test the write path: readers racing chunk seals on
@@ -38,13 +35,12 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="$repo/build-tsan"
 
 cmake --preset tsan -S "$repo" >/dev/null
-cmake --build "$build" --target loom_concurrency_test loom_parallel_query_test loom_engine_test \
+cmake --build "$build" --target loom_concurrency_test loom_engine_test \
   retention_test loom_ingest_pipeline_test tiering_test \
   standing_query_test net_test daemon_test -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 "$build/tests/loom_concurrency_test"
-"$build/tests/loom_parallel_query_test"
 "$build/tests/loom_engine_test"
 "$build/tests/retention_test"
 "$build/tests/loom_ingest_pipeline_test"
