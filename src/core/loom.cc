@@ -137,6 +137,8 @@ void CountZone(QueryTrace* trace, Zone zone, bool archived) {
   }
 }
 
+Status ReadOnlyError() { return Status::FailedPrecondition("read-only engine"); }
+
 // Holds a query's pin on the record log's retention floor (see
 // HybridLog::PinFloor) for the life of the scope.
 class FloorPin {
@@ -184,12 +186,25 @@ Status LoomOptions::Validate() {
 }
 
 Result<std::unique_ptr<Loom>> Loom::Open(const LoomOptions& options) {
+  return OpenEngine(options, /*read_only=*/false);
+}
+
+Result<std::unique_ptr<Loom>> Loom::OpenReadOnly(const LoomOptions& options) {
+  return OpenEngine(options, /*read_only=*/true);
+}
+
+Result<std::unique_ptr<Loom>> Loom::OpenEngine(const LoomOptions& options, bool read_only) {
   LoomOptions opts = options;
   LOOM_RETURN_IF_ERROR(opts.Validate());
-  std::error_code ec;
-  std::filesystem::create_directories(opts.dir, ec);
-  if (ec) {
-    return Status::IoError("create_directories " + opts.dir + ": " + ec.message());
+  if (read_only && !opts.archive_dir.empty()) {
+    return Status::InvalidArgument("a read-only engine serves no archive tier");
+  }
+  if (!read_only) {
+    std::error_code ec;
+    std::filesystem::create_directories(opts.dir, ec);
+    if (ec) {
+      return Status::IoError("create_directories " + opts.dir + ": " + ec.message());
+    }
   }
   if (opts.clock == nullptr) {
     opts.clock = DefaultClock();
@@ -214,7 +229,8 @@ Result<std::unique_ptr<Loom>> Loom::Open(const LoomOptions& options) {
   rec_opts.group_commits_metric = opts.metrics->AddCounter("loom_ingest_group_commits_total");
   rec_opts.group_commit_bytes_metric =
       opts.metrics->AddCounter("loom_ingest_group_commit_bytes");
-  auto record_log = HybridLog::Create(opts.dir + "/record.log", rec_opts);
+  const auto open_log = read_only ? &HybridLog::OpenReadOnly : &HybridLog::Create;
+  auto record_log = open_log(opts.dir + "/record.log", rec_opts);
   if (!record_log.ok()) {
     return record_log.status();
   }
@@ -222,7 +238,7 @@ Result<std::unique_ptr<Loom>> Loom::Open(const LoomOptions& options) {
   chunk_opts.block_size = opts.chunk_index_block_size;
   chunk_opts.metrics = opts.metrics;
   chunk_opts.metrics_prefix = "loom_hybridlog_chunkidx";
-  auto chunk_log = HybridLog::Create(opts.dir + "/chunk.idx", chunk_opts);
+  auto chunk_log = open_log(opts.dir + "/chunk.idx", chunk_opts);
   if (!chunk_log.ok()) {
     return chunk_log.status();
   }
@@ -230,23 +246,25 @@ Result<std::unique_ptr<Loom>> Loom::Open(const LoomOptions& options) {
   ts_opts.block_size = opts.ts_index_block_size;
   ts_opts.metrics = opts.metrics;
   ts_opts.metrics_prefix = "loom_hybridlog_tsidx";
-  auto ts_log = HybridLog::Create(opts.dir + "/ts.idx", ts_opts);
+  auto ts_log = open_log(opts.dir + "/ts.idx", ts_opts);
   if (!ts_log.ok()) {
     return ts_log.status();
   }
-  std::unique_ptr<Loom> engine(new Loom(opts, std::move(owned_metrics),
+  std::unique_ptr<Loom> engine(new Loom(opts, read_only, std::move(owned_metrics),
                                         std::move(record_log.value()),
                                         std::move(chunk_log.value()),
                                         std::move(ts_log.value())));
-  if (!opts.archive_dir.empty()) {
+  if (read_only) {
+    LOOM_RETURN_IF_ERROR(engine->Recover());
+  } else if (!opts.archive_dir.empty()) {
     LOOM_RETURN_IF_ERROR(engine->InitTiering());
   }
   return engine;
 }
 
-Loom::Loom(const LoomOptions& options, std::unique_ptr<MetricsRegistry> owned_metrics,
-           std::unique_ptr<HybridLog> record_log, std::unique_ptr<HybridLog> chunk_log,
-           std::unique_ptr<HybridLog> ts_log)
+Loom::Loom(const LoomOptions& options, bool read_only,
+           std::unique_ptr<MetricsRegistry> owned_metrics, std::unique_ptr<HybridLog> record_log,
+           std::unique_ptr<HybridLog> chunk_log, std::unique_ptr<HybridLog> ts_log)
     : options_(options),
       clock_(options.clock),
       metrics_(options.metrics),
@@ -254,7 +272,8 @@ Loom::Loom(const LoomOptions& options, std::unique_ptr<MetricsRegistry> owned_me
       record_log_(std::move(record_log)),
       chunk_log_(std::move(chunk_log)),
       ts_log_(std::move(ts_log)),
-      ts_writer_(ts_log_.get()) {
+      ts_writer_(ts_log_.get()),
+      read_only_(read_only) {
   if (options_.summary_cache_bytes > 0 && options_.enable_chunk_index) {
     SummaryCacheOptions cache_opts;
     cache_opts.capacity_bytes = options_.summary_cache_bytes;
@@ -308,6 +327,86 @@ Loom::~Loom() {
   if (tier_hook_id_ != 0) {
     metrics_->RemoveCollectionHook(tier_hook_id_);
   }
+}
+
+Status Loom::Recover() {
+  // The log's first record starts its source's chain. Any other header there
+  // means retention punched the prefix out (it reads back as zeros), and
+  // such captures are not served.
+  if (record_log_->queryable_tail() >= kRecordHeaderSize) {
+    uint8_t head[kRecordHeaderSize];
+    LOOM_RETURN_IF_ERROR(record_log_->Read(0, head));
+    if (RecordHeader::Decode(head).prev_addr != kNullAddr) {
+      return Status::FailedPrecondition("capture lost records to retention: not served");
+    }
+  }
+  // Frames are appended in chunk order, so the last one ends the summarized
+  // prefix of the record log.
+  const uint64_t chunk_tail = chunk_log_->queryable_tail();
+  CachedLogReader reader(chunk_log_.get(), chunk_tail, kScanWindow);
+  ChunkFrameIterator frames(
+      [&reader](uint64_t addr, size_t len) { return reader.Fetch(addr, len); }, 0, chunk_tail,
+      chunk_log_->block_size());
+  ChunkSummary summary;
+  uint64_t indexed_tail = 0;
+  for (;;) {
+    auto more = frames.Next(&summary);
+    if (!more.ok()) {
+      return more.status();
+    }
+    if (!more.value()) {
+      break;
+    }
+    indexed_tail = summary.chunk_addr + summary.chunk_len;
+  }
+  published_indexed_tail_.store(indexed_tail, std::memory_order_release);
+  // A source's chain head is its last record in log order. Sources stay
+  // closed: nothing is pushed to them again.
+  QueryTrace scratch;
+  LOOM_RETURN_IF_ERROR(ScanRecordRangeInternal(
+      0, record_log_->queryable_tail(), /*filtered=*/false, 0, TimeRange{},
+      [&](const RecordView& view) {
+        std::unique_ptr<SourceState>& src = sources_[view.source_id];
+        if (src == nullptr) {
+          src = std::make_unique<SourceState>();
+          src->id = view.source_id;
+        }
+        src->last_record_addr = view.addr;
+        ++src->record_count;
+        return true;
+      },
+      &scratch));
+  for (auto& [id, src] : sources_) {
+    src->published_last_record.store(src->last_record_addr, std::memory_order_release);
+  }
+  return Status::Ok();
+}
+
+Status Loom::AttachIndex(uint32_t index_id, uint32_t source_id, IndexFunc func,
+                         HistogramSpec spec) {
+  if (!read_only_) {
+    return Status::FailedPrecondition("AttachIndex needs a read-only engine; use DefineIndex");
+  }
+  if (!func) {
+    return Status::InvalidArgument("index function must be callable");
+  }
+  std::lock_guard<std::mutex> lock(schema_mu_);
+  const bool inserted =
+      index_snapshots_.emplace(index_id, IndexSnapshot{source_id, std::move(func), std::move(spec)})
+          .second;
+  return inserted ? Status::Ok() : Status::AlreadyExists("index already attached");
+}
+
+std::vector<uint32_t> Loom::Sources() const {
+  std::vector<uint32_t> ids;
+  {
+    std::lock_guard<std::mutex> lock(schema_mu_);
+    for (const auto& [id, src] : sources_) {
+      ids.push_back(id);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 void Loom::RegisterMetrics() {
@@ -421,6 +520,9 @@ void Loom::FoldTraceIntoMetrics(const QueryTrace& trace, Histogram* op_hist) con
 // --- Schema operators ------------------------------------------------------
 
 Status Loom::DefineSource(uint32_t source_id) {
+  if (read_only_) {
+    return ReadOnlyError();
+  }
   if (source_id == kPadSourceId) {
     return Status::InvalidArgument("source id reserved for padding");
   }
@@ -444,6 +546,9 @@ Status Loom::DefineSource(uint32_t source_id) {
 }
 
 Status Loom::CloseSource(uint32_t source_id) {
+  if (read_only_) {
+    return ReadOnlyError();
+  }
   auto it = sources_.find(source_id);
   if (it == sources_.end() || !it->second->open) {
     return Status::NotFound("source not defined");
@@ -462,6 +567,9 @@ Status Loom::CloseSource(uint32_t source_id) {
 }
 
 Result<uint32_t> Loom::DefineIndex(uint32_t source_id, IndexFunc func, HistogramSpec spec) {
+  if (read_only_) {
+    return ReadOnlyError();
+  }
   auto it = sources_.find(source_id);
   if (it == sources_.end() || !it->second->open) {
     return Status::NotFound("source not defined");
@@ -490,6 +598,9 @@ Result<uint32_t> Loom::DefineIndex(uint32_t source_id, IndexFunc func, Histogram
 }
 
 Status Loom::CloseIndex(uint32_t index_id) {
+  if (read_only_) {
+    return ReadOnlyError();
+  }
   auto it = indexes_.find(index_id);
   if (it == indexes_.end() || !it->second->open) {
     return Status::NotFound("index not defined");
@@ -522,7 +633,8 @@ Status Loom::Push(uint32_t source_id, std::span<const uint8_t> payload,
   const uint64_t t0 = sampled ? MetricsNowNanos() : 0;
   auto it = sources_.find(source_id);
   if (it == sources_.end() || !it->second->open) {
-    return Status::NotFound("source not defined");
+    // A read-only engine's sources are all closed.
+    return read_only_ ? ReadOnlyError() : Status::NotFound("source not defined");
   }
   if (!seal_status_.ok()) {
     return seal_status_;
@@ -546,7 +658,8 @@ Status Loom::PushBatch(uint32_t source_id,
   ScopedLatencyTimer timer(options_.enable_latency_metrics ? m_.push_batch_seconds : nullptr);
   auto it = sources_.find(source_id);
   if (it == sources_.end() || !it->second->open) {
-    return Status::NotFound("source not defined");
+    // A read-only engine's sources are all closed.
+    return read_only_ ? ReadOnlyError() : Status::NotFound("source not defined");
   }
   if (payloads.empty()) {
     return Status::Ok();
@@ -749,6 +862,9 @@ void Loom::PublishAll(SourceState& src) {
 Status Loom::Sync(uint32_t source_id) {
   m_.sync_ops->Increment();
   ScopedLatencyTimer timer(options_.enable_latency_metrics ? m_.sync_seconds : nullptr);
+  if (read_only_) {
+    return ReadOnlyError();
+  }
   auto it = sources_.find(source_id);
   if (it == sources_.end()) {
     return Status::NotFound("source not defined");
@@ -1355,9 +1471,10 @@ Status Loom::Plan(const QueryOp& op, uint64_t floor, QueryPlan* plan, QueryTrace
   // the cache).
   MaybeInvalidateCacheForRetention(snap.floor);
 
-  if (!options_.enable_timestamp_index) {
-    // No time index: sweep the whole chunk log and filter the summaries by
-    // time (still skipping record data).
+  if (!ts_index) {
+    // No time index (switched off, or a reopened capture made without it):
+    // sweep the whole chunk log and filter the summaries by time (still
+    // skipping record data).
     CachedLogReader reader(chunk_log_.get(), snap.chunk_tail, kScanWindow);
     ChunkFrameIterator frames(
         [&reader](uint64_t addr, size_t len) { return reader.Fetch(addr, len); }, 0,
@@ -1377,7 +1494,7 @@ Status Loom::Plan(const QueryOp& op, uint64_t floor, QueryPlan* plan, QueryTrace
                        std::make_shared<const ChunkSummary>(std::move(s))});
       }
     }
-  } else if (ts_index && snap.chunk_tail > 0) {
+  } else if (snap.chunk_tail > 0) {
     // The hot chunks come from timestamp-index entries alone; their summaries
     // load per candidate on the executor.
     //
@@ -1894,7 +2011,8 @@ Result<double> Loom::IndexedAggregate(uint32_t source_id, uint32_t index_id, Tim
         if (!idx.ok()) {
           return idx.status();
         }
-        if (method == AggregateMethod::kPercentile && (percentile < 0.0 || percentile > 100.0)) {
+        if (method == AggregateMethod::kPercentile &&
+            !(percentile >= 0.0 && percentile <= 100.0)) {  // NaN too
           return Status::InvalidArgument("percentile must be in [0, 100]");
         }
         BinAccumulation acc;

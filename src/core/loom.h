@@ -217,6 +217,19 @@ class Loom {
   using RecordCallback = std::function<bool(const RecordView&)>;
 
   static Result<std::unique_ptr<Loom>> Open(const LoomOptions& options);
+
+  // Opens the logs a closed engine left in options.dir for post-mortem
+  // queries (§4.5), without changing a byte of them. The options must repeat
+  // the capture's geometry (chunk_size, chunk_index_block_size) and should
+  // repeat its index switches; archive_dir must be empty. Recovery reads the
+  // indexed watermark from the last chunk-summary frame and each source's
+  // chain head from one pass over the record log. The engine starts no
+  // thread, every query operator answers as the capturing engine did before
+  // it closed, and the schema and ingest operators fail with
+  // FailedPrecondition. Index functions are code, not data: AttachIndex
+  // supplies them again. A capture that lost records to retention or
+  // demotion is not served: the open fails with FailedPrecondition.
+  static Result<std::unique_ptr<Loom>> OpenReadOnly(const LoomOptions& options);
   ~Loom();
 
   Loom(const Loom&) = delete;
@@ -343,7 +356,19 @@ class Loom {
   // The standing-query engine itself (stats, watermark). Never null.
   StandingQueryEngine* standing() const { return standing_.get(); }
 
+  // --- Read-only engines ---------------------------------------------------
+
+  // Makes index `index_id` over `source_id` queryable on a read-only engine
+  // with the function and spec that DefineIndex gave it in the capturing
+  // engine (ids count from 1 in definition order). AlreadyExists when the id
+  // is attached already; FailedPrecondition on a live engine.
+  Status AttachIndex(uint32_t index_id, uint32_t source_id, IndexFunc func, HistogramSpec spec);
+
   // --- Introspection -------------------------------------------------------
+
+  // Source ids in ascending order: those defined on a live engine, or those
+  // with records in a read-only engine's capture. Safe from any thread.
+  std::vector<uint32_t> Sources() const;
 
   // The histogram spec of a defined index (copies; safe from any thread).
   Result<HistogramSpec> IndexSpec(uint32_t index_id) const;
@@ -402,9 +427,15 @@ class Loom {
   // `options.metrics` is already resolved (never null) by Open(); when the
   // engine owns the registry, Open passes it in via `owned_metrics` so the
   // hybrid logs could register against it before construction.
-  Loom(const LoomOptions& options, std::unique_ptr<MetricsRegistry> owned_metrics,
-       std::unique_ptr<HybridLog> record_log, std::unique_ptr<HybridLog> chunk_log,
-       std::unique_ptr<HybridLog> ts_log);
+  Loom(const LoomOptions& options, bool read_only,
+       std::unique_ptr<MetricsRegistry> owned_metrics, std::unique_ptr<HybridLog> record_log,
+       std::unique_ptr<HybridLog> chunk_log, std::unique_ptr<HybridLog> ts_log);
+
+  // The body of Open and OpenReadOnly.
+  static Result<std::unique_ptr<Loom>> OpenEngine(const LoomOptions& options, bool read_only);
+  // Read-only open: restores the indexed watermark and the sources with
+  // their chain heads from the logs.
+  Status Recover();
 
   // Write-path internals (ingest thread).
   Status AppendRecord(SourceState& src, std::span<const uint8_t> payload, TimestampNanos now);
@@ -670,6 +701,9 @@ class Loom {
   uint64_t tier_hook_id_ = 0;
   // Writer-local sampling counter for the 1-in-64 Push latency timer.
   uint64_t push_sample_tick_ = 0;
+  // Opened by OpenReadOnly: no writer, and the schema and ingest operators
+  // fail.
+  const bool read_only_;
 
   // Registers all core metrics with `metrics_` and installs the cache hook.
   void RegisterMetrics();

@@ -89,7 +89,7 @@ Result<std::vector<uint64_t>> LoomCoordinator::Histogram(uint32_t source_id, uin
 Result<double> LoomCoordinator::Percentile(uint32_t source_id, uint32_t index_id,
                                            const HistogramSpec& spec, TimeRange t_range,
                                            double percentile) const {
-  if (percentile < 0.0 || percentile > 100.0) {
+  if (!(percentile >= 0.0 && percentile <= 100.0)) {  // NaN too
     return Status::InvalidArgument("percentile must be in [0, 100]");
   }
   // Phase 1: merge per-node bin counts into the global CDF.

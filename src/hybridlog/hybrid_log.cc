@@ -82,20 +82,50 @@ Result<std::unique_ptr<HybridLog>> HybridLog::Create(const std::string& file_pat
   if (!file.ok()) {
     return file.status();
   }
-  return std::unique_ptr<HybridLog>(new HybridLog(std::move(file.value()), normalized));
+  std::unique_ptr<HybridLog> log(new HybridLog(std::move(file.value()), normalized));
+  log->slots_.reserve(normalized.num_blocks);
+  log->slot_version_ = std::make_unique<std::atomic<uint64_t>[]>(normalized.num_blocks);
+  for (size_t i = 0; i < normalized.num_blocks; ++i) {
+    log->slots_.push_back(std::make_unique<uint8_t[]>(normalized.block_size));
+    // Slot i initially holds block number i (the first lap needs no recycle).
+    log->slot_version_[i].store(i, std::memory_order_relaxed);
+  }
+  log->flusher_ = std::thread([raw = log.get()] { raw->FlusherMain(); });
+  return log;
+}
+
+Result<std::unique_ptr<HybridLog>> HybridLog::OpenReadOnly(const std::string& file_path,
+                                                           const HybridLogOptions& options) {
+  if (options.block_size == 0) {
+    return Status::InvalidArgument("hybrid log needs block_size > 0");
+  }
+  HybridLogOptions normalized;
+  normalized.block_size = options.block_size;
+  normalized.metrics = options.metrics;
+  normalized.metrics_prefix = options.metrics_prefix;
+  auto file = File::OpenReadOnly(file_path);
+  if (!file.ok()) {
+    return file.status();
+  }
+  auto size = file.value().Size();
+  if (!size.ok()) {
+    return size.status();
+  }
+  std::unique_ptr<HybridLog> log(new HybridLog(std::move(file.value()), normalized));
+  // Reads at or below flushed_tail() go to the file, so no read touches a
+  // slot; closed_ fails Append and makes Close a no-op.
+  log->tail_.store(size.value(), std::memory_order_relaxed);
+  log->queryable_tail_.store(size.value(), std::memory_order_release);
+  log->flushed_bytes_.store(size.value(), std::memory_order_release);
+  log->synced_bytes_.store(size.value(), std::memory_order_release);
+  log->closed_ = true;
+  return log;
 }
 
 HybridLog::HybridLog(File file, const HybridLogOptions& options)
     : options_(options),
       file_(std::move(file)),
       flush_queue_(64) {
-  slots_.reserve(options_.num_blocks);
-  slot_version_ = std::make_unique<std::atomic<uint64_t>[]>(options_.num_blocks);
-  for (size_t i = 0; i < options_.num_blocks; ++i) {
-    slots_.push_back(std::make_unique<uint8_t[]>(options_.block_size));
-    // Slot i initially holds block number i (the first lap needs no recycle).
-    slot_version_[i].store(i, std::memory_order_relaxed);
-  }
   if (options_.metrics != nullptr && !options_.metrics_prefix.empty()) {
     MetricsRegistry* reg = options_.metrics;
     const std::string& p = options_.metrics_prefix;
@@ -106,7 +136,6 @@ HybridLog::HybridLog(File file, const HybridLogOptions& options)
     memory_reads_metric_ = reg->AddCounter(p + "_memory_reads_total");
     snapshot_fallbacks_metric_ = reg->AddCounter(p + "_snapshot_fallbacks_total");
   }
-  flusher_ = std::thread([this] { FlusherMain(); });
 }
 
 HybridLog::~HybridLog() {

@@ -121,6 +121,14 @@ class HybridLog {
   static Result<std::unique_ptr<HybridLog>> Create(const std::string& file_path,
                                                    const HybridLogOptions& options);
 
+  // Opens the log a closed writer left in `file_path`, for reading only (the
+  // post-mortem case, §4.5): the whole file counts as published and flushed,
+  // so every read goes to the file. The log allocates no block slots and
+  // starts no flusher, and Append fails. Only block_size and the metrics
+  // fields of `options` apply.
+  static Result<std::unique_ptr<HybridLog>> OpenReadOnly(const std::string& file_path,
+                                                         const HybridLogOptions& options);
+
   ~HybridLog();
 
   HybridLog(const HybridLog&) = delete;
@@ -226,6 +234,8 @@ class HybridLog {
   double MemoryResidentFraction() const;
 
  private:
+  // Registers the metrics only; Create then allocates the block slots and
+  // starts the flusher.
   HybridLog(File file, const HybridLogOptions& options);
 
   void FlusherMain();

@@ -214,13 +214,20 @@ Result<ChunkSummary> ChunkSummary::Decode(std::span<const uint8_t> bytes, bool k
 
 Result<bool> ChunkFrameIterator::Next(ChunkSummary* out) {
   while (addr_ + 4 <= limit_) {
+    // A frame never starts in a block remainder too short for its length
+    // word: the writer padded that remainder.
+    const uint64_t block_end = addr_ - addr_ % block_size_ + block_size_;
+    if (block_end - addr_ < 4) {
+      addr_ = block_end;
+      continue;
+    }
     auto len_bytes = fetch_(addr_, 4);
     if (!len_bytes.ok()) {
       return len_bytes.status();
     }
     const uint32_t len = LoadU32(len_bytes.value().data());
     if (len == kChunkPadFrame) {
-      addr_ = addr_ - addr_ % block_size_ + block_size_;
+      addr_ = block_end;
       continue;
     }
     if (addr_ + 4 + len > limit_) {

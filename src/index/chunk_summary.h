@@ -150,8 +150,9 @@ struct ChunkSummary {
 };
 
 // Reads the frames of a chunk index log in log order. A frame is
-// `u32 len | ChunkSummary` (len bytes); a length of kChunkPadFrame is block
-// padding, and the next frame starts at the next block boundary. `fetch`
+// `u32 len | ChunkSummary` (len bytes); a length of kChunkPadFrame, or a
+// block remainder shorter than the length word, is block padding, and the
+// next frame starts at the next block boundary. `fetch`
 // returns the log bytes [addr, addr + len), so one walker serves a live log
 // (through a windowed reader) and an in-memory copy alike.
 inline constexpr uint32_t kChunkPadFrame = 0xFFFFFFFFu;

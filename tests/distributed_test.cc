@@ -190,6 +190,18 @@ TEST_F(CoordinatorTest, PercentileRejectsAggregateEntryPoint) {
       coordinator.Aggregate(kSource, index_id_, {0, ~0ULL}, AggregateMethod::kPercentile).ok());
 }
 
+TEST_F(CoordinatorTest, PercentileOutsideZeroToHundredRejected) {
+  for (int i = 0; i < 30; ++i) {
+    Push(i % 3, 10 + i, i);
+  }
+  LoomCoordinator coordinator(nodes_);
+  for (double pct : {std::nan(""), 101.0}) {
+    EXPECT_EQ(coordinator.Percentile(kSource, index_id_, spec_, {0, ~0ULL}, pct).status().code(),
+              StatusCode::kInvalidArgument)
+        << pct;
+  }
+}
+
 TEST_F(CoordinatorTest, GlobalPercentileMatchesGlobalSort) {
   Rng rng(9);
   TimestampNanos ts = 0;

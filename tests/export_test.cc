@@ -5,8 +5,8 @@
 #include "src/common/file.h"
 #include "src/common/rng.h"
 #include "src/core/loom.h"
-#include "src/export/codec.h"
 #include "src/export/exporter.h"
+#include "src/tier/codec.h"
 
 namespace loom {
 namespace {

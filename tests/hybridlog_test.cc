@@ -335,10 +335,10 @@ TEST(HybridLogCoalesceTest, CloseSyncsPublishedPrefixToDisk) {
   TempDir dir;
   const std::string path = dir.FilePath("log");
   constexpr int kCells = 21;  // odd count: tail block is partially filled
+  HybridLogOptions opts;
+  opts.block_size = 256;
+  opts.num_blocks = 4;
   {
-    HybridLogOptions opts;
-    opts.block_size = 256;
-    opts.num_blocks = 4;
     auto log = HybridLog::Create(path, opts);
     ASSERT_TRUE(log.ok());
     for (int i = 0; i < kCells; ++i) {
@@ -349,9 +349,16 @@ TEST(HybridLogCoalesceTest, CloseSyncsPublishedPrefixToDisk) {
   }
   auto file = File::OpenReadOnly(path);
   ASSERT_TRUE(file.ok());
+  // A read-only log over the file serves the same bytes and fails appends.
+  auto reopened = HybridLog::OpenReadOnly(path, opts);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->queryable_tail(), kCells * 128u);
+  EXPECT_EQ((*reopened)->Append(Pattern(8, 1)).status().code(), StatusCode::kFailedPrecondition);
   for (int i = 0; i < kCells; ++i) {
     std::vector<uint8_t> out(128);
     ASSERT_TRUE(file->PReadAll(static_cast<uint64_t>(i) * 128, out).ok());
+    EXPECT_EQ(out, Pattern(128, static_cast<uint8_t>(i * 11))) << i;
+    ASSERT_TRUE((*reopened)->Read(static_cast<uint64_t>(i) * 128, out).ok());
     EXPECT_EQ(out, Pattern(128, static_cast<uint8_t>(i * 11))) << i;
   }
 }

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/codec.h"
 #include "src/common/file.h"
 #include "src/common/rng.h"
 #include "src/index/chunk_summary.h"
@@ -239,6 +240,35 @@ TEST(ChunkSummaryTest, ListedValuesRoundTripBitExact) {
 // A summary with one two-value entry and one listing entry of three values
 // (min and max in the entry, the third listed).
 ChunkSummary ListingSummary() { return SummaryOf({{1.0, 2.0}, {3.0, 4.0, 5.0}}); }
+
+// A frame that does not fit in its block's remainder starts the next block
+// behind 0xFF padding. A remainder shorter than the length word is padding
+// too, never the start of a frame.
+TEST(ChunkFrameIteratorTest, ShortBlockRemainderIsPadding) {
+  const ChunkSummary s = ListingSummary();
+  std::vector<uint8_t> frame;
+  PutU32(frame, static_cast<uint32_t>(s.EncodedSize()));
+  s.EncodeTo(frame);
+  for (size_t pad = 1; pad <= 5; ++pad) {
+    const size_t block = frame.size() + pad;
+    std::vector<uint8_t> log = frame;
+    log.resize(block, 0xFF);
+    log.insert(log.end(), frame.begin(), frame.end());
+    ChunkFrameIterator frames(
+        [&log](uint64_t addr, size_t len) -> Result<std::span<const uint8_t>> {
+          return std::span<const uint8_t>(log.data() + addr, len);
+        },
+        0, log.size(), block);
+    ChunkSummary out;
+    size_t n = 0;
+    for (auto more = frames.Next(&out); more.ok() && more.value(); more = frames.Next(&out)) {
+      EXPECT_EQ(out.entries.size(), s.entries.size());
+      ++n;
+    }
+    EXPECT_EQ(n, 2u) << pad;
+    EXPECT_EQ(frames.addr(), log.size()) << pad;
+  }
+}
 
 TEST(ChunkSummaryTest, DecodeRejectsTruncation) {
   ChunkSummary s;

@@ -439,6 +439,9 @@ TEST_F(LoomAggregateTest, InvalidPercentileRejected) {
       loom_->IndexedAggregate(1, index_id_, {0, ~0ULL}, AggregateMethod::kPercentile, 101).ok());
   EXPECT_FALSE(
       loom_->IndexedAggregate(1, index_id_, {0, ~0ULL}, AggregateMethod::kPercentile, -1).ok());
+  EXPECT_FALSE(loom_->IndexedAggregate(1, index_id_, {0, ~0ULL}, AggregateMethod::kPercentile,
+                                       std::nan(""))
+                   .ok());
 }
 
 // --- Ablation modes (Fig. 16 machinery) -----------------------------------------

@@ -9,9 +9,9 @@
 #include "src/common/file.h"
 #include "src/common/rng.h"
 #include "src/core/loom.h"
-#include "src/export/codec.h"
 #include "src/export/exporter.h"
 #include "src/index/chunk_summary.h"
+#include "src/tier/codec.h"
 
 namespace loom {
 namespace {

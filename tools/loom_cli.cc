@@ -8,13 +8,16 @@
 //             --dir DIR
 //   bounds    print the capture's time bounds
 //             --dir DIR
-//   scan      raw-scan a source
+//   count     count a source's records
+//             --dir DIR --source N [--start T] [--end T]
+//   scan      raw-scan a source, newest record first
 //             --dir DIR --source N [--start T] [--end T] [--limit K]
 //   agg       aggregate an indexed value
 //             --dir DIR --source N --extract NAME --method M [--pct P]
-//             [--start T] [--end T]
+//             [--start T] [--end T] [--index ID]
 //   topk      largest indexed values
-//             --dir DIR --source N --extract NAME --k K
+//             --dir DIR --source N --extract NAME --k K [--start T] [--end T]
+//             [--index ID]
 //   watch     subscribe to a live daemon's standing-query event stream
 //             --host H --port P [--query ID] [--limit K]
 //             [--register "NAME SRC IDX AGG WINDOW_NS [KIND THRESH FOR]"]
@@ -23,30 +26,44 @@
 //
 // --extract names a well-known field extractor:
 //   app_latency | syscall_latency | pread64_latency | packet_dport | value8
-// (value8 reads the first 8 payload bytes as a double.)
+// (value8 reads the first 8 payload bytes as a double.) --index defaults to
+// the id capture gave the source's index: 1 for source 1, 2 otherwise.
 //
-// Capture directories are the engine's log directory; queries run through
-// the post-mortem readback path, so no live engine is needed.
+// A numeric flag must parse whole and fit its field: ids and timestamps are
+// unsigned integers of their field's width (--port 16 bits, --source and
+// --index 32), --pct lies in [0, 100] and --scale in [1e-6, 1]. Every error
+// exits 1 with a status-prefixed message; an unknown subcommand exits 2.
+//
+// Capture directories are the engine's log directory. The post-mortem
+// subcommands open it with Loom::OpenReadOnly and run the engine's own query
+// operators, so no live engine is needed and no file changes.
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "src/core/loom.h"
 #include "src/net/ingest_server.h"
 #include "src/query/drilldown.h"
-#include "src/readback/readback.h"
 #include "src/workload/case_studies.h"
 #include "src/workload/records.h"
 
 namespace loom {
 namespace {
 
-// The capture geometry the CLI always uses (recorded here so readback
-// matches; a production tool would store a manifest next to the logs).
+// The capture geometry the CLI always uses; a read-only open must repeat it
+// (a production tool would store a manifest next to the logs).
 constexpr size_t kChunkSize = 64 << 10;
 constexpr size_t kChunkIdxBlock = 1 << 20;
+
+// The histogram of both indexes capture defines.
+HistogramSpec LatencySpec() { return HistogramSpec::Exponential(1.0, 2.0, 24).value(); }
 
 struct Args {
   std::string command;
@@ -56,13 +73,42 @@ struct Args {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& key, double fallback) const {
+
+  // Stores flag `key`, an unsigned integer that fits T, in *out (`fallback`
+  // when the flag is absent).
+  template <typename T>
+  Status GetInt(const std::string& key, T* out, std::type_identity_t<T> fallback) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : atof(it->second.c_str());
+    if (it == flags.end()) {
+      *out = fallback;
+      return Status::Ok();
+    }
+    const std::string& s = it->second;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+    if (ec != std::errc() || end != s.data() + s.size()) {
+      return Status::InvalidArgument("--" + key + " " + s + ": want an integer in [0, " +
+                                     std::to_string(std::numeric_limits<T>::max()) + "]");
+    }
+    return Status::Ok();
   }
-  uint64_t GetU64(const std::string& key, uint64_t fallback) const {
+
+  // Stores flag `key`, a number in [lo, hi], in *out (`fallback` when the
+  // flag is absent). NaN lies in no range.
+  Status GetDouble(const std::string& key, double* out, double fallback, double lo,
+                   double hi) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : strtoull(it->second.c_str(), nullptr, 10);
+    if (it == flags.end()) {
+      *out = fallback;
+      return Status::Ok();
+    }
+    const std::string& s = it->second;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+    if (ec != std::errc() || end != s.data() + s.size() || !(*out >= lo && *out <= hi)) {
+      char want[64];
+      std::snprintf(want, sizeof(want), ": want a number in [%g, %g]", lo, hi);
+      return Status::InvalidArgument("--" + key + " " + s + want);
+    }
+    return Status::Ok();
   }
 };
 
@@ -112,18 +158,17 @@ Loom::IndexFunc ExtractorByName(const std::string& name) {
   return nullptr;
 }
 
-int Fail(const std::string& message) {
-  fprintf(stderr, "error: %s\n", message.c_str());
-  return 1;
-}
-
-int CmdCapture(const Args& args) {
+Status CmdCapture(const Args& args) {
   const std::string dir = args.Get("dir");
   if (dir.empty()) {
-    return Fail("capture requires --dir");
+    return Status::InvalidArgument("capture requires --dir");
   }
   const std::string workload = args.Get("workload", "redis");
-  const double scale = args.GetDouble("scale", 0.005);
+  if (workload != "redis" && workload != "rocksdb") {
+    return Status::InvalidArgument("unknown --workload (redis|rocksdb)");
+  }
+  double scale = 0;
+  LOOM_RETURN_IF_ERROR(args.GetDouble("scale", &scale, 0.005, 1e-6, 1.0));
 
   ManualClock clock(1);
   LoomOptions opts;
@@ -133,10 +178,9 @@ int CmdCapture(const Args& args) {
   opts.clock = &clock;
   auto loom = Loom::Open(opts);
   if (!loom.ok()) {
-    return Fail(loom.status().ToString());
+    return loom.status();
   }
   Loom* l = loom->get();
-  auto hist = HistogramSpec::Exponential(1.0, 2.0, 24).value();
 
   uint64_t n = 0;
   if (workload == "redis") {
@@ -146,227 +190,200 @@ int CmdCapture(const Args& args) {
     (void)l->DefineSource(kAppSource);
     (void)l->DefineSource(kSyscallSource);
     (void)l->DefineSource(kPacketSource);
-    (void)l->DefineIndex(kAppSource, ExtractorByName("app_latency"), hist);
-    (void)l->DefineIndex(kSyscallSource, ExtractorByName("syscall_latency"), hist);
+    (void)l->DefineIndex(kAppSource, ExtractorByName("app_latency"), LatencySpec());
+    (void)l->DefineIndex(kSyscallSource, ExtractorByName("syscall_latency"), LatencySpec());
     while (auto ev = gen.Next()) {
       clock.SetNanos(ev->ts);
       (void)l->Push(ev->source_id, ev->payload);
       ++n;
     }
-  } else if (workload == "rocksdb") {
+  } else {
     RocksdbWorkloadConfig config;
     config.scale = scale;
     RocksdbWorkload gen(config);
     (void)l->DefineSource(kAppSource);
     (void)l->DefineSource(kSyscallSource);
     (void)l->DefineSource(kPageCacheSource);
-    (void)l->DefineIndex(kAppSource, ExtractorByName("app_latency"), hist);
-    (void)l->DefineIndex(kSyscallSource, ExtractorByName("pread64_latency"), hist);
+    (void)l->DefineIndex(kAppSource, ExtractorByName("app_latency"), LatencySpec());
+    (void)l->DefineIndex(kSyscallSource, ExtractorByName("pread64_latency"), LatencySpec());
     while (auto ev = gen.Next()) {
       clock.SetNanos(ev->ts);
       (void)l->Push(ev->source_id, ev->payload);
       ++n;
     }
-  } else {
-    return Fail("unknown --workload (redis|rocksdb)");
   }
   printf("captured %llu records into %s\n", static_cast<unsigned long long>(n), dir.c_str());
   printf("sources: 1=app 2=syscall %s\n", workload == "redis" ? "3=packets" : "4=pagecache");
-  return 0;
+  return Status::Ok();
 }
 
-Result<std::unique_ptr<ReadbackSession>> OpenCapture(const Args& args) {
-  const std::string dir = args.Get("dir");
-  if (dir.empty()) {
+Result<std::unique_ptr<Loom>> OpenCapture(const Args& args) {
+  LoomOptions opts;
+  opts.dir = args.Get("dir");
+  if (opts.dir.empty()) {
     return Status::InvalidArgument("missing --dir");
   }
-  return ReadbackSession::Open(dir, kChunkSize, kChunkIdxBlock);
+  opts.chunk_size = kChunkSize;
+  opts.chunk_index_block_size = kChunkIdxBlock;
+  return Loom::OpenReadOnly(opts);
 }
 
-int CmdSources(const Args& args) {
-  auto session = OpenCapture(args);
-  if (!session.ok()) {
-    return Fail(session.status().ToString());
-  }
-  auto sources = (*session)->ListSources();
-  if (!sources.ok()) {
-    return Fail(sources.status().ToString());
-  }
-  for (uint32_t s : sources.value()) {
-    printf("source %u\n", s);
-  }
-  return 0;
+// The flags the query subcommands share.
+struct QueryFlags {
+  uint32_t source = 0;
+  TimeRange range;
+};
+
+Status ParseQueryFlags(const Args& args, QueryFlags* q) {
+  LOOM_RETURN_IF_ERROR(args.GetInt("source", &q->source, 1));
+  LOOM_RETURN_IF_ERROR(args.GetInt("start", &q->range.start, 0));
+  return args.GetInt("end", &q->range.end, ~0ULL);
 }
 
-int CmdBounds(const Args& args) {
-  auto session = OpenCapture(args);
-  if (!session.ok()) {
-    return Fail(session.status().ToString());
-  }
-  auto bounds = (*session)->CaptureBounds();
-  if (!bounds.ok()) {
-    return Fail(bounds.status().ToString());
-  }
-  printf("start %llu\nend   %llu\nspan  %.3f s\n",
-         static_cast<unsigned long long>(bounds->start),
-         static_cast<unsigned long long>(bounds->end),
-         static_cast<double>(bounds->end - bounds->start) / 1e9);
-  return 0;
-}
-
-int CmdCount(const Args& args) {
-  auto session = OpenCapture(args);
-  if (!session.ok()) {
-    return Fail(session.status().ToString());
-  }
-  const uint32_t source = static_cast<uint32_t>(args.GetU64("source", 1));
-  const TimeRange range{args.GetU64("start", 0), args.GetU64("end", ~0ULL)};
-  uint64_t count = 0;
-  Status st = (*session)->RawScan(source, range, [&](const RecordView&) {
-    ++count;
-    return true;
-  });
-  if (!st.ok()) {
-    return Fail(st.ToString());
-  }
-  printf("count = %llu\n", static_cast<unsigned long long>(count));
-  return 0;
-}
-
-int CmdScan(const Args& args) {
-  auto session = OpenCapture(args);
-  if (!session.ok()) {
-    return Fail(session.status().ToString());
-  }
-  const uint32_t source = static_cast<uint32_t>(args.GetU64("source", 1));
-  const TimeRange range{args.GetU64("start", 0), args.GetU64("end", ~0ULL)};
-  const uint64_t limit = args.GetU64("limit", 20);
-  uint64_t shown = 0;
-  Status st = (*session)->RawScan(source, range, [&](const RecordView& r) {
-    printf("t=%-14llu addr=%-10llu len=%zu\n", static_cast<unsigned long long>(r.ts),
-           static_cast<unsigned long long>(r.addr), r.payload.size());
-    return ++shown < limit;
-  });
-  if (!st.ok()) {
-    return Fail(st.ToString());
-  }
-  printf("(%llu records shown, limit %llu)\n", static_cast<unsigned long long>(shown),
-         static_cast<unsigned long long>(limit));
-  return 0;
-}
-
-// Registers the CLI's standard index layout for a capture: index id 1 is the
-// app-latency index, id 2 the syscall-stream index (as CmdCapture defines
-// them, in order).
-Status RegisterStandardIndexes(ReadbackSession* session, const Args& args,
-                               uint32_t* index_id_out) {
+// Attaches the index --extract and --index name over the queried source.
+Status AttachIndex(Loom* loom, const Args& args, const QueryFlags& q, uint32_t* index_id) {
   const std::string extract = args.Get("extract", "value8");
   Loom::IndexFunc func = ExtractorByName(extract);
   if (!func) {
     return Status::InvalidArgument("unknown --extract " + extract);
   }
-  const uint32_t source = static_cast<uint32_t>(args.GetU64("source", 1));
-  auto hist = HistogramSpec::Exponential(1.0, 2.0, 24).value();
-  // Index ids from CmdCapture: 1 for the app source, 2 for the syscall
-  // source. Other captures use --index to override.
-  uint32_t index_id = static_cast<uint32_t>(args.GetU64("index", source == kAppSource ? 1 : 2));
-  LOOM_RETURN_IF_ERROR(session->RegisterIndex(index_id, source, std::move(func), hist));
-  *index_id_out = index_id;
+  LOOM_RETURN_IF_ERROR(args.GetInt("index", index_id, q.source == kAppSource ? 1 : 2));
+  return loom->AttachIndex(*index_id, q.source, std::move(func), LatencySpec());
+}
+
+Status CmdSources(const Args& args) {
+  auto loom = OpenCapture(args);
+  if (!loom.ok()) {
+    return loom.status();
+  }
+  for (uint32_t s : (*loom)->Sources()) {
+    printf("source %u\n", s);
+  }
   return Status::Ok();
 }
 
-int CmdAgg(const Args& args) {
-  auto session = OpenCapture(args);
-  if (!session.ok()) {
-    return Fail(session.status().ToString());
+Status CmdBounds(const Args& args) {
+  auto loom = OpenCapture(args);
+  if (!loom.ok()) {
+    return loom.status();
+  }
+  TimeRange bounds{~0ULL, 0};
+  for (uint32_t s : (*loom)->Sources()) {
+    LOOM_RETURN_IF_ERROR((*loom)->RawScan(s, {0, ~0ULL}, [&](const RecordView& r) {
+      bounds.start = std::min(bounds.start, r.ts);
+      bounds.end = std::max(bounds.end, r.ts);
+      return true;
+    }));
+  }
+  if (bounds.start > bounds.end) {
+    return Status::NotFound("capture is empty");
+  }
+  printf("start %llu\nend   %llu\nspan  %.3f s\n",
+         static_cast<unsigned long long>(bounds.start),
+         static_cast<unsigned long long>(bounds.end),
+         static_cast<double>(bounds.end - bounds.start) / 1e9);
+  return Status::Ok();
+}
+
+Status CmdCount(const Args& args) {
+  QueryFlags q;
+  LOOM_RETURN_IF_ERROR(ParseQueryFlags(args, &q));
+  auto loom = OpenCapture(args);
+  if (!loom.ok()) {
+    return loom.status();
+  }
+  auto count = (*loom)->CountRecords(q.source, q.range);
+  if (!count.ok()) {
+    return count.status();
+  }
+  printf("count = %llu\n", static_cast<unsigned long long>(count.value()));
+  return Status::Ok();
+}
+
+Status CmdScan(const Args& args) {
+  QueryFlags q;
+  LOOM_RETURN_IF_ERROR(ParseQueryFlags(args, &q));
+  uint64_t limit = 0;
+  LOOM_RETURN_IF_ERROR(args.GetInt("limit", &limit, 20));
+  auto loom = OpenCapture(args);
+  if (!loom.ok()) {
+    return loom.status();
+  }
+  uint64_t shown = 0;
+  LOOM_RETURN_IF_ERROR((*loom)->RawScan(q.source, q.range, [&](const RecordView& r) {
+    printf("t=%-14llu addr=%-10llu len=%zu\n", static_cast<unsigned long long>(r.ts),
+           static_cast<unsigned long long>(r.addr), r.payload.size());
+    return ++shown < limit;
+  }));
+  printf("(%llu records shown, limit %llu)\n", static_cast<unsigned long long>(shown),
+         static_cast<unsigned long long>(limit));
+  return Status::Ok();
+}
+
+Status CmdAgg(const Args& args) {
+  QueryFlags q;
+  LOOM_RETURN_IF_ERROR(ParseQueryFlags(args, &q));
+  double pct = 0;
+  LOOM_RETURN_IF_ERROR(args.GetDouble("pct", &pct, 99.0, 0.0, 100.0));
+  static const std::map<std::string, AggregateMethod> kMethods = {
+      {"count", AggregateMethod::kCount}, {"sum", AggregateMethod::kSum},
+      {"min", AggregateMethod::kMin},     {"max", AggregateMethod::kMax},
+      {"mean", AggregateMethod::kMean},   {"pct", AggregateMethod::kPercentile}};
+  const std::string method = args.Get("method", "count");
+  auto m = kMethods.find(method);
+  if (m == kMethods.end()) {
+    return Status::InvalidArgument("unknown --method (count|sum|min|max|mean|pct)");
+  }
+  auto loom = OpenCapture(args);
+  if (!loom.ok()) {
+    return loom.status();
   }
   uint32_t index_id = 0;
-  Status st = RegisterStandardIndexes(session->get(), args, &index_id);
-  if (!st.ok()) {
-    return Fail(st.ToString());
-  }
-  const uint32_t source = static_cast<uint32_t>(args.GetU64("source", 1));
-  const TimeRange range{args.GetU64("start", 0), args.GetU64("end", ~0ULL)};
-  const std::string method = args.Get("method", "count");
-  AggregateMethod m;
-  double pct = args.GetDouble("pct", 99.0);
-  if (method == "count") {
-    m = AggregateMethod::kCount;
-  } else if (method == "sum") {
-    m = AggregateMethod::kSum;
-  } else if (method == "min") {
-    m = AggregateMethod::kMin;
-  } else if (method == "max") {
-    m = AggregateMethod::kMax;
-  } else if (method == "mean") {
-    m = AggregateMethod::kMean;
-  } else if (method == "pct") {
-    m = AggregateMethod::kPercentile;
-  } else {
-    return Fail("unknown --method (count|sum|min|max|mean|pct)");
-  }
-  auto result = (*session)->IndexedAggregate(source, index_id, range, m, pct);
+  LOOM_RETURN_IF_ERROR(AttachIndex(loom->get(), args, q, &index_id));
+  auto result = (*loom)->IndexedAggregate(q.source, index_id, q.range, m->second, pct);
   if (!result.ok()) {
-    return Fail(result.status().ToString());
+    return result.status();
   }
-  if (m == AggregateMethod::kPercentile) {
+  if (m->second == AggregateMethod::kPercentile) {
     printf("p%.4g = %.6g\n", pct, result.value());
   } else {
     printf("%s = %.6g\n", method.c_str(), result.value());
   }
-  return 0;
+  return Status::Ok();
 }
 
-int CmdTopK(const Args& args) {
-  auto session = OpenCapture(args);
-  if (!session.ok()) {
-    return Fail(session.status().ToString());
+Status CmdTopK(const Args& args) {
+  QueryFlags q;
+  LOOM_RETURN_IF_ERROR(ParseQueryFlags(args, &q));
+  size_t k = 0;
+  LOOM_RETURN_IF_ERROR(args.GetInt("k", &k, 10));
+  auto loom = OpenCapture(args);
+  if (!loom.ok()) {
+    return loom.status();
   }
   uint32_t index_id = 0;
-  Status st = RegisterStandardIndexes(session->get(), args, &index_id);
-  if (!st.ok()) {
-    return Fail(st.ToString());
+  LOOM_RETURN_IF_ERROR(AttachIndex(loom->get(), args, q, &index_id));
+  auto hits = DrillDown(loom->get()).TopK(q.source, index_id, q.range, k);
+  if (!hits.ok()) {
+    return hits.status();
   }
-  const uint32_t source = static_cast<uint32_t>(args.GetU64("source", 1));
-  const TimeRange range{args.GetU64("start", 0), args.GetU64("end", ~0ULL)};
-  const uint64_t k = args.GetU64("k", 10);
-  // Readback has no DrillDown binding; do the top-k with a bounded pass.
-  std::vector<std::pair<double, TimestampNanos>> heap;
-  const std::string extract = args.Get("extract", "value8");
-  Loom::IndexFunc func = ExtractorByName(extract);
-  st = (*session)->RawScan(source, range, [&](const RecordView& r) {
-    std::optional<double> v = func(r.payload);
-    if (!v.has_value()) {
-      return true;
-    }
-    if (heap.size() < k) {
-      heap.emplace_back(*v, r.ts);
-      std::push_heap(heap.begin(), heap.end(), std::greater<>());
-    } else if (*v > heap.front().first) {
-      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-      heap.back() = {*v, r.ts};
-      std::push_heap(heap.begin(), heap.end(), std::greater<>());
-    }
-    return true;
-  });
-  if (!st.ok()) {
-    return Fail(st.ToString());
+  for (const RecordHit& hit : hits.value()) {
+    printf("value=%-14.6g t=%llu\n", hit.value, static_cast<unsigned long long>(hit.ts));
   }
-  std::sort(heap.begin(), heap.end(), std::greater<>());
-  for (const auto& [value, ts] : heap) {
-    printf("value=%-14.6g t=%llu\n", value, static_cast<unsigned long long>(ts));
-  }
-  return 0;
+  return Status::Ok();
 }
 
-int CmdWatch(const Args& args) {
+Status CmdWatch(const Args& args) {
   const std::string host = args.Get("host", "127.0.0.1");
-  const uint16_t port = static_cast<uint16_t>(args.GetU64("port", 0));
+  uint16_t port = 0;
+  LOOM_RETURN_IF_ERROR(args.GetInt("port", &port, 0));
   if (port == 0) {
-    return Fail("watch requires --port");
+    return Status::InvalidArgument("watch requires --port");
   }
-  uint64_t query_id = args.GetU64("query", 0);
-  const uint64_t limit = args.GetU64("limit", 0);  // 0 = stream forever
+  uint64_t query_id = 0;
+  LOOM_RETURN_IF_ERROR(args.GetInt("query", &query_id, 0));
+  uint64_t limit = 0;  // 0 = stream forever
+  LOOM_RETURN_IF_ERROR(args.GetInt("limit", &limit, 0));
   const std::string reg = args.Get("register");
 
   if (!reg.empty()) {
@@ -374,18 +391,15 @@ int CmdWatch(const Args& args) {
     // then subscribe to the id it returned.
     auto client = WatchClient::Connect(host, port);
     if (!client.ok()) {
-      return Fail(client.status().ToString());
+      return client.status();
     }
-    Status st = (*client)->SendLine("REG " + reg);
-    if (!st.ok()) {
-      return Fail(st.ToString());
-    }
+    LOOM_RETURN_IF_ERROR((*client)->SendLine("REG " + reg));
     auto reply = (*client)->ReadLine();
     if (!reply.ok()) {
-      return Fail(reply.status().ToString());
+      return reply.status();
     }
     if (reply.value().rfind("OK ", 0) != 0) {
-      return Fail("registration failed: " + reply.value());
+      return Status::FailedPrecondition("registration failed: " + reply.value());
     }
     query_id = strtoull(reply.value().c_str() + 3, nullptr, 10);
     printf("registered standing query %llu\n", static_cast<unsigned long long>(query_id));
@@ -393,18 +407,15 @@ int CmdWatch(const Args& args) {
 
   auto client = WatchClient::Connect(host, port);
   if (!client.ok()) {
-    return Fail(client.status().ToString());
+    return client.status();
   }
-  Status st = (*client)->SendLine("SUB " + std::to_string(query_id));
-  if (!st.ok()) {
-    return Fail(st.ToString());
-  }
+  LOOM_RETURN_IF_ERROR((*client)->SendLine("SUB " + std::to_string(query_id)));
   auto reply = (*client)->ReadLine();
   if (!reply.ok()) {
-    return Fail(reply.status().ToString());
+    return reply.status();
   }
   if (reply.value() != "OK") {
-    return Fail("subscribe failed: " + reply.value());
+    return Status::FailedPrecondition("subscribe failed: " + reply.value());
   }
   uint64_t shown = 0;
   for (;;) {
@@ -418,14 +429,7 @@ int CmdWatch(const Args& args) {
       break;
     }
   }
-  return 0;
-}
-
-int Usage() {
-  fprintf(stderr,
-          "usage: loom_cli <capture|sources|bounds|scan|count|agg|topk|watch> [--flag value ...]\n"
-          "see the header comment of tools/loom_cli.cc for full flag lists\n");
-  return 2;
+  return Status::Ok();
 }
 
 }  // namespace
@@ -433,30 +437,22 @@ int Usage() {
 
 int main(int argc, char** argv) {
   using namespace loom;
-  Args args = ParseArgs(argc, argv);
-  if (args.command == "capture") {
-    return CmdCapture(args);
+  static const std::map<std::string, Status (*)(const Args&)> kCommands = {
+      {"capture", CmdCapture}, {"sources", CmdSources}, {"bounds", CmdBounds},
+      {"scan", CmdScan},       {"count", CmdCount},     {"agg", CmdAgg},
+      {"topk", CmdTopK},       {"watch", CmdWatch}};
+  const Args args = ParseArgs(argc, argv);
+  auto command = kCommands.find(args.command);
+  if (command == kCommands.end()) {
+    fprintf(stderr,
+            "usage: loom_cli <capture|sources|bounds|scan|count|agg|topk|watch> [--flag value "
+            "...]\nsee the header comment of tools/loom_cli.cc for full flag lists\n");
+    return 2;
   }
-  if (args.command == "sources") {
-    return CmdSources(args);
+  const Status st = command->second(args);
+  if (!st.ok()) {
+    fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    return 1;
   }
-  if (args.command == "bounds") {
-    return CmdBounds(args);
-  }
-  if (args.command == "scan") {
-    return CmdScan(args);
-  }
-  if (args.command == "count") {
-    return CmdCount(args);
-  }
-  if (args.command == "agg") {
-    return CmdAgg(args);
-  }
-  if (args.command == "topk") {
-    return CmdTopK(args);
-  }
-  if (args.command == "watch") {
-    return CmdWatch(args);
-  }
-  return Usage();
+  return 0;
 }

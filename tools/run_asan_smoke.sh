@@ -27,6 +27,8 @@
 #   index_test                 the chunk summary decoder on truncated and
 #                              inconsistent frames (listed-value section
 #                              included), and the builder's listed-value copy
+#   readback_test              the read-only engine: its logs allocate no
+#                              block slots, so a stray slot access fails here
 #
 # Wired as a ctest (asan_smoke) in the default build so `ctest` exercises it;
 # run manually from anywhere:
@@ -40,7 +42,7 @@ build="$repo/build-asan"
 cmake --preset asan -S "$repo" >/dev/null
 cmake --build "$build" --target loom_ingest_pipeline_test hybridlog_test \
   tiering_test export_test standing_query_test daemon_test loom_engine_test index_test \
-  -j "$(nproc)"
+  readback_test -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 "$build/tests/loom_ingest_pipeline_test"
@@ -51,4 +53,5 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 "$build/tests/daemon_test"
 "$build/tests/loom_engine_test"
 "$build/tests/index_test"
+"$build/tests/readback_test"
 echo "asan smoke: OK"

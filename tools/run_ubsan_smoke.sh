@@ -15,6 +15,8 @@
 #                             archive zone-map pointers, hot and archived
 #   index_test                the chunk summary decoder's offset and length
 #                             arithmetic on truncated and inconsistent frames
+#   readback_test             the read-only engine: its logs allocate no block
+#                             slots, so a stray slot access fails here
 #
 # Wired as a ctest (ubsan_smoke) in the default build; run manually:
 #   tools/run_ubsan_smoke.sh
@@ -26,7 +28,7 @@ build="$repo/build-ubsan"
 
 cmake --preset ubsan -S "$repo" >/dev/null
 cmake --build "$build" --target kernels_test loom_query_golden_test loom_engine_test \
-  index_test -j "$(nproc)"
+  index_test readback_test -j "$(nproc)"
 
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$build/tests/kernels_test"
@@ -34,4 +36,5 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 LOOM_SIMD=scalar "$build/tests/loom_query_golden_test"
 "$build/tests/loom_engine_test"
 "$build/tests/index_test"
+"$build/tests/readback_test"
 echo "ubsan smoke: OK"
