@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "src/common/codec.h"
 
@@ -82,26 +83,8 @@ Loom::IndexFunc SelfValueIndexFunc(const std::string& metric_name) {
   };
 }
 
-void IngestWaker::WakeIfParked() {
-  // Pairs with the fence in MonitoringDaemon::Park: either this load sees
-  // the thread parked, or the thread's last look at the rings sees the
-  // records published before this fence.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (parked.load(std::memory_order_relaxed)) {
-    Wake();
-  }
-}
-
-void IngestWaker::Wake() {
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    wake = true;
-  }
-  cv.notify_one();
-}
-
 SourceChannel::SourceChannel(uint32_t source_id, size_t ring_bytes, size_t max_bytes,
-                             IngestWaker* waker)
+                             Waker* waker)
     : source_id_(source_id),
       max_bytes_(max_bytes),
       capacity_(ring_bytes),
@@ -463,22 +446,27 @@ void MonitoringDaemon::RunPendingOps() {
 }
 
 void MonitoringDaemon::Park(const std::vector<SourceChannel*>& channels) {
-  waker_.parked.store(true, std::memory_order_relaxed);
-  // Pairs with the fence in IngestWaker::WakeIfParked (see IngestWaker).
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  bool work = stop_.load(std::memory_order_relaxed) ||
-              ops_pending_.load(std::memory_order_relaxed) ||
-              channel_count_.load(std::memory_order_relaxed) != channels.size();
-  for (size_t i = 0; i < channels.size() && !work; ++i) {
-    work = !channels[i]->Empty();
+  std::optional<std::chrono::nanoseconds> timeout;
+  if (options_.self_telemetry) {
+    const uint64_t since = MetricsNowNanos() - last_self_sample_nanos_;
+    const uint64_t period = options_.self_telemetry_period_nanos;
+    timeout = std::chrono::nanoseconds(since < period ? period - since : 0);
   }
-  if (!work) {
-    std::unique_lock<std::mutex> lock(waker_.mu);
-    waker_.cv.wait_for(lock, std::chrono::nanoseconds(options_.self_telemetry_period_nanos),
-                       [this] { return waker_.wake; });
-    waker_.wake = false;
-  }
-  waker_.parked.store(false, std::memory_order_relaxed);
+  waker_.Park(
+      [&] {
+        if (stop_.load(std::memory_order_relaxed) ||
+            ops_pending_.load(std::memory_order_relaxed) ||
+            channel_count_.load(std::memory_order_relaxed) != channels.size()) {
+          return true;
+        }
+        for (const SourceChannel* channel : channels) {
+          if (!channel->Empty()) {
+            return true;
+          }
+        }
+        return false;
+      },
+      timeout);
 }
 
 void MonitoringDaemon::IngestMain() {

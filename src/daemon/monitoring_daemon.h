@@ -19,7 +19,6 @@
 #define SRC_DAEMON_MONITORING_DAEMON_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/waker.h"
 #include "src/core/loom.h"
 
 namespace loom {
@@ -97,23 +97,6 @@ struct DaemonSourceStats {
   uint64_t publish_waits = 0;
 };
 
-// Wakes the daemon's ingest thread when it is parked. The thread announces
-// `parked` before its last look at the rings; a producer reads it after
-// publishing (a seq_cst fence on each side orders the two), so either the
-// thread sees the new records or the producer sees it parked and sets the
-// wake flag under the mutex.
-struct IngestWaker {
-  std::atomic<bool> parked{false};
-  std::mutex mu;
-  std::condition_variable cv;
-  bool wake = false;  // guarded by mu
-
-  // After a publish: wakes the thread only if it announced that it parked.
-  void WakeIfParked();
-  // Unconditional (schema ops, Flush, shutdown).
-  void Wake();
-};
-
 // A handle a telemetry source uses to push records into the daemon. One
 // handle per source, used by one thread at a time (IngestServer serializes
 // the connections that share a source).
@@ -150,7 +133,7 @@ class SourceChannel {
  private:
   friend class MonitoringDaemon;
 
-  SourceChannel(uint32_t source_id, size_t ring_bytes, size_t max_bytes, IngestWaker* waker);
+  SourceChannel(uint32_t source_id, size_t ring_bytes, size_t max_bytes, Waker* waker);
 
   // Producer: writes one frame at write_pos_ without publishing it. False
   // when the ring lacks space.
@@ -179,7 +162,7 @@ class SourceChannel {
   const size_t max_bytes_;
   const size_t capacity_;  // power of two
   const std::unique_ptr<uint8_t[]> ring_;
-  IngestWaker* const waker_;
+  Waker* const waker_;  // the daemon's ingest thread
 
   // Producer side. Counters are written by the producer only (a load and a
   // store, no read-modify-write); any thread may read them.
@@ -255,8 +238,9 @@ class MonitoringDaemon {
   // Runs the queued schema ops. Ingest thread only.
   void RunPendingOps();
   // Parks the idle ingest thread until a producer, a schema op, Flush or
-  // shutdown wakes it, or the self-telemetry period passes. `channels` is
-  // the thread's copy of channels_.
+  // shutdown wakes it, or, with self-telemetry on, the next sample is due;
+  // with it off the thread has no timer. `channels` is the thread's copy of
+  // channels_.
   void Park(const std::vector<SourceChannel*>& channels);
   void InstallSelfWatches();
   void RegisterMetrics();
@@ -272,7 +256,7 @@ class MonitoringDaemon {
   std::thread ingest_;
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> records_ingested_{0};
-  IngestWaker waker_;
+  Waker waker_;  // parks the ingest thread
 
   // Channel list: appended under mu_ by AddSource, which then publishes the
   // new size in channel_count_; the ingest thread copies the list only when

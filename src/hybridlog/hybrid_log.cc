@@ -170,11 +170,11 @@ Result<std::pair<uint64_t, uint8_t*>> HybridLog::AppendReserve(size_t len) {
     pad_bytes_.fetch_add(pad, std::memory_order_relaxed);
     tail += pad;
     tail_.store(tail, std::memory_order_relaxed);
-    RotateTo(active_block_ + 1);
+    LOOM_RETURN_IF_ERROR(RotateTo(active_block_ + 1));
     offset_in_block = 0;
   } else if (offset_in_block == 0 && tail != 0) {
     // Landed exactly on a block boundary: previous block is full.
-    RotateTo(tail / bs);
+    LOOM_RETURN_IF_ERROR(RotateTo(tail / bs));
   }
   uint8_t* dst = slots_[active_block_ % options_.num_blocks].get() + offset_in_block;
   const uint64_t addr = tail;
@@ -187,38 +187,58 @@ void HybridLog::Publish() {
   queryable_tail_.store(tail_.load(std::memory_order_relaxed), std::memory_order_release);
 }
 
-void HybridLog::RotateTo(uint64_t block_no) {
+Status HybridLog::RotateTo(uint64_t block_no) {
   assert(block_no == active_block_ + 1);
+  // The full block was queued by the rotation that failed.
+  if (!append_error_.ok()) {
+    return append_error_;
+  }
   // Hand the filled block to the flusher. The queue is far larger than the
   // number of slots, so this push cannot fail while invariants hold.
   bool pushed = flush_queue_.TryPush(active_block_);
   assert(pushed);
   (void)pushed;
-  RecycleSlot(block_no);
+  flusher_waker_.WakeIfParked();
+  append_error_ = RecycleSlot(block_no);
+  if (!append_error_.ok()) {
+    return append_error_;
+  }
   active_block_ = block_no;
+  return Status::Ok();
 }
 
-void HybridLog::RecycleSlot(uint64_t block_no) {
+Status HybridLog::RecycleSlot(uint64_t block_no) {
   // The slot for block_no currently holds block_no - num_blocks (or, on the
   // first lap, already holds block_no). Wait until that block is flushed.
   if (block_no < options_.num_blocks) {
-    return;
+    return Status::Ok();
   }
   const uint64_t must_be_flushed = block_no - options_.num_blocks + 1;
-  if (flushed_block_count_.load(std::memory_order_acquire) < must_be_flushed) {
+  const auto flushed = [&] {
+    return flushed_block_count_.load(std::memory_order_acquire) >= must_be_flushed;
+  };
+  const auto done_waiting = [&] {
+    return flushed() || write_failed_.load(std::memory_order_acquire);
+  };
+  if (!done_waiting()) {
     const uint64_t t0 = SteadyNowNanos();
-    while (flushed_block_count_.load(std::memory_order_acquire) < must_be_flushed) {
-      std::this_thread::yield();
-    }
+    do {
+      writer_waker_.Park(done_waiting);
+    } while (!done_waiting());
     const uint64_t stalled = SteadyNowNanos() - t0;
     writer_stall_nanos_.fetch_add(stalled, std::memory_order_relaxed);
     if (writer_stall_seconds_ != nullptr) {
       writer_stall_seconds_->ObserveNanos(stalled);
     }
   }
+  if (!flushed()) {
+    // The slot's block will never reach the file; only Close() writes it.
+    return write_error_;
+  }
   // Readers racing with this store fall back to disk, which already holds the
   // previous occupant (the flusher completed its pwrite before counting it).
   slot_version_[block_no % options_.num_blocks].store(block_no, std::memory_order_release);
+  return Status::Ok();
 }
 
 void HybridLog::FlusherMain() {
@@ -228,11 +248,6 @@ void HybridLog::FlusherMain() {
   uint64_t unsynced_bytes = 0;
   uint64_t first_unsynced_nanos = 0;
   const uint64_t group_interval_nanos = options_.group_commit_interval_ms * 1'000'000ULL;
-  // Set once a block write fails. From then on no block counts as flushed:
-  // the failed block and every later one stay in their slots (the writer
-  // stalls once the ring is full rather than recycling a slot whose bytes
-  // never reached the file), and Close() rewrites them from the ring.
-  bool write_failed = false;
   const auto group_commit = [&] {
     if (file_.Sync().ok()) {
       synced_bytes_.store(flushed_bytes_.load(std::memory_order_relaxed),
@@ -251,26 +266,33 @@ void HybridLog::FlusherMain() {
   while (true) {
     std::optional<uint64_t> item = flush_queue_.TryPop();
     if (!item.has_value()) {
-      // Idle tick: an interval-expired group commit drains here so a paused
-      // ingest stream still reaches disk within the configured window.
-      if (options_.sync_policy == SyncPolicy::kGroup && unsynced_bytes > 0 &&
-          SteadyNowNanos() - first_unsynced_nanos >= group_interval_nanos) {
-        group_commit();
+      // Idle. An interval-expired group commit drains here, so a paused
+      // ingest stream still reaches disk within the configured window; the
+      // interval is the one timer the flusher parks with.
+      std::optional<std::chrono::nanoseconds> timeout;
+      if (options_.sync_policy == SyncPolicy::kGroup && unsynced_bytes > 0) {
+        uint64_t waited = SteadyNowNanos() - first_unsynced_nanos;
+        if (waited >= group_interval_nanos) {
+          group_commit();
+          waited = 0;  // a failed commit retries one interval later
+        }
+        if (unsynced_bytes > 0) {
+          timeout = std::chrono::nanoseconds(group_interval_nanos - waited);
+        }
       }
-      // Idle tick: retention a reader's pin held back catches up here once
-      // the pin goes, off the reader's thread, even with ingest paused.
+      // Retention a reader's pin held back catches up here once the pin
+      // goes, off the reader's thread, even with ingest paused.
       if (retention_pending_.load() && retention_pending_.exchange(false)) {
         AdvanceRetention(flushed_bytes_.load(std::memory_order_acquire));
       }
-      // Idle: sleep briefly rather than spin so the flusher does not compete
-      // with the ingest thread for CPU (keeping probe effect low).
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      flusher_waker_.Park(
+          [this] { return !flush_queue_.EmptyApprox() || retention_pending_.load(); }, timeout);
       continue;
     }
     if (*item == kStopSentinel) {
       return;
     }
-    if (write_failed) {
+    if (write_failed_.load(std::memory_order_relaxed)) {
       continue;
     }
     // The writer cannot recycle this block's slot until flushed_block_count_
@@ -282,7 +304,9 @@ void HybridLog::FlusherMain() {
         block_no * bs,
         std::span<const uint8_t>(slots_[block_no % options_.num_blocks].get(), bs));
     if (!st.ok()) {
-      write_failed = true;
+      write_error_ = st;
+      write_failed_.store(true, std::memory_order_release);
+      writer_waker_.WakeIfParked();
       continue;
     }
     // Publish the flushed tail first (the writer's recycle wait and the
@@ -290,6 +314,7 @@ void HybridLog::FlusherMain() {
     // the flush-latency histogram keeps covering write + sync.
     flushed_bytes_.store(end, std::memory_order_release);
     flushed_block_count_.store(block_no + 1, std::memory_order_release);
+    writer_waker_.WakeIfParked();
     if (options_.sync_policy == SyncPolicy::kEveryBlock) {
       if (file_.Sync().ok()) {
         synced_bytes_.store(end, std::memory_order_release);
@@ -357,13 +382,17 @@ void HybridLog::UnpinFloor(uint64_t floor) {
   if (options_.retain_bytes == 0) {
     return;
   }
-  std::lock_guard<std::mutex> lock(retention_mu_);
-  *std::find(pinned_floors_.begin(), pinned_floors_.end(), floor) = pinned_floors_.back();
-  pinned_floors_.pop_back();
-  if (retention_held_) {
+  {
+    std::lock_guard<std::mutex> lock(retention_mu_);
+    *std::find(pinned_floors_.begin(), pinned_floors_.end(), floor) = pinned_floors_.back();
+    pinned_floors_.pop_back();
+    if (!retention_held_) {
+      return;
+    }
     retention_held_ = false;  // re-set by the flusher if another pin holds it
     retention_pending_.store(true);
   }
+  flusher_waker_.WakeIfParked();
 }
 
 uint64_t HybridLog::UnpinnedFloor(uint64_t tail_now) const {
@@ -413,6 +442,7 @@ Status HybridLog::Close() {
   while (!flush_queue_.TryPush(kStopSentinel)) {
     std::this_thread::yield();
   }
+  flusher_waker_.Wake();
   if (flusher_.joinable()) {
     flusher_.join();
   }

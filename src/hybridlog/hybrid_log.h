@@ -4,10 +4,11 @@
 // appends into a fixed-size in-memory block; when the block fills, it is
 // handed to a background flusher thread over an SPSC queue, which writes it to
 // the file with one pwrite, and the writer switches to the next block (double
-// buffering by default). Every byte has a
-// stable 64-bit address equal to its physical offset in the backing file, so
-// record lookup is O(1) and the whole log can be read back from disk after the
-// in-memory blocks are recycled.
+// buffering by default). The flusher parks while the queue is empty, and the
+// writer parks while it waits for a slot, so an idle log costs no CPU. Every
+// byte has a stable 64-bit address equal to its physical offset in the
+// backing file, so record lookup is O(1) and the whole log can be read back
+// from disk after the in-memory blocks are recycled.
 //
 // Concurrency model (§4.4 / §5.5):
 //   * Exactly one writer thread calls Append/Publish/Close.
@@ -42,6 +43,7 @@
 #include "src/common/metrics.h"
 #include "src/common/spsc_queue.h"
 #include "src/common/status.h"
+#include "src/common/waker.h"
 
 namespace loom {
 
@@ -55,10 +57,10 @@ inline constexpr uint64_t kNullAddr = ~0ULL;
 //   kGroup      group commit: the flusher batches fdatasync across block
 //               flushes and issues one when either `group_commit_bytes` of
 //               unsynced data accumulate or `group_commit_interval_ms` passed
-//               since the oldest unsynced byte (checked on flush and on idle
-//               ticks, so a stalled ingest still drains to disk). Data-at-risk
-//               is bounded by the configured window at a small fraction of
-//               every-block cost.
+//               since the oldest unsynced byte (checked on each flush, and
+//               by the one timer the idle flusher parks with, so a stalled
+//               ingest still drains to disk). Data-at-risk is bounded by the
+//               configured window at a small fraction of every-block cost.
 //   kEveryBlock fdatasync after every block flush; minimum risk, maximum
 //               write amplification.
 enum class SyncPolicy : uint8_t { kNone, kGroup, kEveryBlock };
@@ -138,6 +140,9 @@ class HybridLog {
 
   // Appends `data` (size must be in (0, block_size]) and returns its address.
   // Cheap in the common case: a bounds check and a memcpy into the block.
+  // Once a failed block write leaves no slot to recycle, it returns that
+  // write's error, and so does every later call; Close() still writes the
+  // blocks the ring holds.
   Result<uint64_t> Append(std::span<const uint8_t> data);
 
   // Reserves `len` bytes and returns a pointer the caller fills in before the
@@ -212,8 +217,8 @@ class HybridLog {
   // at or above earlier ones, so while readers overlap the lowest pin keeps
   // rising and the floor lags by at most the oldest running reader.
   // Retention a pin held back is applied by the flusher (its next block, or
-  // its idle tick once the pin goes), never on the reader's thread. Free when
-  // retain_bytes == 0: the floor never moves then.
+  // at once when the unpin wakes it), never on the reader's thread. Free
+  // when retain_bytes == 0: the floor never moves then.
   uint64_t PinFloor();
   void UnpinFloor(uint64_t floor);
 
@@ -246,10 +251,13 @@ class HybridLog {
   // ApplyRetention: clamps UnpinnedFloor to the lowest pin, then
   // monotonically advances the floor and punches the dropped range.
   void AdvanceRetention(uint64_t tail_now);
-  // Ensures the slot for `block_no` is free to be (re)used by the writer.
-  void RecycleSlot(uint64_t block_no);
+  // Ensures the slot for `block_no` is free to be (re)used by the writer,
+  // parking until the flusher has written the slot's block. Fails with the
+  // write error when that block's write (or an earlier one) failed.
+  Status RecycleSlot(uint64_t block_no);
   // Hands the current active block to the flusher and activates `block_no`.
-  void RotateTo(uint64_t block_no);
+  // After a failure, fails again without queueing anything.
+  Status RotateTo(uint64_t block_no);
   Status ReadWithinBlock(uint64_t addr, std::span<uint8_t> out) const;
 
   const HybridLogOptions options_;
@@ -267,6 +275,7 @@ class HybridLog {
   std::atomic<uint64_t> tail_{0};  // next append address
   uint64_t active_block_ = 0;      // block number being written
   bool closed_ = false;
+  Status append_error_;  // set by the rotation RecycleSlot failed; Append returns it
 
   std::atomic<uint64_t> queryable_tail_{0};
   std::atomic<uint64_t> flushed_bytes_{0};
@@ -281,7 +290,7 @@ class HybridLog {
   // the lowest pinned one either. It is held for a few loads and stores only
   // (the hole punch runs outside it), so pinning readers barely wait on it.
   // retention_held_ records that a pin held the floor back; the UnpinFloor
-  // that clears it raises retention_pending_ for the flusher's idle tick.
+  // that clears it raises retention_pending_ and wakes the flusher.
   std::atomic<uint64_t> retention_barrier_{kNullAddr};
   std::mutex retention_mu_;
   std::vector<uint64_t> pinned_floors_;  // one per running reader; no allocation once warm
@@ -289,9 +298,20 @@ class HybridLog {
   std::atomic<bool> retention_pending_{false};
 
   // Flush pipeline: block numbers travel writer -> flusher; kStopSentinel
-  // terminates the flusher.
+  // terminates the flusher. Each end parks on its own waker: the flusher on
+  // an empty queue (woken per queued block, by an unpin that leaves
+  // retention pending, and by Close), the writer on a slot whose block is
+  // not yet flushed (woken per flushed block, and by a failed write).
   static constexpr uint64_t kStopSentinel = ~0ULL;
   SpscQueue<uint64_t> flush_queue_;
+  Waker flusher_waker_;
+  Waker writer_waker_;
+  // Set once a block write fails, after write_error_ holds its error. From
+  // then on no block counts as flushed: the failed block and every later one
+  // stay in their slots, the writer fails its append rather than recycle a
+  // slot whose bytes never reached the file, and Close() rewrites them.
+  std::atomic<bool> write_failed_{false};
+  Status write_error_;
   std::thread flusher_;
 
   // Stats. Single-writer counters, but stats() may sample them from any

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "src/common/file.h"
@@ -342,6 +348,76 @@ TEST_F(DaemonTest, IdleIngestThreadStillPushesSelfTelemetry) {
     }
   }
   EXPECT_GE(pushes, 5);
+}
+
+// The ids of this process's threads.
+std::set<std::string> ThreadIds() {
+  std::set<std::string> ids;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(entry.path().filename().string());
+  }
+  return ids;
+}
+
+// The voluntary context switches of the given threads of this process,
+// summed. A thread that has exited counts as none.
+uint64_t VoluntarySwitches(const std::set<std::string>& tids) {
+  uint64_t total = 0;
+  for (const std::string& tid : tids) {
+    std::ifstream status("/proc/self/task/" + tid + "/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("voluntary_ctxt_switches:", 0) == 0) {
+        total += std::stoull(line.substr(line.find(':') + 1));
+      }
+    }
+  }
+  return total;
+}
+
+// Counts the wake-ups of an idle store over 500 ms: the voluntary context
+// switches of the threads `open` started, plus the calling thread's, whose
+// own sleep is one of them. Threads that were running before (a sanitizer
+// runtime's, say) are left out. Nothing is timed, so a slow or busy machine
+// changes nothing but how long the test takes.
+template <typename Open>
+uint64_t IdleWakeups(const Open& open) {
+  const std::set<std::string> before = ThreadIds();
+  auto store = open();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let its threads park
+  std::set<std::string> watched = {std::to_string(syscall(SYS_gettid))};
+  for (const std::string& tid : ThreadIds()) {
+    if (before.count(tid) == 0) {
+      watched.insert(tid);
+    }
+  }
+  const uint64_t start = VoluntarySwitches(watched);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  return VoluntarySwitches(watched) - start;
+}
+
+// An engine that receives nothing must not spend CPU: its flushers park
+// until a block is queued, with no timer under the default sync policy.
+TEST_F(DaemonTest, IdleDefaultEngineDoesNotWakeUp) {
+  const uint64_t wakeups = IdleWakeups([&] {
+    LoomOptions opts;
+    opts.dir = dir_.FilePath("idle-engine");
+    auto loom = Loom::Open(opts);
+    EXPECT_TRUE(loom.ok());
+    return std::move(loom.value());
+  });
+  EXPECT_LE(wakeups, 10u);
+}
+
+// Likewise a daemon with self-telemetry off: its ingest thread parks with no
+// timer until a producer publishes.
+TEST_F(DaemonTest, IdleDaemonDoesNotWakeUp) {
+  const uint64_t wakeups = IdleWakeups([&] {
+    auto daemon = StartDaemon();
+    EXPECT_TRUE(daemon->AddSource(kAppSource).ok());
+    return daemon;
+  });
+  EXPECT_LE(wakeups, 10u);
 }
 
 TEST_F(DaemonTest, MultipleConcurrentProducers) {

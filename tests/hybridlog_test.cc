@@ -411,9 +411,9 @@ TEST(HybridLogSyncPolicyTest, GroupCommitAdvancesDurableTail) {
     ASSERT_TRUE((*log)->Append(Pattern(256, static_cast<uint8_t>(i))).ok());
   }
   (*log)->Publish();
-  // The interval threshold guarantees the flusher's idle ticks drain the
-  // last unsynced bytes without any further appends. The final block may
-  // stay with the writer until Close, so wait for all flusher-owned bytes.
+  // The interval timer the idle flusher parks with drains the last unsynced
+  // bytes without any further appends. The final block may stay with the
+  // writer until Close, so wait for all flusher-owned bytes.
   const uint64_t flusher_owned = (kBlocks - 1) * opts.block_size;
   for (int spins = 0; (*log)->durable_tail() < flusher_owned && spins < 2000; ++spins) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -510,13 +510,14 @@ TEST(HybridLogRegisteredBuffersTest, RoundTripThroughDisk) {
   }
 }
 
-// Captures 64 MiB through the engine's 4 MiB record blocks while a 1 kHz
-// interval timer interrupts the flusher, then checks every 4 KiB cell of the
-// file after Close. The flusher is the only thread that leaves SIGALRM
-// unblocked: the calling thread blocks it after Create, and the appender
-// inherits that mask. A writer that hangs fails the deadline instead of
-// wedging the suite.
-testing::AssertionResult CaptureUnderAlarms(const std::string& path) {
+// Captures 64 MiB through the engine's 4 MiB record blocks while an interval
+// timer with period `period` interrupts the flusher, then checks every 4 KiB
+// cell of the file after Close. The flusher is the only thread that leaves
+// SIGALRM unblocked: the calling thread blocks it after Create, and the
+// appender inherits that mask. A writer that hangs fails the deadline instead
+// of wedging the suite.
+testing::AssertionResult CaptureUnderAlarms(const std::string& path,
+                                            std::chrono::microseconds period) {
   constexpr size_t kCell = 4096;
   constexpr uint64_t kCells = (64 << 20) / kCell;
   const auto cell = [](uint64_t i, uint8_t* out) {
@@ -563,11 +564,11 @@ testing::AssertionResult CaptureUnderAlarms(const std::string& path) {
     run->close_status = run->log->Close();
     run->done.store(true, std::memory_order_release);
   });
-  struct itimerval every_ms {};
-  every_ms.it_interval.tv_usec = 1000;
-  every_ms.it_value.tv_usec = 1000;
+  struct itimerval every_period {};
+  every_period.it_interval.tv_usec = static_cast<suseconds_t>(period.count());
+  every_period.it_value = every_period.it_interval;
   struct itimerval old_timer {};
-  setitimer(ITIMER_REAL, &every_ms, &old_timer);
+  setitimer(ITIMER_REAL, &every_period, &old_timer);
 
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
   while (!run->done.load(std::memory_order_acquire) &&
@@ -617,11 +618,17 @@ testing::AssertionResult CaptureUnderAlarms(const std::string& path) {
 // A signal that reaches the flusher mid-write must not cost a block: the
 // write is retried or finished, never dropped or confused with a later one.
 // Several captures, because an interrupt lands inside a write only on some.
+// At 20 kHz signals also land while the flusher waits for a block; a flusher
+// that slept between polls of its queue there could stop waking up at all.
 TEST(HybridLogSignalTest, SignalsAtTheFlusherLoseNoBytes) {
   TempDir dir;
-  for (int round = 0; round < 4; ++round) {
-    ASSERT_TRUE(CaptureUnderAlarms(dir.FilePath("log" + std::to_string(round))))
-        << "round " << round;
+  for (const auto period : {std::chrono::microseconds(1000), std::chrono::microseconds(50)}) {
+    for (int round = 0; round < 4; ++round) {
+      ASSERT_TRUE(CaptureUnderAlarms(
+          dir.FilePath("log" + std::to_string(period.count()) + "-" + std::to_string(round)),
+          period))
+          << "period " << period.count() << " us, round " << round;
+    }
   }
 }
 
@@ -693,6 +700,98 @@ TEST(HybridLogWriteErrorTest, FailedBlockWriteHoldsTheFlushedTail) {
     cell(i, want.data());
     ASSERT_TRUE(reader->PReadAll(i * kCell, buf).ok());
     ASSERT_TRUE(buf == want) << "cell " << i << " on disk";
+  }
+}
+
+// Once a failed block write leaves the ring with no slot to recycle, Append
+// returns the write error instead of waiting for a flush that never comes,
+// and keeps returning it; Close() still writes every block the ring holds. A
+// file-size limit fails block 0's write; the appends then wrap the four-slot
+// ring. They run on their own thread, so a writer that hangs fails the
+// deadline instead of wedging the suite.
+TEST(HybridLogWriteErrorTest, AppendsThatWrapTheRingReturnTheWriteError) {
+  constexpr size_t kCell = 4096;
+  constexpr size_t kBlock = 64 << 10;
+  constexpr size_t kSlots = 4;
+  constexpr uint64_t kRingCells = kSlots * kBlock / kCell;
+  const auto cell = [](uint64_t i, uint8_t* out) {
+    for (size_t k = 0; k < kCell; k += sizeof(i)) {
+      std::memcpy(out + k, &i, sizeof(i));
+    }
+  };
+  TempDir dir;
+  const std::string path = dir.FilePath("log");
+  HybridLogOptions opts;
+  opts.block_size = kBlock;
+  opts.num_blocks = kSlots;
+  auto created = HybridLog::Create(path, opts);
+  ASSERT_TRUE(created.ok());
+  struct Run {
+    std::unique_ptr<HybridLog> log;
+    std::atomic<bool> done{false};
+    Status ring_status;     // the appends the ring holds
+    Status wrapped_status;  // the first append that needs a recycled slot
+    Status again_status;    // the append after it
+  };
+  // Shared with the appender, so a hung appender can be abandoned safely.
+  auto run = std::make_shared<Run>();
+  run->log = std::move(created.value());
+
+  struct sigaction ignore {};
+  ignore.sa_handler = SIG_IGN;
+  struct sigaction old_action {};
+  sigaction(SIGXFSZ, &ignore, &old_action);
+  struct rlimit old_limit {};
+  getrlimit(RLIMIT_FSIZE, &old_limit);
+  struct rlimit capped = old_limit;
+  capped.rlim_cur = kBlock / 2;
+  setrlimit(RLIMIT_FSIZE, &capped);
+  std::thread appender([run, cell] {
+    std::vector<uint8_t> buf(kCell);
+    for (uint64_t i = 0; i < kRingCells && run->ring_status.ok(); ++i) {
+      cell(i, buf.data());
+      run->ring_status = run->log->Append(buf).status();
+    }
+    cell(kRingCells, buf.data());
+    run->wrapped_status = run->log->Append(buf).status();
+    run->again_status = run->log->Append(buf).status();
+    run->log->Publish();
+    run->done.store(true, std::memory_order_release);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!run->done.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool finished = run->done.load(std::memory_order_acquire);
+  setrlimit(RLIMIT_FSIZE, &old_limit);
+  sigaction(SIGXFSZ, &old_action, nullptr);
+  if (!finished) {
+    appender.detach();
+    FAIL() << "writer hung: flushed_tail " << run->log->flushed_tail();
+  }
+  appender.join();
+
+  ASSERT_TRUE(run->ring_status.ok()) << run->ring_status.ToString();
+  EXPECT_FALSE(run->wrapped_status.ok());
+  EXPECT_EQ(run->again_status.ToString(), run->wrapped_status.ToString());
+  EXPECT_EQ(run->log->flushed_tail(), 0u);
+  std::vector<uint8_t> want(kCell);
+  std::vector<uint8_t> got(kCell);
+  for (uint64_t i = 0; i < kRingCells; ++i) {
+    cell(i, want.data());
+    ASSERT_TRUE(run->log->Read(i * kCell, got).ok());
+    ASSERT_TRUE(got == want) << "cell " << i;
+  }
+
+  ASSERT_TRUE(run->log->Close().ok());
+  auto reader = File::OpenReadOnly(path);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader->Size().value_or(0), kSlots * kBlock);
+  for (uint64_t i = 0; i < kRingCells; ++i) {
+    cell(i, want.data());
+    ASSERT_TRUE(reader->PReadAll(i * kCell, got).ok());
+    ASSERT_TRUE(got == want) << "cell " << i << " on disk";
   }
 }
 

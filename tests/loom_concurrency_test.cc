@@ -252,6 +252,15 @@ TEST(LoomConcurrencyTest, CachedQueriesMatchColdReadsUnderRetention) {
   for (uint64_t i = 1; i <= kRecords; ++i) {
     ASSERT_TRUE(l->Push(1, SeqPayload(i)).ok());
   }
+  // As above: a loaded host can starve the reader for the whole stream, so
+  // ingest goes on, one record per 100 us, until the reader has run its
+  // queries or 10 s pass.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (uint64_t i = kRecords + 1;
+       queries.load() <= 10 && std::chrono::steady_clock::now() < deadline; ++i) {
+    ASSERT_TRUE(l->Push(1, SeqPayload(i)).ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   done.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(errors.load(), 0u);

@@ -6,7 +6,7 @@
 #   * every run exits 0;
 #   * `sources` lists sources 1, 2 and 3;
 #   * `count --source 1` equals the app-latency index's `agg --method count`;
-#   * `scan` prints timestamps newest-first;
+#   * `scan` prints timestamps newest-first, and no record under `--limit 0`;
 #   * numeric flags that do not parse or do not fit their field exit 1.
 #
 # Wired as a ctest (check_loom_cli) that passes the built binary; run
@@ -48,6 +48,9 @@ stamps="$(printf '%s\n' "$out" | sed -n 's/^t=\([0-9]*\) .*/\1/p')"
 [ "$(printf '%s\n' "$stamps" | wc -l)" -eq 50 ] &&
   [ "$stamps" = "$(printf '%s\n' "$stamps" | sort -rn)" ] ||
   { echo "FAIL: scan did not print 50 timestamps newest-first: $out"; fail=1; }
+run scan --dir "$cap" --source 2 --limit 0
+[ "$out" = "(0 records shown, limit 0)" ] ||
+  { echo "FAIL: scan --limit 0 printed: $out"; fail=1; }
 
 for bad in "count --source 4294967297" "agg --start abc" "agg --method pct --pct nan"; do
   # shellcheck disable=SC2086  # $bad holds several words on purpose

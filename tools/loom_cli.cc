@@ -311,6 +311,9 @@ Status CmdScan(const Args& args) {
   }
   uint64_t shown = 0;
   LOOM_RETURN_IF_ERROR((*loom)->RawScan(q.source, q.range, [&](const RecordView& r) {
+    if (shown == limit) {
+      return false;  // --limit 0
+    }
     printf("t=%-14llu addr=%-10llu len=%zu\n", static_cast<unsigned long long>(r.ts),
            static_cast<unsigned long long>(r.addr), r.payload.size());
     return ++shown < limit;

@@ -5,6 +5,11 @@
 # the concurrency-sensitive test binaries, and runs them with
 # halt_on_error so any data race fails fast. This covers:
 #
+#   hybridlog_test            the record log's park/wake protocol: the
+#                             writer queueing blocks to the parked flusher
+#                             and parking for a slot, the flusher waking it
+#                             per flushed block and on a failed write, and
+#                             Close stopping it; signal captures included
 #   loom_concurrency_test     queries on several threads racing each other,
 #                             live ingest, block recycling, and retention;
 #                             four interleaved sources sealing chunks and
@@ -35,11 +40,12 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="$repo/build-tsan"
 
 cmake --preset tsan -S "$repo" >/dev/null
-cmake --build "$build" --target loom_concurrency_test loom_engine_test \
+cmake --build "$build" --target hybridlog_test loom_concurrency_test loom_engine_test \
   retention_test loom_ingest_pipeline_test tiering_test \
   standing_query_test net_test daemon_test -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
+"$build/tests/hybridlog_test"
 "$build/tests/loom_concurrency_test"
 "$build/tests/loom_engine_test"
 "$build/tests/retention_test"
